@@ -9,6 +9,7 @@ re-checkable: the (config, trial_id) pair pins the exact inputs.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,6 +62,10 @@ class TrialRecord:
 
     @property
     def is_violation(self) -> bool:
+        """A gap below -GAP_SLACK, a failed check, or a non-finite lhs,
+        rhs or gap (NaN compares False, so it must be caught explicitly)."""
+        if not all(math.isfinite(v) for v in (self.lhs, self.rhs, self.gap)):
+            return True
         return self.gap < -GAP_SLACK or not all(self.checks.values())
 
 
@@ -114,14 +119,14 @@ def evaluate_variant(spec: SuperpositionSpec, variant: str) -> TrialEvaluation:
         )
     if variant == VARIANT_EXACT:
         direct = superposition_entanglement(spec)
-        formula = exact_biorthogonal_entanglement(spec)
+        ents = component_entanglements(spec)
+        mixing = mixing_entropy(spec.coefficients)
+        formula = exact_biorthogonal_entanglement(spec, ents, mixing)
         return TrialEvaluation(
             lhs=direct,
             rhs=formula,
-            correction=mixing_entropy(spec.coefficients),
-            component_entanglements=tuple(
-                float(e) for e in component_entanglements(spec)
-            ),
+            correction=mixing,
+            component_entanglements=tuple(float(e) for e in ents),
             checks={"biorth_equality": abs(formula - direct) < EQUALITY_TOL},
         )
     if variant == VARIANT_ASSISTANT:
@@ -129,10 +134,8 @@ def evaluate_variant(spec: SuperpositionSpec, variant: str) -> TrialEvaluation:
         return TrialEvaluation(
             lhs=rep.s_rho_b,
             rhs=rep.upper_bound,
-            correction=mixing_entropy(spec.coefficients),
-            component_entanglements=tuple(
-                float(e) for e in component_entanglements(spec)
-            ),
+            correction=rep.mixing_entropy,
+            component_entanglements=rep.component_entanglements,
             checks={
                 "norm_partition": rep.norm_partition_residual < EQUALITY_TOL,
                 "sandwich_lower": rep.sandwich_lower_ok,

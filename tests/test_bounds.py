@@ -18,6 +18,7 @@ from entbound import (
     bound_constrained,
     bound_minimized,
     bound_unconstrained,
+    component_entanglements,
     constrained_coefficients,
     entanglement,
     exact_biorthogonal_entanglement,
@@ -34,6 +35,8 @@ from entbound import (
     unconstrained_correction,
     von_neumann_entropy,
 )
+from entbound.bounds import _permutation_gather_index, _permutation_table
+from entbound.core import xlog2x
 from conftest import basis_state, bell_state, random_state, two_bell_blocks
 
 
@@ -105,6 +108,11 @@ class TestNormalizationCoeffs:
     def test_domain_error(self, n):
         with pytest.raises(DomainError):
             normalization_coeffs(n)
+
+    def test_table_is_shared_per_n(self):
+        coeffs = normalization_coeffs(6)
+        assert normalization_coeffs(6) is coeffs
+        assert not coeffs.n_squared.flags.writeable
 
 
 def oracle_basis_by_recursion(n: int) -> np.ndarray:
@@ -288,6 +296,22 @@ def oracle_minimized_rhs(spec: SuperpositionSpec) -> tuple[float, tuple[int, ...
     return best, best_perm
 
 
+def reference_minimized(spec: SuperpositionSpec) -> tuple[float, float, tuple[int, ...]]:
+    """bound_minimized's search as first written: every row of the (n!, n)
+    weight array evaluated directly from a freshly built permutation table.
+    Returns (rhs, correction, permutation) of the first minimal row."""
+    n = spec.n
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    a2 = np.abs(spec.coefficients) ** 2
+    ents = component_entanglements(spec)
+    p = normalization_coeffs(n).n_squared[perms] * a2[None, :]
+    totals = p.sum(axis=1)
+    corrections = -xlog2x(p).sum(axis=1) + np.log2(totals) * totals
+    rhs_all = (p * ents[None, :]).sum(axis=1) + corrections
+    k = int(np.argmin(rhs_all))
+    return float(rhs_all[k]), float(corrections[k]), tuple(int(j) for j in perms[k])
+
+
 class TestBoundMinimized:
     def test_n2_table_is_symmetric(self):
         spec = make_spec([0.5, 0.5], [basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)])
@@ -301,12 +325,53 @@ class TestBoundMinimized:
             assert bound_minimized(spec).rhs <= bound_unconstrained(spec).rhs + 1e-12
 
     def test_matches_brute_force_oracle(self):
-        for trial in range(30):
-            spec = haar_spec(RandomStream(17).child(f"t{trial}"), 4, 3, 5, "simplex")
+        for n in range(2, 9):
+            for trial in range(30 if n < 7 else 4):
+                spec = haar_spec(RandomStream(17).child(f"n{n}-t{trial}"), n, 3, 5, "simplex")
+                rep = bound_minimized(spec)
+                best, best_perm = oracle_minimized_rhs(spec)
+                assert rep.rhs == pytest.approx(best, rel=1e-12, abs=1e-10)
+                assert rep.permutation == best_perm
+
+    @pytest.mark.parametrize(
+        "case", ["haar-n8-simplex", "haar-n8-constrained", "zero-coefficient", "identical"]
+    )
+    def test_bit_identical_to_row_by_row_reference(self, case):
+        # No tolerance: the gathered kernel must reproduce every bit of the
+        # row-by-row evaluation, including which of several tied rows wins.
+        if case.startswith("haar-n8"):
+            mode = case.rsplit("-", 1)[1]
+            specs = [haar_spec(RandomStream(41).child(f"t{t}"), 8, 4, 4, mode) for t in range(4)]
+        elif case == "zero-coefficient":
+            comps = [haar_state(3, 3, RandomStream(43).child(f"c{k}")) for k in range(5)]
+            specs = [make_spec([0.6, 0.0, 0.48, 0.0, 0.64], comps)]
+        else:
+            specs = [make_spec(np.full(4, 0.5), [bell_state()] * 4)]
+        for spec in specs:
             rep = bound_minimized(spec)
-            best, best_perm = oracle_minimized_rhs(spec)
-            assert rep.rhs == pytest.approx(best, abs=1e-10)
-            assert rep.permutation == best_perm
+            rhs, correction, perm = reference_minimized(spec)
+            assert rep.rhs == rhs
+            assert rep.gap == rhs - rep.lhs
+            assert rep.correction == correction
+            assert rep.permutation == perm
+
+    def test_exact_ties_keep_lexicographically_smallest(self):
+        # Zero weight on the last two identical components makes the rows
+        # of (0,1,2,3), (0,1,3,2), (1,0,2,3) and (1,0,3,2) bit-equal minima.
+        spec = make_spec([2**-0.5, 2**-0.5, 0.0, 0.0], [bell_state()] * 4)
+        assert reference_minimized(spec)[2] == (0, 1, 2, 3)
+        assert bound_minimized(spec).permutation == (0, 1, 2, 3)
+
+    def test_cached_permutation_tables_are_read_only(self):
+        for table in (_permutation_table(5), _permutation_gather_index(5)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+        assert _permutation_table(5) is _permutation_table(5)
+        np.testing.assert_array_equal(_permutation_table(3), list(itertools.permutations(range(3))))
+        np.testing.assert_array_equal(
+            _permutation_gather_index(3), _permutation_table(3) * 3 + np.arange(3)
+        )
 
     def test_prefers_small_weights_on_entangled_components(self):
         # E = (0, 0, 1): the minimum cannot exceed the identity assignment
@@ -404,6 +469,10 @@ class TestExactBiorthogonal:
             formula = exact_biorthogonal_entanglement(spec)
             direct = superposition_entanglement(spec)
             assert abs(formula - direct) < 1e-9
+            precomputed = exact_biorthogonal_entanglement(
+                spec, component_entanglements(spec), mixing_entropy(alphas)
+            )
+            assert precomputed == formula
 
     def test_biorthogonal_specs_are_orthogonal(self):
         for trial in range(10):
@@ -491,6 +560,10 @@ class TestAssistantStateCheck:
             rep = assistant_state_check(spec)
             assert rep.norm_partition_residual < 1e-9
             assert rep.sandwich_lower_ok and rep.sandwich_upper_ok and rep.final_bound_ok
+            a2 = np.abs(spec.coefficients) ** 2
+            assert rep.component_entanglements == tuple(component_entanglements(spec))
+            assert rep.mixing_entropy == mixing_entropy(spec.coefficients)
+            assert rep.upper_bound == float(a2 @ component_entanglements(spec)) + rep.mixing_entropy
 
     def test_requires_unit_weight(self):
         spec = make_spec([1.0, 1.0], [basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)])

@@ -54,9 +54,13 @@ class TestTrialRecords:
         good = TrialRecord(0, cfg, "constrained", 1.0, 2.0, 1.0, 0.5, (), {})
         bad_gap = TrialRecord(0, cfg, "constrained", 2.0, 1.0, -1.0, 0.5, (), {})
         bad_check = TrialRecord(0, cfg, "exact", 1.0, 1.0, 0.0, 0.5, (), {"x": False})
+        nan_gap = TrialRecord(0, cfg, "constrained", 1.0, math.nan, math.nan, 0.5, (), {})
+        inf_rhs = TrialRecord(0, cfg, "constrained", 1.0, math.inf, math.inf, 0.5, (), {})
         assert not good.is_violation
         assert bad_gap.is_violation
         assert bad_check.is_violation
+        assert nan_gap.is_violation
+        assert inf_rhs.is_violation
 
     def test_records_are_recheckable(self):
         cfg = haar_config(n=3)
