@@ -2,13 +2,22 @@
 
 Implements the normalization-coefficient recursion N_1^2 = 2,
 N_j^2 = prod_{i<j} N_i^2 + 1 (interior), N_n^2 = prod_{i<n} N_i^2,
-the orthonormal auxiliary-basis change built from it, the bound
+the orthonormal auxiliary-basis change built from it, and the bound
 
     ||sum alpha_i phi_i||^2 E(sum alpha_i phi_i)
-        <= sum N_i^2 |alpha_i|^2 E(phi_i) + correction
+        <= rhs = sum p_i E(phi_i) + T H(p / T),
+    p_i = N_i^2 |alpha_i|^2,  T = sum p_i,
 
-in constrained (sum N_i^2|alpha_i|^2 = 1), unconstrained, and
-permutation-minimized variants, the exact formula for biorthogonal
+where T H(p / T) = -sum p_i log2 p_i + T log2 T is the correction.  The
+constrained variant is the case T = 1, the unconstrained one takes any
+coefficient scale, and the minimized one takes the lowest rhs over all
+n! assignments of the N_i^2 to the components.  All three run through
+one kernel (`_bound`) that gathers rows of weights from the n x n table
+N_i^2 |alpha_j|^2.  Every variant forms sum p_i E(phi_i) as one matrix
+product P @ E over its rows: on a single row that rounds exactly like
+the dot product p @ E, so the constrained and unconstrained values equal
+a direct evaluation, whereas summing the products row by row would
+round differently.  Also here: the exact formula for biorthogonal
 components, the entropy mixing sandwich, and the assistant-state
 verifier that traces the proof chain numerically.
 """
@@ -18,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -86,13 +95,11 @@ class NormalizationCoeffs:
 
     Values grow doubly exponentially (the interior terms follow
     Sylvester's sequence), so the float view saturates to +inf around
-    n = 12 while the exact mirror is kept only while every value fits
-    an unsigned 128-bit integer (n <= 8).
+    n = 12; `_exact_n_squared(n)` gives the exact integers.
     """
 
     n: int
     n_squared: np.ndarray
-    n_squared_exact: tuple[int, ...] | None
 
     @property
     def sum_inverse(self) -> float:
@@ -104,11 +111,9 @@ class NormalizationCoeffs:
 # typed: a float n such as 4.0 still fails as before instead of hitting n = 4
 @functools.lru_cache(maxsize=None, typed=True)
 def _cached_normalization_coeffs(n: int) -> NormalizationCoeffs:
-    exact = _exact_n_squared(n)
-    floats = np.array([_to_float(v) for v in exact])
+    floats = np.array([_to_float(v) for v in _exact_n_squared(n)])
     floats.setflags(write=False)
-    mirror = tuple(exact) if max(exact) < 2**128 else None
-    return NormalizationCoeffs(n=n, n_squared=floats, n_squared_exact=mirror)
+    return NormalizationCoeffs(n=n, n_squared=floats)
 
 
 def normalization_coeffs(n: int) -> NormalizationCoeffs:
@@ -148,29 +153,6 @@ def basis_matrix(n: int) -> np.ndarray:
     return m
 
 
-def _weights(alphas: np.ndarray, coeffs: NormalizationCoeffs) -> np.ndarray:
-    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
-    if alphas.size != coeffs.n:
-        raise ShapeMismatchError(
-            f"{alphas.size} coefficients for normalization table of n={coeffs.n}"
-        )
-    return coeffs.n_squared * np.abs(alphas) ** 2
-
-
-def h_constrained(alphas: Sequence[complex] | np.ndarray, coeffs: NormalizationCoeffs) -> float:
-    """Correction term -sum_i p_i log2(p_i) with p_i = N_i^2 |alpha_i|^2.
-
-    Requires the constraint sum_i p_i = 1 to hold within tolerance, which
-    makes this the Shannon entropy of a probability vector.
-    """
-    p = _weights(alphas, coeffs)
-    if abs(p.sum() - 1.0) > CONSTRAINT_TOL:
-        raise PreconditionError(
-            f"constraint sum N_i^2|alpha_i|^2 = 1 violated (got {p.sum()!r})"
-        )
-    return shannon_entropy(p)
-
-
 def mixing_entropy(alphas: Sequence[complex] | np.ndarray) -> float:
     """-sum_i |alpha_i|^2 log2 |alpha_i|^2, the correction for biorthogonal
     components (and the upper sandwich slack for the assistant state)."""
@@ -178,35 +160,37 @@ def mixing_entropy(alphas: Sequence[complex] | np.ndarray) -> float:
     return shannon_entropy(a2)
 
 
-def unconstrained_correction(
-    alphas: Sequence[complex] | np.ndarray, coeffs: NormalizationCoeffs
-) -> float:
-    """Correction for arbitrary coefficient scale:
-    -sum p_i log2 p_i + log2(sum p_i) * sum p_i with p_i = N_i^2|alpha_i|^2."""
-    p = _weights(alphas, coeffs)
-    total = float(p.sum())
-    if total <= ZERO_NORM_TOL:
-        raise DegenerateStateError("all coefficients vanish")
-    return shannon_entropy(p) + math.log2(total) * total
-
-
 @dataclass(frozen=True)
 class BoundReport:
-    """Both sides of a bound inequality plus its diagnostics.
+    """Both sides of a bound inequality (or of an equality or proof-chain
+    check) plus its diagnostics.
 
     gap = rhs - lhs; nonnegativity of the gap (within slack) is the
-    verified claim.  permutation is populated only by the minimized
-    variant and gives, per component, the index into the sorted
-    normalization table that was assigned to it.
+    verified claim, and checks holds the named boolean checks of the
+    variants that have them.  permutation is populated only by the
+    minimized variant and gives, per component, the index into the
+    sorted normalization table that was assigned to it.
     """
 
     variant: str
     lhs: float
     rhs: float
-    gap: float
     correction: float
     component_entanglements: tuple[float, ...]
+    checks: dict[str, bool] = field(default_factory=dict)
     permutation: tuple[int, ...] | None = None
+
+    @property
+    def gap(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def is_violation(self) -> bool:
+        """A gap below -GAP_SLACK, a failed check, or a non-finite lhs,
+        rhs or gap (NaN compares False, so it must be caught explicitly)."""
+        if not all(math.isfinite(v) for v in (self.lhs, self.rhs, self.gap)):
+            return True
+        return self.gap < -GAP_SLACK or not all(self.checks.values())
 
 
 def _lhs_and_entanglements(spec: SuperpositionSpec) -> tuple[float, np.ndarray]:
@@ -214,41 +198,6 @@ def _lhs_and_entanglements(spec: SuperpositionSpec) -> tuple[float, np.ndarray]:
     if n2 <= ZERO_NORM_TOL:
         raise DegenerateStateError("superposition vanishes; the bound is vacuous")
     return n2 * entanglement(combine(spec)), component_entanglements(spec)
-
-
-def bound_constrained(spec: SuperpositionSpec) -> BoundReport:
-    """Main bound under the constraint sum N_i^2|alpha_i|^2 = 1."""
-    coeffs = normalization_coeffs(spec.n)
-    lhs, ents = _lhs_and_entanglements(spec)
-    p = _weights(spec.coefficients, coeffs)
-    correction = h_constrained(spec.coefficients, coeffs)
-    rhs = float(p @ ents) + correction
-    return BoundReport(
-        variant=VARIANT_CONSTRAINED,
-        lhs=lhs,
-        rhs=rhs,
-        gap=rhs - lhs,
-        correction=correction,
-        component_entanglements=tuple(float(e) for e in ents),
-    )
-
-
-def bound_unconstrained(spec: SuperpositionSpec) -> BoundReport:
-    """Bound for arbitrary coefficients; coincides with the constrained
-    variant whenever the constraint happens to hold."""
-    coeffs = normalization_coeffs(spec.n)
-    lhs, ents = _lhs_and_entanglements(spec)
-    p = _weights(spec.coefficients, coeffs)
-    correction = unconstrained_correction(spec.coefficients, coeffs)
-    rhs = float(p @ ents) + correction
-    return BoundReport(
-        variant=VARIANT_UNCONSTRAINED,
-        lhs=lhs,
-        rhs=rhs,
-        gap=rhs - lhs,
-        correction=correction,
-        component_entanglements=tuple(float(e) for e in ents),
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -273,49 +222,89 @@ def _permutation_gather_index(n: int) -> np.ndarray:
     return index
 
 
-def bound_minimized(spec: SuperpositionSpec) -> BoundReport:
-    """Lowest unconstrained bound over all assignments of the
-    normalization table to components.
+@functools.lru_cache(maxsize=None)
+def _diagonal_gather_index(n: int) -> np.ndarray:
+    """Flat index of the diagonal of an n x n array, as a single row."""
+    index = np.arange(n)[None, :] * (n + 1)
+    index.setflags(write=False)
+    return index
 
-    Exhausts all n! permutations (deterministically, in lexicographic
-    order; ties resolve to the lexicographically smallest permutation).
 
-    Every weight p[k, j] = N^2[perm[k, j]] |alpha_j|^2 is one of only n^2
-    products N_i^2 |alpha_j|^2, so p, p log2 p and p E are evaluated once
-    on that n x n table and gathered into (n!, n) rows.  The gathered
-    arrays hold the same values in the same layout as evaluating each
-    row directly, and each row is summed in the same order, so rhs, the
-    correction and the tie rule are exact, not approximations.  The
-    permutation table and its gather index are cached per n: n! * n
-    intp each, about 2.6 MB per table at n = 8.
+def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
+    """The one bound kernel behind every variant.
+
+    Every weight is one of the n^2 products N_i^2 |alpha_j|^2, so p and
+    p log2 p are evaluated once on that n x n table and gathered into
+    rows P through a cached index: the diagonal, as one row, for the
+    constrained and unconstrained variants, and one row per permutation
+    (lexicographic order) for the minimized one.  Per row,
+
+        T = sum_j P_j,   correction = -sum_j P_j log2 P_j + T log2 T,
+        rhs = P @ E + correction,
+
+    where the constrained variant requires |T - 1| <= CONSTRAINT_TOL and
+    drops the T log2 T term.  P @ E is one matrix product for every
+    variant because a one-row product rounds exactly like the dot product
+    p @ E (see the module docstring).  The first minimal row wins, so
+    ties resolve to the lexicographically smallest permutation.
     """
     n = spec.n
-    if n > MAX_MINIMIZED_N:
+    if variant == VARIANT_MINIMIZED and n > MAX_MINIMIZED_N:
         raise DomainError(
             f"exhaustive permutation search is capped at n = {MAX_MINIMIZED_N}, got {n}"
         )
     coeffs = normalization_coeffs(n)
     lhs, ents = _lhs_and_entanglements(spec)
-    a2 = np.abs(spec.coefficients) ** 2
-    if float(a2.sum()) <= ZERO_NORM_TOL:
-        raise DegenerateStateError("all coefficients vanish")
-
-    index = _permutation_gather_index(n)
-    table = coeffs.n_squared[:, None] * a2[None, :]    # (n, n): N_i^2 |alpha_j|^2
-    p = table.ravel()[index]                           # (n!, n)
+    if variant == VARIANT_MINIMIZED:
+        index = _permutation_gather_index(n)
+    else:
+        index = _diagonal_gather_index(n)
+    table = coeffs.n_squared[:, None] * (np.abs(spec.coefficients) ** 2)[None, :]
+    p = table.ravel()[index]
     totals = p.sum(axis=1)
-    corrections = -xlog2x(table).ravel()[index].sum(axis=1) + np.log2(totals) * totals
-    rhs_all = (table * ents[None, :]).ravel()[index].sum(axis=1) + corrections
-    k = int(np.argmin(rhs_all))                        # first hit = lex smallest
+    if totals.min() <= ZERO_NORM_TOL:
+        raise DegenerateStateError("all coefficients vanish")
+    corrections = -xlog2x(table).ravel()[index].sum(axis=1)
+    if variant == VARIANT_CONSTRAINED:
+        if abs(totals[0] - 1.0) > CONSTRAINT_TOL:
+            raise PreconditionError(
+                f"constraint sum N_i^2|alpha_i|^2 = 1 violated (got {totals[0]!r})"
+            )
+    else:
+        corrections += np.log2(totals) * totals
+    rhs = p @ ents + corrections
+    k = int(rhs.argmin())
     return BoundReport(
-        variant=VARIANT_MINIMIZED,
+        variant=variant,
         lhs=lhs,
-        rhs=float(rhs_all[k]),
-        gap=float(rhs_all[k]) - lhs,
+        rhs=float(rhs[k]),
         correction=float(corrections[k]),
         component_entanglements=tuple(float(e) for e in ents),
-        permutation=tuple(int(j) for j in _permutation_table(n)[k]),
+        permutation=(
+            tuple(int(j) for j in _permutation_table(n)[k])
+            if variant == VARIANT_MINIMIZED
+            else None
+        ),
     )
+
+
+def bound_constrained(spec: SuperpositionSpec) -> BoundReport:
+    """Main bound under the constraint sum N_i^2|alpha_i|^2 = 1."""
+    return _bound(spec, VARIANT_CONSTRAINED)
+
+
+def bound_unconstrained(spec: SuperpositionSpec) -> BoundReport:
+    """Bound for arbitrary coefficients; coincides with the constrained
+    variant whenever the constraint happens to hold."""
+    return _bound(spec, VARIANT_UNCONSTRAINED)
+
+
+def bound_minimized(spec: SuperpositionSpec) -> BoundReport:
+    """Lowest unconstrained bound over all n! assignments of the
+    normalization table to components (capped at n = MAX_MINIMIZED_N).
+    The permutation table and its gather index are cached per n: n! * n
+    intp each, about 2.6 MB per table at n = 8."""
+    return _bound(spec, VARIANT_MINIMIZED)
 
 
 def is_biorthogonal(

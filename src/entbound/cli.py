@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .bounds import _exact_n_squared, normalization_coeffs
@@ -22,7 +20,13 @@ from .errors import (
     PreconditionError,
     SchemaError,
 )
-from .report import VARIANTS, evaluate_variant, run_campaign
+from .report import (
+    VARIANTS,
+    bound_report_to_json,
+    evaluate_variant,
+    run_campaign,
+    summary_to_json,
+)
 from .serialize import config_from_json, dumps, loads, spec_from_json
 from .superposition import squared_norm, superposition_entanglement
 
@@ -59,39 +63,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail(EXIT_INPUT, str(exc))
     except (PreconditionError, DegenerateStateError) as exc:
         return _fail(EXIT_PRECONDITION, f"precondition failed: {exc}")
-    print(
-        dumps(
-            {
-                "trials": summary.trials,
-                "violations": summary.violations,
-                "min_gap": summary.min_gap,
-                "mean_gap": summary.mean_gap,
-                "max_gap": summary.max_gap,
-                "runtime_seconds": summary.runtime_seconds,
-            }
-        )
-    )
+    print(dumps(summary_to_json(summary)))
     return EXIT_OK if summary.violations == 0 else EXIT_VIOLATION
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     try:
         spec = spec_from_json(_read_json(args.state_file, "state"))
-        ev = evaluate_variant(spec, args.variant)
+        rep = evaluate_variant(spec, args.variant)
         out = {
-            "variant": args.variant,
-            "lhs": ev.lhs,
-            "rhs": ev.rhs,
-            "gap": ev.gap,
-            "correction": ev.correction,
-            "component_entanglements": list(ev.component_entanglements),
+            **bound_report_to_json(rep),
             "squared_norm": squared_norm(spec),
             "superposition_entanglement": superposition_entanglement(spec),
         }
-        if ev.permutation is not None:
-            out["permutation"] = list(ev.permutation)
-        if ev.checks:
-            out["checks"] = ev.checks
+        if rep.permutation is not None:
+            out["permutation"] = list(rep.permutation)
+        if rep.checks:
+            out["checks"] = rep.checks
     except (SchemaError, DomainError) as exc:
         return _fail(EXIT_INPUT, str(exc))
     except (PreconditionError, DegenerateStateError) as exc:
@@ -103,17 +91,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_coeffs(args: argparse.Namespace) -> int:
     try:
         coeffs = normalization_coeffs(args.n)
-        exact = _exact_n_squared(args.n)
     except DomainError as exc:
         return _fail(EXIT_INPUT, str(exc))
-    residual = abs(math.fsum(float(Fraction(1, v)) for v in exact) - 1.0)
     print(
         dumps(
             {
                 "n": args.n,
-                "n_squared": exact,
-                "sum_inverse_residual": residual,
-                "exact_mirror_present": coeffs.n_squared_exact is not None,
+                "n_squared": _exact_n_squared(args.n),
+                "sum_inverse_residual": abs(coeffs.sum_inverse - 1.0),
             }
         )
     )

@@ -9,17 +9,16 @@ re-checkable: the (config, trial_id) pair pins the exact inputs.
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 from .bounds import (
-    GAP_SLACK,
     VARIANT_CONSTRAINED,
     VARIANT_MINIMIZED,
     VARIANT_UNCONSTRAINED,
+    BoundReport,
     assistant_state_check,
     bound_constrained,
     bound_minimized,
@@ -51,22 +50,7 @@ EQUALITY_TOL = 1e-9  # |formula - direct| for the biorthogonal equality check
 class TrialRecord:
     trial_id: int
     config: EnsembleConfig
-    variant: str
-    lhs: float
-    rhs: float
-    gap: float
-    correction: float
-    component_entanglements: tuple[float, ...]
-    checks: dict[str, bool]
-    permutation: tuple[int, ...] | None = None
-
-    @property
-    def is_violation(self) -> bool:
-        """A gap below -GAP_SLACK, a failed check, or a non-finite lhs,
-        rhs or gap (NaN compares False, so it must be caught explicitly)."""
-        if not all(math.isfinite(v) for v in (self.lhs, self.rhs, self.gap)):
-            return True
-        return self.gap < -GAP_SLACK or not all(self.checks.values())
+    report: BoundReport
 
 
 @dataclass(frozen=True)
@@ -84,23 +68,7 @@ def trial_stream(config: EnsembleConfig, trial_id: int) -> RandomStream:
     return RandomStream(config.seed).child(f"trial-{trial_id}")
 
 
-@dataclass(frozen=True)
-class TrialEvaluation:
-    """Outcome of one variant on one spec, ready to serialize."""
-
-    lhs: float
-    rhs: float
-    correction: float
-    component_entanglements: tuple[float, ...]
-    checks: dict[str, bool]
-    permutation: tuple[int, ...] | None = None
-
-    @property
-    def gap(self) -> float:
-        return self.rhs - self.lhs
-
-
-def evaluate_variant(spec: SuperpositionSpec, variant: str) -> TrialEvaluation:
+def evaluate_variant(spec: SuperpositionSpec, variant: str) -> BoundReport:
     """Evaluate one bound variant (or equality/proof-chain check) on a spec."""
     if variant in (VARIANT_CONSTRAINED, VARIANT_UNCONSTRAINED, VARIANT_MINIMIZED):
         fn = {
@@ -108,21 +76,14 @@ def evaluate_variant(spec: SuperpositionSpec, variant: str) -> TrialEvaluation:
             VARIANT_UNCONSTRAINED: bound_unconstrained,
             VARIANT_MINIMIZED: bound_minimized,
         }[variant]
-        rep = fn(spec)
-        return TrialEvaluation(
-            lhs=rep.lhs,
-            rhs=rep.rhs,
-            correction=rep.correction,
-            component_entanglements=rep.component_entanglements,
-            checks={},
-            permutation=rep.permutation,
-        )
+        return fn(spec)
     if variant == VARIANT_EXACT:
         direct = superposition_entanglement(spec)
         ents = component_entanglements(spec)
         mixing = mixing_entropy(spec.coefficients)
         formula = exact_biorthogonal_entanglement(spec, ents, mixing)
-        return TrialEvaluation(
+        return BoundReport(
+            variant=variant,
             lhs=direct,
             rhs=formula,
             correction=mixing,
@@ -131,7 +92,8 @@ def evaluate_variant(spec: SuperpositionSpec, variant: str) -> TrialEvaluation:
         )
     if variant == VARIANT_ASSISTANT:
         rep = assistant_state_check(spec)
-        return TrialEvaluation(
+        return BoundReport(
+            variant=variant,
             lhs=rep.s_rho_b,
             rhs=rep.upper_bound,
             correction=rep.mixing_entropy,
@@ -156,19 +118,7 @@ def run_trial(
     if coeffs is None:
         coeffs = normalization_coeffs(config.n)
     spec = generate_spec(config, coeffs, trial_stream(config, trial_id))
-    ev = evaluate_variant(spec, variant)
-    return TrialRecord(
-        trial_id=trial_id,
-        config=config,
-        variant=variant,
-        lhs=ev.lhs,
-        rhs=ev.rhs,
-        gap=ev.gap,
-        correction=ev.correction,
-        component_entanglements=ev.component_entanglements,
-        checks=ev.checks,
-        permutation=ev.permutation,
-    )
+    return TrialRecord(trial_id, config, evaluate_variant(spec, variant))
 
 
 def iter_trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[TrialRecord]:
@@ -186,32 +136,27 @@ def iter_trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[T
         try:
             yield run_trial(config, variant, trial_id, coeffs)
         except InvariantViolationError:
-            yield TrialRecord(
-                trial_id=trial_id,
-                config=config,
-                variant=variant,
-                lhs=0.0,
-                rhs=0.0,
-                gap=0.0,
-                correction=0.0,
-                component_entanglements=(),
-                checks={"numeric_invariants": False},
-            )
+            failed = BoundReport(variant, 0.0, 0.0, 0.0, (), {"numeric_invariants": False})
+            yield TrialRecord(trial_id, config, failed)
+
+
+def bound_report_to_json(report: BoundReport) -> dict:
+    """The keys a trial record and `entbound eval` share, in wire order."""
+    return {
+        "variant": report.variant,
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "gap": report.gap,
+        "correction": report.correction,
+        "component_entanglements": list(report.component_entanglements),
+    }
 
 
 def record_to_json(record: TrialRecord) -> dict:
-    out = {
-        "trial_id": record.trial_id,
-        "variant": record.variant,
-        "lhs": record.lhs,
-        "rhs": record.rhs,
-        "gap": record.gap,
-        "correction": record.correction,
-        "component_entanglements": list(record.component_entanglements),
-        "checks": dict(record.checks),
-    }
-    if record.permutation is not None:
-        out["permutation"] = list(record.permutation)
+    rep = record.report
+    out = {"trial_id": record.trial_id, **bound_report_to_json(rep), "checks": dict(rep.checks)}
+    if rep.permutation is not None:
+        out["permutation"] = list(rep.permutation)
     out["config"] = config_to_json(record.config)
     return out
 
@@ -263,22 +208,23 @@ def run_campaign(
                 )
             for record in iter_trials(config, variant, trials):
                 fh.write(dumps(record_to_json(record)) + "\n")
+                rep = record.report
                 if csv_writer is not None:
                     csv_writer.writerow(
                         [
                             record.trial_id,
-                            record.variant,
-                            format_float(record.lhs),
-                            format_float(record.rhs),
-                            format_float(record.gap),
-                            format_float(record.correction),
+                            rep.variant,
+                            format_float(rep.lhs),
+                            format_float(rep.rhs),
+                            format_float(rep.gap),
+                            format_float(rep.correction),
                         ]
                     )
-                violations += int(record.is_violation)
+                violations += int(rep.is_violation)
                 count += 1
-                min_gap = min(min_gap, record.gap)
-                max_gap = max(max_gap, record.gap)
-                gap_sum += record.gap
+                min_gap = min(min_gap, rep.gap)
+                max_gap = max(max_gap, rep.gap)
+                gap_sum += rep.gap
     finally:
         if csv_file is not None:
             csv_file.close()

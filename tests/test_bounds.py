@@ -22,7 +22,6 @@ from entbound import (
     constrained_coefficients,
     entanglement,
     exact_biorthogonal_entanglement,
-    h_constrained,
     haar_state,
     is_biorthogonal,
     mixing_entropy,
@@ -32,10 +31,9 @@ from entbound import (
     partial_trace_b,
     simplex_coefficients,
     superposition_entanglement,
-    unconstrained_correction,
     von_neumann_entropy,
 )
-from entbound.bounds import _permutation_gather_index, _permutation_table
+from entbound.bounds import _exact_n_squared, _permutation_gather_index, _permutation_table
 from entbound.core import xlog2x
 from conftest import basis_state, bell_state, random_state, two_bell_blocks
 
@@ -75,15 +73,14 @@ class TestNormalizationCoeffs:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_recursion_oracle(self, n):
-        coeffs = normalization_coeffs(n)
         oracle = oracle_n_squared(n)
-        assert coeffs.n_squared_exact == tuple(oracle)
-        np.testing.assert_array_equal(coeffs.n_squared, [float(v) for v in oracle])
+        assert _exact_n_squared(n) == oracle
+        np.testing.assert_array_equal(normalization_coeffs(n).n_squared, [float(v) for v in oracle])
 
     def test_small_tables(self):
-        assert normalization_coeffs(3).n_squared_exact == (2, 3, 6)
-        assert normalization_coeffs(4).n_squared_exact == (2, 3, 7, 42)
-        assert normalization_coeffs(5).n_squared_exact == (2, 3, 7, 43, 1806)
+        assert _exact_n_squared(3) == [2, 3, 6]
+        assert _exact_n_squared(4) == [2, 3, 7, 42]
+        assert _exact_n_squared(5) == [2, 3, 7, 43, 1806]
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_sum_inverse_is_one(self, n):
@@ -92,13 +89,9 @@ class TestNormalizationCoeffs:
     @pytest.mark.parametrize("n", range(4, 9))
     def test_interior_product_identity(self, n):
         # N_j^2 = N_{j-1}^2 (N_{j-1}^2 - 1) + 1 for interior 2 < j < n
-        exact = normalization_coeffs(n).n_squared_exact
+        exact = _exact_n_squared(n)
         for j in range(2, n - 1):
             assert exact[j] == exact[j - 1] * (exact[j - 1] - 1) + 1
-
-    def test_mirror_absent_beyond_128_bits(self):
-        assert normalization_coeffs(8).n_squared_exact is not None
-        assert normalization_coeffs(9).n_squared_exact is None
 
     def test_entries_at_least_two(self):
         for n in range(2, 17):
@@ -169,16 +162,20 @@ class TestBasisMatrix:
             basis_matrix(17)
 
 
+def product_spec(coeffs) -> SuperpositionSpec:
+    """Orthogonal product components |kk>, one per coefficient."""
+    n = len(coeffs)
+    return make_spec(coeffs, [basis_state(n, n, k, k) for k in range(n)])
+
+
 class TestCorrectionTerms:
     def test_h_equal_quarter_weights(self):
-        coeffs = normalization_coeffs(2)
-        assert h_constrained([0.5, 0.5], coeffs) == pytest.approx(1.0, abs=1e-12)
+        spec = product_spec([0.5, 0.5])
+        assert bound_constrained(spec).correction == pytest.approx(1.0, abs=1e-12)
 
     def test_h_degenerate_distribution(self):
-        coeffs = normalization_coeffs(2)
-        assert h_constrained([math.sqrt(0.5), 0.0], coeffs) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        spec = product_spec([math.sqrt(0.5), 0.0])
+        assert bound_constrained(spec).correction == pytest.approx(0.0, abs=1e-12)
 
     def test_h_known_spectrum(self):
         # weights chosen so N_i^2 |alpha_i|^2 = (1/2, 1/3, 1/6)
@@ -187,18 +184,19 @@ class TestCorrectionTerms:
         expected = -(
             0.5 * math.log2(0.5) + (1 / 3) * math.log2(1 / 3) + (1 / 6) * math.log2(1 / 6)
         )
-        assert h_constrained(alphas, coeffs) == pytest.approx(expected, abs=1e-6)
+        assert bound_constrained(product_spec(alphas)).correction == pytest.approx(
+            expected, abs=1e-6
+        )
         assert expected == pytest.approx(1.459148, abs=1e-6)
 
     def test_h_requires_constraint(self):
         with pytest.raises(PreconditionError):
-            h_constrained([1.0, 1.0], normalization_coeffs(2))
+            bound_constrained(product_spec([1.0, 1.0]))
 
     def test_unconstrained_reduces_when_constraint_holds(self):
-        coeffs = normalization_coeffs(2)
-        alphas = np.array([0.5, 0.5])
-        assert unconstrained_correction(alphas, coeffs) == pytest.approx(
-            h_constrained(alphas, coeffs), abs=1e-12
+        spec = product_spec([0.5, 0.5])
+        assert bound_unconstrained(spec).correction == pytest.approx(
+            bound_constrained(spec).correction, abs=1e-12
         )
 
     def test_mixing_entropy_uniform(self):
@@ -307,7 +305,7 @@ def reference_minimized(spec: SuperpositionSpec) -> tuple[float, float, tuple[in
     p = normalization_coeffs(n).n_squared[perms] * a2[None, :]
     totals = p.sum(axis=1)
     corrections = -xlog2x(p).sum(axis=1) + np.log2(totals) * totals
-    rhs_all = (p * ents[None, :]).sum(axis=1) + corrections
+    rhs_all = p @ ents + corrections
     k = int(np.argmin(rhs_all))
     return float(rhs_all[k]), float(corrections[k]), tuple(int(j) for j in perms[k])
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from entbound import (
+    BoundReport,
     EnsembleConfig,
     SuperpositionSpec,
     bound_constrained,
@@ -15,7 +16,6 @@ from entbound import (
 )
 from entbound.cli import main
 from entbound.report import (
-    TrialRecord,
     evaluate_variant,
     record_to_json,
     summary_path_for,
@@ -46,16 +46,16 @@ def write_spec_file(tmp_path, coeffs, components, name="spec.json"):
 
 class TestTrialRecords:
     def test_gap_is_rhs_minus_lhs(self):
-        rec = next(iter(iter_trials(haar_config(), "constrained", 1)))
-        assert rec.gap == rec.rhs - rec.lhs
+        rep = next(iter(iter_trials(haar_config(), "constrained", 1))).report
+        assert rep.gap == rep.rhs - rep.lhs
 
     def test_violation_logic(self):
-        cfg = haar_config()
-        good = TrialRecord(0, cfg, "constrained", 1.0, 2.0, 1.0, 0.5, (), {})
-        bad_gap = TrialRecord(0, cfg, "constrained", 2.0, 1.0, -1.0, 0.5, (), {})
-        bad_check = TrialRecord(0, cfg, "exact", 1.0, 1.0, 0.0, 0.5, (), {"x": False})
-        nan_gap = TrialRecord(0, cfg, "constrained", 1.0, math.nan, math.nan, 0.5, (), {})
-        inf_rhs = TrialRecord(0, cfg, "constrained", 1.0, math.inf, math.inf, 0.5, (), {})
+        good = BoundReport("constrained", 1.0, 2.0, 0.5, ())
+        bad_gap = BoundReport("constrained", 2.0, 1.0, 0.5, ())
+        bad_check = BoundReport("exact", 1.0, 1.0, 0.5, (), {"x": False})
+        nan_gap = BoundReport("constrained", 1.0, math.nan, 0.5, ())
+        inf_rhs = BoundReport("constrained", 1.0, math.inf, 0.5, ())
+        assert math.isnan(nan_gap.gap) and inf_rhs.gap == math.inf
         assert not good.is_violation
         assert bad_gap.is_violation
         assert bad_check.is_violation
@@ -68,8 +68,8 @@ class TestTrialRecords:
         for rec in iter_trials(cfg, "constrained", 10):
             spec = generate_spec(cfg, coeffs, trial_stream(cfg, rec.trial_id))
             rep = bound_constrained(spec)
-            assert abs(rep.lhs - rec.lhs) < 1e-12
-            assert abs(rep.rhs - rec.rhs) < 1e-12
+            assert abs(rep.lhs - rec.report.lhs) < 1e-12
+            assert abs(rep.rhs - rec.report.rhs) < 1e-12
 
     def test_exact_variant_checks(self):
         cfg = haar_config(
@@ -81,20 +81,21 @@ class TestTrialRecords:
             coefficient_mode="simplex_uniform",
         )
         for rec in iter_trials(cfg, "exact", 20):
-            assert rec.checks["biorth_equality"]
-            assert not rec.is_violation
+            assert rec.report.checks["biorth_equality"]
+            assert not rec.report.is_violation
 
     def test_assistant_variant_checks(self):
         cfg = haar_config(coefficient_mode="simplex_uniform", n=2, dim_a=3, dim_b=3)
         for rec in iter_trials(cfg, "assistant", 20):
-            assert rec.checks["norm_partition"]
-            assert rec.checks["sandwich_lower"] and rec.checks["sandwich_upper"]
-            assert rec.checks["final_bound"]
+            checks = rec.report.checks
+            assert checks["norm_partition"]
+            assert checks["sandwich_lower"] and checks["sandwich_upper"]
+            assert checks["final_bound"]
 
     def test_minimized_records_carry_permutation(self):
         rec = next(iter(iter_trials(haar_config(), "minimized", 1)))
-        assert rec.permutation is not None
-        assert sorted(rec.permutation) == [0, 1, 2]
+        assert rec.report.permutation is not None
+        assert sorted(rec.report.permutation) == [0, 1, 2]
         assert "permutation" in record_to_json(rec)
 
 
@@ -159,7 +160,6 @@ class TestCli:
         finally:
             sys.set_int_max_str_digits(limit)
         assert len(out["n_squared"]) == 16
-        assert out["exact_mirror_present"] is False
         assert out["sum_inverse_residual"] < 1e-12
         prod = 1
         for v in out["n_squared"][:-1]:
