@@ -42,6 +42,7 @@ from .core import (
     entanglement,
     partial_trace_a,
     partial_trace_b,
+    schmidt_entropies,
     shannon_entropy,
     von_neumann_entropy,
     xlog2x,
@@ -85,43 +86,23 @@ def _exact_n_squared(n: int) -> list[int]:
     return vals
 
 
-def _to_float(v: int) -> float:
-    return float(v) if v <= _FLOAT_MAX else math.inf
+# typed: a float n such as 4.0 still fails as before instead of hitting n = 4
+@functools.lru_cache(maxsize=None, typed=True)
+def _cached_normalization_coeffs(n: int) -> np.ndarray:
+    floats = np.array([float(v) if v <= _FLOAT_MAX else math.inf for v in _exact_n_squared(n)])
+    floats.setflags(write=False)
+    return floats
 
 
-@dataclass(frozen=True)
-class NormalizationCoeffs:
-    """The vector (N_1^2, ..., N_n^2) for a given n.
+def normalization_coeffs(n: int) -> np.ndarray:
+    """The vector (N_1^2, ..., N_n^2) for 2 <= n <= 16, as floats.
 
     Values grow doubly exponentially (the interior terms follow
     Sylvester's sequence), so the float view saturates to +inf around
-    n = 12; `_exact_n_squared(n)` gives the exact integers.
-    """
-
-    n: int
-    n_squared: np.ndarray
-
-    @property
-    def sum_inverse(self) -> float:
-        """sum_i 1/N_i^2, identically 1 by the telescoping product."""
-        exact = _exact_n_squared(self.n)
-        return math.fsum(float(Fraction(1, v)) for v in exact)
-
-
-# typed: a float n such as 4.0 still fails as before instead of hitting n = 4
-@functools.lru_cache(maxsize=None, typed=True)
-def _cached_normalization_coeffs(n: int) -> NormalizationCoeffs:
-    floats = np.array([_to_float(v) for v in _exact_n_squared(n)])
-    floats.setflags(write=False)
-    return NormalizationCoeffs(n=n, n_squared=floats)
-
-
-def normalization_coeffs(n: int) -> NormalizationCoeffs:
-    """Evaluate the recursion for 2 <= n <= 16.
-
-    The table is built once per n and shared: the dataclass is frozen and
-    its array read-only.  This stays a plain function over the cached
-    builder so that per-function profilers still see every call.
+    n = 12; `_exact_n_squared(n)` gives the exact integers.  The table is
+    built once per n and shared read-only.  This stays a plain function
+    over the cached builder so that per-function profilers still see
+    every call.
     """
     return _cached_normalization_coeffs(n)
 
@@ -169,7 +150,8 @@ class BoundReport:
     verified claim, and checks holds the named boolean checks of the
     variants that have them.  permutation is populated only by the
     minimized variant and gives, per component, the index into the
-    sorted normalization table that was assigned to it.
+    sorted normalization table that was assigned to it; see
+    `bound_minimized` for how ties are broken.
     """
 
     variant: str
@@ -253,13 +235,13 @@ def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
         raise DomainError(
             f"exhaustive permutation search is capped at n = {MAX_MINIMIZED_N}, got {n}"
         )
-    coeffs = normalization_coeffs(n)
+    nsq = normalization_coeffs(n)
     lhs, ents = _lhs_and_entanglements(spec)
     if variant == VARIANT_MINIMIZED:
         index = _permutation_gather_index(n)
     else:
         index = _diagonal_gather_index(n)
-    table = coeffs.n_squared[:, None] * (np.abs(spec.coefficients) ** 2)[None, :]
+    table = nsq[:, None] * (np.abs(spec.coefficients) ** 2)[None, :]
     p = table.ravel()[index]
     totals = p.sum(axis=1)
     if totals.min() <= ZERO_NORM_TOL:
@@ -303,7 +285,12 @@ def bound_minimized(spec: SuperpositionSpec) -> BoundReport:
     """Lowest unconstrained bound over all n! assignments of the
     normalization table to components (capped at n = MAX_MINIMIZED_N).
     The permutation table and its gather index are cached per n: n! * n
-    intp each, about 2.6 MB per table at n = 8."""
+    intp each, about 2.6 MB per table at n = 8.
+
+    Ties go to the first minimal row, the lexicographically smallest
+    permutation.  At n = 8 the rhs reaches about 1e24, and rows whose rhs
+    agree to every printed digit are ordered by float rounding, so the
+    reported permutation is then not a stable observable."""
     return _bound(spec, VARIANT_MINIMIZED)
 
 
@@ -447,12 +434,7 @@ def assistant_state_check(spec: SuperpositionSpec) -> AssistantCheckReport:
     blocks = np.einsum("ik,iab->kab", alphas[:, None] * m, spec._stack)
     weights = np.array([float(np.vdot(b, b).real) for b in blocks])
     residual = abs(float(weights.sum()) - 1.0)
-
-    svals = np.linalg.svd(blocks, compute_uv=False)
-    block_entropies = np.zeros(n)
-    for k in range(n):
-        if weights[k] > ZERO_NORM_TOL:
-            block_entropies[k] = shannon_entropy(svals[k] ** 2 / weights[k])
+    block_entropies = schmidt_entropies(blocks)
     lower_chain = float(weights @ block_entropies)
     leading_term = float(weights[0] * block_entropies[0])
 

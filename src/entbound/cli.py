@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from .bounds import _exact_n_squared, normalization_coeffs
+from .bounds import _exact_n_squared
 from .errors import (
     DegenerateStateError,
     DomainError,
@@ -36,8 +38,20 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"entbound: {message}", file=sys.stderr)
+# Exit code and message prefix of every package error a command reports
+# itself; main's catch-all reports any other package error as EXIT_INPUT.
+_EXIT_CODES = {
+    SchemaError: (EXIT_INPUT, ""),
+    DomainError: (EXIT_INPUT, ""),
+    PreconditionError: (EXIT_PRECONDITION, "precondition failed: "),
+    DegenerateStateError: (EXIT_PRECONDITION, "precondition failed: "),
+}
+_REPORTED = tuple(_EXIT_CODES)
+
+
+def _fail(exc: EntboundError) -> int:
+    code, prefix = _EXIT_CODES.get(type(exc), (EXIT_INPUT, ""))
+    print(f"entbound: {prefix}{exc}", file=sys.stderr)
     return code
 
 
@@ -59,10 +73,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         summary = run_campaign(
             config, args.variant, args.trials, args.out, csv_path=args.csv
         )
-    except (SchemaError, DomainError) as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    except (PreconditionError, DegenerateStateError) as exc:
-        return _fail(EXIT_PRECONDITION, f"precondition failed: {exc}")
+    except _REPORTED as exc:
+        return _fail(exc)
     print(dumps(summary_to_json(summary)))
     return EXIT_OK if summary.violations == 0 else EXIT_VIOLATION
 
@@ -80,28 +92,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
             out["permutation"] = list(rep.permutation)
         if rep.checks:
             out["checks"] = rep.checks
-    except (SchemaError, DomainError) as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    except (PreconditionError, DegenerateStateError) as exc:
-        return _fail(EXIT_PRECONDITION, f"precondition failed: {exc}")
+    except _REPORTED as exc:
+        return _fail(exc)
     print(dumps(out))
     return EXIT_OK
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
-    try:
-        coeffs = normalization_coeffs(args.n)
-    except DomainError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    print(
-        dumps(
-            {
-                "n": args.n,
-                "n_squared": _exact_n_squared(args.n),
-                "sum_inverse_residual": abs(coeffs.sum_inverse - 1.0),
-            }
-        )
-    )
+    nsq = _exact_n_squared(args.n)  # an n out of range goes to main as EXIT_INPUT
+    # sum_i 1/N_i^2 is identically 1 by the telescoping product
+    residual = abs(math.fsum(float(Fraction(1, v)) for v in nsq) - 1.0)
+    print(dumps({"n": args.n, "n_squared": nsq, "sum_inverse_residual": residual}))
     return EXIT_OK
 
 
@@ -137,8 +138,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EntboundError as exc:  # anything not mapped above is an input problem
-        return _fail(EXIT_INPUT, str(exc))
+    except EntboundError as exc:  # anything not reported above is an input problem
+        return _fail(exc)
 
 
 if __name__ == "__main__":

@@ -123,29 +123,6 @@ class DensityMatrix:
         return float(np.trace(self.matrix).real)
 
 
-@dataclass(frozen=True)
-class SchmidtSpectrum:
-    """Singular values of an amplitude matrix, descending and nonnegative.
-
-    Their squares are the common eigenvalues of both reduced matrices.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float, copy=True)
-        if v.ndim != 1 or v.size < 1:
-            raise ShapeMismatchError("Schmidt values must form a 1-d vector")
-        if np.any(v < 0) or np.any(np.diff(v) > 0):
-            raise InvariantViolationError("Schmidt values must be descending and >= 0")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def squared(self) -> np.ndarray:
-        return self.values**2
-
-
 def inner_product(x: BipartitePureState, y: BipartitePureState) -> complex:
     """<x|y> = sum_ij conj(x_ij) y_ij for states on the same dimensions."""
     if (x.dim_a, x.dim_b) != (y.dim_a, y.dim_b):
@@ -170,29 +147,43 @@ def partial_trace_b(s: BipartitePureState) -> DensityMatrix:
     return DensityMatrix(m @ m.conj().T)
 
 
-def schmidt(s: BipartitePureState) -> SchmidtSpectrum:
-    """Schmidt spectrum: singular values of the amplitude matrix, descending."""
+def _singular_values(m: np.ndarray) -> np.ndarray:
     try:
-        vals = np.linalg.svd(s.amplitudes, compute_uv=False)
+        return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise InvariantViolationError(f"singular value decomposition failed: {exc}") from exc
-    return SchmidtSpectrum(vals)
 
 
-def _as_density_matrix(rho: DensityMatrix | np.ndarray) -> DensityMatrix:
-    if isinstance(rho, DensityMatrix):
-        return rho
-    return DensityMatrix(np.asarray(rho))
+def schmidt(s: BipartitePureState) -> np.ndarray:
+    """Schmidt coefficients, read-only: the singular values of the amplitude
+    matrix, descending and nonnegative by LAPACK's contract."""
+    vals = _singular_values(s.amplitudes)
+    vals.setflags(write=False)
+    return vals
 
 
-def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
+def schmidt_entropies(stack: np.ndarray) -> np.ndarray:
+    """Entanglement in bits of every amplitude matrix in a (k, dim_a, dim_b)
+    stack, from one batched singular value pass.
+
+    Each row's squared singular values are divided by their own sum, so
+    the weights are an exact probability vector; a row whose sum is at
+    most ZERO_NORM_TOL counts 0 bits.
+    """
+    probs = _singular_values(stack) ** 2
+    totals = probs.sum(axis=1, keepdims=True)
+    # a numerically zero row is divided by inf: every weight and the entropy 0
+    probs /= np.where(totals > ZERO_NORM_TOL, totals, np.inf)
+    return -xlog2x(probs).sum(axis=1)
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr(rho log2 rho), normalized internally by the trace.
 
     Eigenvalues in [-EIG_CLIP, 0) are clipped to zero; anything below
     -EIG_CLIP raises, as does a numerically zero trace.  Result lies in
     [0, log2(dim)].
     """
-    rho = _as_density_matrix(rho)
     evals = np.linalg.eigvalsh(rho.matrix)
     lowest = float(evals[0])
     if lowest < -EIG_CLIP:
@@ -207,13 +198,9 @@ def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
 
 
 def entanglement(s: BipartitePureState) -> float:
-    """Entanglement in bits: entropy of either reduced state after normalization.
-
-    Computed from the Schmidt spectrum (singular values condition better
-    than diagonalizing a reduced matrix); the squared values are divided
-    by their own sum so the weights are an exact probability vector.
-    """
+    """Entanglement in bits: entropy of either reduced state after normalization,
+    from the Schmidt spectrum (singular values condition better than
+    diagonalizing a reduced matrix) by `schmidt_entropies`."""
     if s.squared_norm <= ZERO_NORM_TOL:
         raise DegenerateStateError("entanglement of a numerically zero state is undefined")
-    sq = schmidt(s).squared
-    return shannon_entropy(sq / sq.sum())
+    return float(schmidt_entropies(s.amplitudes[None])[0])

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BipartitePureState
-from .bounds import NormalizationCoeffs
 from .errors import DomainError, ShapeMismatchError
 from .superposition import SuperpositionSpec
 
@@ -162,17 +161,16 @@ def _simplex_weights(n: int, g: np.random.Generator) -> np.ndarray:
     return w / w.sum()
 
 
-def constrained_coefficients(
-    n: int, coeffs: NormalizationCoeffs, stream: RandomStream
-) -> np.ndarray:
+def constrained_coefficients(n: int, coeffs: np.ndarray, stream: RandomStream) -> np.ndarray:
     """Complex coefficients with sum N_i^2 |alpha_i|^2 = 1 by construction:
-    simplex-uniform weights w_i, |alpha_i|^2 = w_i / N_i^2, uniform phases."""
-    if coeffs.n != n:
-        raise ShapeMismatchError(f"normalization table is for n={coeffs.n}, got n={n}")
+    simplex-uniform weights w_i, |alpha_i|^2 = w_i / N_i^2, uniform phases.
+    coeffs is the table (N_1^2, ..., N_n^2) of `bounds.normalization_coeffs`."""
+    if len(coeffs) != n:
+        raise ShapeMismatchError(f"normalization table is for n={len(coeffs)}, got n={n}")
     g = stream.generator()
     w = _simplex_weights(n, g)
     phases = np.exp(2j * np.pi * g.random(n))
-    return np.sqrt(w / coeffs.n_squared) * phases
+    return np.sqrt(w / coeffs) * phases
 
 
 def simplex_coefficients(n: int, stream: RandomStream) -> np.ndarray:
@@ -204,6 +202,8 @@ class EnsembleConfig:
             raise DomainError(f"n must be >= 2, got {self.n}")
         if self.dim_a < 1 or self.dim_b < 1:
             raise DomainError("dimensions must be >= 1")
+        if self.dim_a * self.dim_b > MAX_STATE_ELEMS:
+            raise DomainError(f"dims {self.dim_a}x{self.dim_b} are over the {MAX_STATE_ELEMS} cap")
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.coefficient_mode not in COEFFICIENT_MODES:
@@ -256,7 +256,7 @@ def generate_components(config: EnsembleConfig, stream: RandomStream) -> list[Bi
 
 
 def generate_coefficients(
-    config: EnsembleConfig, coeffs: NormalizationCoeffs, stream: RandomStream
+    config: EnsembleConfig, coeffs: np.ndarray, stream: RandomStream
 ) -> np.ndarray:
     """Draw (or echo) the coefficient vector of one trial."""
     if config.coefficient_mode == "constrained":
@@ -267,7 +267,7 @@ def generate_coefficients(
 
 
 def generate_spec(
-    config: EnsembleConfig, coeffs: NormalizationCoeffs, trial_stream: RandomStream
+    config: EnsembleConfig, coeffs: np.ndarray, trial_stream: RandomStream
 ) -> SuperpositionSpec:
     """Assemble the full superposition spec for one trial substream."""
     components = generate_components(config, trial_stream.child("components"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -26,7 +26,6 @@ from .bounds import (
     exact_biorthogonal_entanglement,
     mixing_entropy,
     normalization_coeffs,
-    NormalizationCoeffs,
 )
 from .ensembles import EnsembleConfig, RandomStream, generate_spec
 from .errors import DomainError, InvariantViolationError
@@ -108,16 +107,9 @@ def evaluate_variant(spec: SuperpositionSpec, variant: str) -> BoundReport:
     raise DomainError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
 
 
-def run_trial(
-    config: EnsembleConfig,
-    variant: str,
-    trial_id: int,
-    coeffs: NormalizationCoeffs | None = None,
-) -> TrialRecord:
+def run_trial(config: EnsembleConfig, variant: str, trial_id: int) -> TrialRecord:
     """Draw and evaluate a single trial."""
-    if coeffs is None:
-        coeffs = normalization_coeffs(config.n)
-    spec = generate_spec(config, coeffs, trial_stream(config, trial_id))
+    spec = generate_spec(config, normalization_coeffs(config.n), trial_stream(config, trial_id))
     return TrialRecord(trial_id, config, evaluate_variant(spec, variant))
 
 
@@ -131,10 +123,9 @@ def iter_trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[T
         raise DomainError(f"need at least one trial, got {trials}")
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    coeffs = normalization_coeffs(config.n)
     for trial_id in range(trials):
         try:
-            yield run_trial(config, variant, trial_id, coeffs)
+            yield run_trial(config, variant, trial_id)
         except InvariantViolationError:
             failed = BoundReport(variant, 0.0, 0.0, 0.0, (), {"numeric_invariants": False})
             yield TrialRecord(trial_id, config, failed)
@@ -162,14 +153,7 @@ def record_to_json(record: TrialRecord) -> dict:
 
 
 def summary_to_json(summary: CampaignSummary) -> dict:
-    return {
-        "trials": summary.trials,
-        "violations": summary.violations,
-        "min_gap": summary.min_gap,
-        "mean_gap": summary.mean_gap,
-        "max_gap": summary.max_gap,
-        "runtime_seconds": summary.runtime_seconds,
-    }
+    return asdict(summary)
 
 
 def summary_path_for(out_path: str | Path) -> Path:

@@ -18,7 +18,7 @@ from .core import (
     EIG_CLIP,
     ZERO_NORM_TOL,
     entanglement,
-    xlog2x,
+    schmidt_entropies,
 )
 from .errors import (
     DegenerateStateError,
@@ -144,7 +144,4 @@ def superposition_entanglement(spec: SuperpositionSpec) -> float:
 
 def component_entanglements(spec: SuperpositionSpec) -> np.ndarray:
     """Vector of E(phi_i) in bits, via one batched singular value pass."""
-    svals = np.linalg.svd(spec._stack, compute_uv=False)
-    probs = svals**2
-    probs /= probs.sum(axis=1, keepdims=True)
-    return -xlog2x(probs).sum(axis=1)
+    return schmidt_entropies(spec._stack)

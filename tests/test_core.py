@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from entbound import (
     BipartitePureState,
@@ -16,6 +18,7 @@ from entbound import (
     schmidt,
     von_neumann_entropy,
 )
+from entbound.core import ZERO_NORM_TOL, schmidt_entropies
 from conftest import basis_state, bell_state, random_state, two_bell_blocks
 
 # Direct evaluation of -sum p log2 p for p = (1/2, 1/3, 1/6).
@@ -134,22 +137,60 @@ class TestPartialTrace:
 class TestSchmidt:
     def test_bell(self):
         np.testing.assert_allclose(
-            schmidt(bell_state()).values, [2**-0.5, 2**-0.5], atol=1e-15
+            schmidt(bell_state()), [2**-0.5, 2**-0.5], atol=1e-15
         )
 
     def test_product_ket(self):
-        np.testing.assert_allclose(schmidt(basis_state(2, 2, 0, 1)).values, [1.0, 0.0])
+        np.testing.assert_allclose(schmidt(basis_state(2, 2, 0, 1)), [1.0, 0.0])
 
     def test_squares_match_reduced_eigenvalues(self, rng):
         s = random_state(rng, 3, 4)
-        sq = schmidt(s).squared
+        sq = schmidt(s) ** 2
         eigs = np.sort(np.linalg.eigvalsh(partial_trace_b(s).matrix))[::-1]
         np.testing.assert_allclose(sq, eigs, atol=1e-10)
 
     def test_squares_sum_to_squared_norm(self, rng):
         amp = 3.7 * (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
         s = BipartitePureState(amp)
-        assert schmidt(s).squared.sum() == pytest.approx(s.squared_norm, abs=1e-10)
+        assert (schmidt(s) ** 2).sum() == pytest.approx(s.squared_norm, abs=1e-10)
+
+
+# Entries are exactly 0 or of magnitude 1e-3..2, so a row's squared norm is
+# 0 or at least 1e-6; a row scaled by 1e-8 has one in (0, 3e-14].  No row
+# sits near ZERO_NORM_TOL.
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
+
+
+@st.composite
+def amplitude_stacks(draw) -> np.ndarray:
+    """(k, dim_a, dim_b) complex stacks, k <= 4, dims 1..6; each row is kept,
+    zeroed or scaled below ZERO_NORM_TOL."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    stack = draw(arrays(float, shape, elements=_ENTRY)) + 1j * draw(
+        arrays(float, shape, elements=_ENTRY)
+    )
+    kind = draw(arrays(np.int8, shape[0], elements=st.integers(0, 2)))
+    stack[kind == 1] = 0.0
+    stack[kind == 2] *= 1e-8
+    return stack
+
+
+class TestSchmidtEntropies:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(amplitude_stacks())
+    def test_rows_match_the_single_state_paths(self, stack):
+        ents = schmidt_entropies(stack)
+        cap = math.log2(min(stack.shape[1:]))
+        for row, e in zip(stack, ents):
+            s = BipartitePureState(row)
+            if s.squared_norm <= ZERO_NORM_TOL:
+                assert e == 0.0
+                with pytest.raises(DegenerateStateError):
+                    entanglement(s)
+                continue
+            assert e == entanglement(s)  # bit-equal, not just close
+            assert abs(e - von_neumann_entropy(partial_trace_b(s))) <= 1e-9
+            assert 0.0 <= e <= cap + 1e-12
 
 
 class TestVonNeumannEntropy:
@@ -171,7 +212,7 @@ class TestVonNeumannEntropy:
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(InvariantViolationError):
-            von_neumann_entropy(np.array([[0.5, 0.5], [0.0, 0.5]]))
+            von_neumann_entropy(DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]])))
 
     def test_negative_eigenvalue_beyond_clip_rejected(self):
         with pytest.raises(InvariantViolationError):

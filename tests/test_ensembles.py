@@ -20,6 +20,7 @@ from entbound import (
     BipartitePureState,
     SuperpositionSpec,
 )
+from entbound.ensembles import MAX_STATE_ELEMS
 
 
 class TestRandomStream:
@@ -158,7 +159,7 @@ class TestCoefficientSamplers:
         coeffs = normalization_coeffs(4)
         for trial in range(100):
             a = constrained_coefficients(4, coeffs, RandomStream(10).child(f"t{trial}"))
-            assert abs(np.sum(coeffs.n_squared * np.abs(a) ** 2) - 1.0) < 1e-12
+            assert abs(np.sum(coeffs * np.abs(a) ** 2) - 1.0) < 1e-12
 
     def test_constrained_construction_formula(self):
         # weights come from the stream's own exponential draw
@@ -168,7 +169,7 @@ class TestCoefficientSamplers:
         w = g.exponential(size=2)
         w /= w.sum()
         a = constrained_coefficients(2, coeffs, stream)
-        np.testing.assert_allclose(np.abs(a) ** 2, w / coeffs.n_squared, atol=1e-15)
+        np.testing.assert_allclose(np.abs(a) ** 2, w / coeffs, atol=1e-15)
 
     def test_constrained_table_mismatch(self):
         from entbound import ShapeMismatchError
@@ -204,6 +205,16 @@ class TestEnsembleConfig:
                 seed=0,
                 coefficient_mode="constrained",
             )
+
+    def test_state_size_cap(self):
+        with pytest.raises(DomainError):
+            EnsembleConfig(
+                n=4, dim_a=65, dim_b=64, family="haar", seed=0, coefficient_mode="constrained"
+            )
+        at_cap = EnsembleConfig(
+            n=4, dim_a=64, dim_b=64, family="haar", seed=0, coefficient_mode="constrained"
+        )
+        assert at_cap.dim_a * at_cap.dim_b == MAX_STATE_ELEMS
 
     def test_fixed_mode_needs_coefficients(self):
         with pytest.raises(DomainError):

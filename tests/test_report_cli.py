@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +137,18 @@ class TestCampaign:
         assert float(cells[4]) == rec["gap"]
 
 
+def read_coeffs(capsys) -> dict:
+    """`entbound coeffs` stdout; the n = 16 entry has ~6700 digits, so
+    the int parse guard is lifted while reading it."""
+    text = capsys.readouterr().out
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.loads(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestCli:
     def test_coeffs_n2(self, capsys):
         assert main(["coeffs", "2"]) == 0
@@ -148,23 +161,20 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["n_squared"] == [2, 3, 7, 42]
 
     def test_coeffs_n16_big_integers(self, capsys):
-        import sys
-
         assert main(["coeffs", "16"]) == 0
-        text = capsys.readouterr().out
-        # the terminal entry has ~6700 digits; lift the parse guard to check it
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            out = json.loads(text)
-        finally:
-            sys.set_int_max_str_digits(limit)
+        out = read_coeffs(capsys)
         assert len(out["n_squared"]) == 16
         assert out["sum_inverse_residual"] < 1e-12
         prod = 1
         for v in out["n_squared"][:-1]:
             prod *= v
         assert out["n_squared"][-1] == prod
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_coeffs_sum_inverse_residual(self, n, capsys):
+        # sum_i 1/N_i^2 = 1 exactly; the float sum of the rounded inverses stays within 1e-12
+        assert main(["coeffs", str(n)]) == 0
+        assert read_coeffs(capsys)["sum_inverse_residual"] < 1e-12
 
     def test_coeffs_out_of_range(self, capsys):
         assert main(["coeffs", "17"]) == 2
@@ -260,6 +270,15 @@ class TestCli:
         cfg_path.write_text(dumps(config_to_json(haar_config())))
         assert main(["verify", "--config", str(cfg_path), "--trials", "0",
                      "--out", str(tmp_path / "o.jsonl")]) == 2
+
+    def test_verify_state_size_cap(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"n": 2, "dim_a": 65, "dim_b": 64, "family": "haar", "seed": 1,
+               "coefficient_mode": "simplex_uniform"}
+        cfg_path.write_text(dumps(cfg))
+        assert main(["verify", "--config", str(cfg_path), "--trials", "1",
+                     "--out", str(tmp_path / "o.jsonl")]) == 2
+        assert "dims 65x64 are over the 4096 cap" in capsys.readouterr().err
 
     def test_verify_precondition_mismatch(self, tmp_path):
         # exact variant needs biorthogonal components; haar family fails per trial
