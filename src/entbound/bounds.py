@@ -18,8 +18,8 @@ product P @ E over its rows: on a single row that rounds exactly like
 the dot product p @ E, so the constrained and unconstrained values equal
 a direct evaluation, whereas summing the products row by row would
 round differently.  Also here: the exact formula for biorthogonal
-components, the entropy mixing sandwich, and the assistant-state
-verifier that traces the proof chain numerically.
+components and the assistant-state verifier that traces the proof chain
+numerically.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .core import (
     GAP_SLACK,
     ZERO_NORM_TOL,
     BipartitePureState,
-    DensityMatrix,
     entanglement,
     partial_trace_a,
     partial_trace_b,
@@ -64,10 +63,12 @@ MAX_N = 16              # recursion values overflow even float64 shortly beyond
 MAX_MINIMIZED_N = 8     # exhaustive n! permutation search cap
 MAX_ASSISTANT_ELEMS = 65536
 BIORTHOGONALITY_TOL = 1e-10
+EQUALITY_TOL = 1e-9  # |formula - direct| and the assistant's norm partition residual
 
 VARIANT_CONSTRAINED = "constrained"
 VARIANT_UNCONSTRAINED = "unconstrained"
 VARIANT_MINIMIZED = "minimized"
+VARIANT_ASSISTANT = "assistant"
 
 # builtin float: comparing arbitrary ints against it stays exact
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -294,14 +295,10 @@ def bound_minimized(spec: SuperpositionSpec) -> BoundReport:
     return _bound(spec, VARIANT_MINIMIZED)
 
 
-def is_biorthogonal(
-    components: Sequence[BipartitePureState], tol: float = BIORTHOGONALITY_TOL
-) -> bool:
+def is_biorthogonal(components: Sequence[BipartitePureState]) -> bool:
     """True iff every pair of components has zero overlap between reduced
     states on both sides: Tr[rho_i^A rho_j^A] and Tr[rho_i^B rho_j^B]
-    below tol in magnitude for all i != j."""
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    below BIORTHOGONALITY_TOL in magnitude for all i != j."""
     comps = list(components)
     if len(comps) < 2:
         raise PreconditionError("biorthogonality needs at least 2 components")
@@ -313,9 +310,9 @@ def is_biorthogonal(
     red_b = [partial_trace_a(c).matrix for c in comps]
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
-            if abs(np.einsum("ij,ji->", red_a[i], red_a[j])) >= tol:
+            if abs(np.einsum("ij,ji->", red_a[i], red_a[j])) >= BIORTHOGONALITY_TOL:
                 return False
-            if abs(np.einsum("ij,ji->", red_b[i], red_b[j])) >= tol:
+            if abs(np.einsum("ij,ji->", red_b[i], red_b[j])) >= BIORTHOGONALITY_TOL:
                 return False
     return True
 
@@ -346,66 +343,21 @@ def exact_biorthogonal_entanglement(
     return float(a2 @ ents) + mixing
 
 
-def mixing_entropy_bounds(
-    probs: Sequence[float] | np.ndarray,
-    rhos: Sequence[DensityMatrix],
-) -> tuple[float, float, float]:
-    """Entropy sandwich for a mixture sum_i p_i rho_i.
-
-    Returns (lower, mid, upper) = (sum p_i S(rho_i), S(sum p_i rho_i),
-    lower + H(p)); lower <= mid <= upper up to numerical slack.
-    """
-    p = np.asarray(probs, dtype=float).reshape(-1)
-    if p.size != len(rhos):
-        raise ShapeMismatchError(f"{p.size} probabilities for {len(rhos)} states")
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > CONSTRAINT_TOL:
-        raise PreconditionError("probs is not a probability vector within tolerance")
-    p = np.clip(p, 0.0, None)
-    dims = {r.dim for r in rhos}
-    if len(dims) != 1:
-        raise ShapeMismatchError("density matrices must share a dimension")
-    for k, r in enumerate(rhos):
-        if abs(r.trace - 1.0) > CONSTRAINT_TOL:
-            raise PreconditionError(f"density matrix {k} is not normalized")
-    lower = float(sum(pi * von_neumann_entropy(r) for pi, r in zip(p, rhos) if pi > 0.0))
-    mixed = sum(pi * r.matrix for pi, r in zip(p, rhos))
-    mid = von_neumann_entropy(DensityMatrix(mixed))
-    upper = lower + shannon_entropy(p)
-    return lower, mid, upper
-
-
-@dataclass(frozen=True)
-class AssistantCheckReport:
-    """Numerical trace of the assistant-state proof chain.
-
-    norm_partition_residual measures |  ||leading||^2 + sum ||C_i||^2 - 1 |;
-    the sandwich booleans certify the entropy inequalities on Bob's
-    reduced state, and final_bound_ok the chain's end result after the
-    residual terms are dropped.  upper_bound is
-    sum |alpha_i|^2 component_entanglements[i] + mixing_entropy.
-    """
-
-    norm_partition_residual: float
-    sandwich_lower_ok: bool
-    sandwich_upper_ok: bool
-    final_bound_ok: bool
-    s_rho_b: float
-    upper_bound: float
-    leading_term: float
-    component_entanglements: tuple[float, ...]
-    mixing_entropy: float
-
-
-def assistant_state_check(spec: SuperpositionSpec) -> AssistantCheckReport:
+def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
     """Build the assistant state sum_i alpha_i |i>|phi_i> over an auxiliary
     n-dimensional register, and verify the proof chain on it.
 
-    Checks, with sum |alpha_i|^2 = 1 required:
-      1. the auxiliary basis change partitions the unit norm between the
-         leading combination sum_i (alpha_i/N_i) phi_i and the residuals;
-      2. S(rho_B) <= sum |alpha_i|^2 S(Tr_A phi_i) + H(|alpha|^2);
-      3. the weighted entropies of leading plus residual blocks do not
-         exceed S(rho_B).
+    Requires sum |alpha_i|^2 = 1.  The report's lhs is S(rho_B), its rhs
+    the upper bound sum |alpha_i|^2 E(phi_i) + H(|alpha|^2), and its
+    correction the mixing entropy H(|alpha|^2).  Its checks are:
+      norm_partition: the auxiliary basis change partitions the unit norm
+         between the leading combination sum_i (alpha_i/N_i) phi_i and the
+         residual blocks, within EQUALITY_TOL;
+      sandwich_lower: the weighted entropies of the leading and residual
+         blocks do not exceed S(rho_B);
+      sandwich_upper: S(rho_B) <= rhs;
+      final_bound: the leading block's weighted entropy, the chain's end
+         result after the residual terms are dropped, is <= rhs.
     """
     n = spec.n
     if n > MAX_MINIMIZED_N:
@@ -422,10 +374,7 @@ def assistant_state_check(spec: SuperpositionSpec) -> AssistantCheckReport:
         )
 
     # Assistant state as a bipartite (register x A) : B amplitude matrix.
-    da, db = spec.dim_a, spec.dim_b
-    lam = np.zeros((n * da, db), dtype=complex)
-    for i in range(n):
-        lam[i * da : (i + 1) * da] = alphas[i] * spec.components[i].amplitudes
+    lam = (alphas[:, None, None] * spec._stack).reshape(n * spec.dim_a, spec.dim_b)
     s_rho_b = von_neumann_entropy(partial_trace_a(BipartitePureState(lam)))
 
     # Re-express the register in the auxiliary basis; block k of the new
@@ -442,14 +391,16 @@ def assistant_state_check(spec: SuperpositionSpec) -> AssistantCheckReport:
     mixing = mixing_entropy(alphas)
     upper_bound = float(a2 @ comp_ents) + mixing
 
-    return AssistantCheckReport(
-        norm_partition_residual=residual,
-        sandwich_lower_ok=lower_chain <= s_rho_b + GAP_SLACK,
-        sandwich_upper_ok=s_rho_b <= upper_bound + GAP_SLACK,
-        final_bound_ok=leading_term <= upper_bound + GAP_SLACK,
-        s_rho_b=s_rho_b,
-        upper_bound=upper_bound,
-        leading_term=leading_term,
+    return BoundReport(
+        variant=VARIANT_ASSISTANT,
+        lhs=s_rho_b,
+        rhs=upper_bound,
+        correction=mixing,
         component_entanglements=tuple(float(e) for e in comp_ents),
-        mixing_entropy=mixing,
+        checks={
+            "norm_partition": residual < EQUALITY_TOL,
+            "sandwich_lower": lower_chain <= s_rho_b + GAP_SLACK,
+            "sandwich_upper": s_rho_b <= upper_bound + GAP_SLACK,
+            "final_bound": leading_term <= upper_bound + GAP_SLACK,
+        },
     )

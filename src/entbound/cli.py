@@ -70,9 +70,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             config = dataclasses.replace(config, seed=args.seed)
         if args.trials < 1:
             raise SchemaError(f"need at least one trial, got {args.trials}")
-        summary = run_campaign(
-            config, args.variant, args.trials, args.out, csv_path=args.csv
-        )
+        try:
+            summary = run_campaign(
+                config, args.variant, args.trials, args.out, csv_path=args.csv
+            )
+        except OSError as exc:  # an unwritable --out or --csv path is an input error
+            raise SchemaError(f"cannot write the campaign output: {exc}") from exc
     except _REPORTED as exc:
         return _fail(exc)
     print(dumps(summary_to_json(summary)))

@@ -28,7 +28,6 @@ CONSTRAINT_TOL = 1e-9   # coefficient-constraint residuals
 GAP_SLACK = 1e-9        # allowed numerical slack on verified inequalities
 IDENTITY_TOL = 1e-10    # linear-algebra identities (orthonormality, norms)
 ZERO_NORM_TOL = 1e-12   # squared norms below this count as the zero state
-NORMALIZED_TOL = 1e-12  # |squared_norm - 1| for a state flagged normalized
 
 
 def xlog2x(p: np.ndarray) -> np.ndarray:
@@ -81,10 +80,6 @@ class BipartitePureState:
     def squared_norm(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.squared_norm - 1.0) <= NORMALIZED_TOL
-
     def normalized(self) -> "BipartitePureState":
         """Return the unit-norm version of this state."""
         n2 = self.squared_norm
@@ -113,23 +108,6 @@ class DensityMatrix:
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-
-def inner_product(x: BipartitePureState, y: BipartitePureState) -> complex:
-    """<x|y> = sum_ij conj(x_ij) y_ij for states on the same dimensions."""
-    if (x.dim_a, x.dim_b) != (y.dim_a, y.dim_b):
-        raise ShapeMismatchError(
-            f"states live on {x.dim_a}x{x.dim_b} vs {y.dim_a}x{y.dim_b}"
-        )
-    return complex(np.vdot(x.amplitudes, y.amplitudes))
 
 
 def partial_trace_a(s: BipartitePureState) -> DensityMatrix:

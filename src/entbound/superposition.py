@@ -14,8 +14,6 @@ import numpy as np
 
 from .core import (
     BipartitePureState,
-    HERMITIAN_TOL,
-    EIG_CLIP,
     ZERO_NORM_TOL,
     entanglement,
     schmidt_entropies,
@@ -32,26 +30,16 @@ COMPONENT_NORM_TOL = 1e-10  # |squared_norm - 1| allowed for each component
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """n x n matrix of pairwise component overlaps <phi_i|phi_j>."""
+    """n x n read-only matrix of pairwise component overlaps <phi_i|phi_j>.
+
+    It is Hermitian and positive semidefinite by construction, with the
+    unit diagonal that `SuperpositionSpec` checks on the components, so it
+    carries no checks of its own.  The wrapper stays only because
+    `benchmarks/test_harness.py` names `superposition.GramMatrix`; once
+    the benchmark stops naming it, the spec can hold the plain array.
+    """
 
     matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = np.array(self.matrix, dtype=complex, copy=True)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ShapeMismatchError(f"Gram matrix must be square, got {g.shape}")
-        if np.abs(g - g.conj().T).max() > HERMITIAN_TOL:
-            raise InvariantViolationError("Gram matrix is not Hermitian within tolerance")
-        if np.abs(np.diag(g) - 1.0).max() > COMPONENT_NORM_TOL:
-            raise InvariantViolationError("Gram diagonal deviates from 1 beyond tolerance")
-        if float(np.linalg.eigvalsh(g)[0]) < -EIG_CLIP:
-            raise InvariantViolationError("Gram matrix is not positive semidefinite")
-        g.setflags(write=False)
-        object.__setattr__(self, "matrix", g)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -93,11 +81,12 @@ class SuperpositionSpec:
         alphas.setflags(write=False)
         stack = np.stack([c.amplitudes for c in comps])
         stack.setflags(write=False)
-        gram = GramMatrix(np.einsum("iab,jab->ij", stack.conj(), stack))
+        gram = np.einsum("iab,jab->ij", stack.conj(), stack)
+        gram.setflags(write=False)
         object.__setattr__(self, "coefficients", alphas)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gram", GramMatrix(gram))
 
     @property
     def n(self) -> int:

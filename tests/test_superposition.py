@@ -4,7 +4,6 @@ import pytest
 from entbound import (
     BipartitePureState,
     DegenerateStateError,
-    GramMatrix,
     InvariantViolationError,
     PreconditionError,
     ShapeMismatchError,
@@ -52,10 +51,6 @@ class TestSpecValidation:
         np.testing.assert_allclose(np.diag(g).real, 1.0, atol=1e-10)
         assert np.abs(g - g.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(g).min() > -1e-10
-
-    def test_gram_type_rejects_bad_diagonal(self):
-        with pytest.raises(InvariantViolationError):
-            GramMatrix(np.diag([1.0, 2.0]))
 
 
 class TestCombine:
