@@ -57,6 +57,7 @@ from .superposition import (
     combine,
     component_entanglements,
     squared_norm,
+    superposition_entanglement,
 )
 
 MAX_N = 16              # recursion values overflow even float64 shortly beyond
@@ -68,6 +69,7 @@ EQUALITY_TOL = 1e-9  # |formula - direct| and the assistant's norm partition res
 VARIANT_CONSTRAINED = "constrained"
 VARIANT_UNCONSTRAINED = "unconstrained"
 VARIANT_MINIMIZED = "minimized"
+VARIANT_EXACT = "exact"
 VARIANT_ASSISTANT = "assistant"
 
 # builtin float: comparing arbitrary ints against it stays exact
@@ -317,18 +319,19 @@ def is_biorthogonal(components: Sequence[BipartitePureState]) -> bool:
     return True
 
 
-def exact_biorthogonal_entanglement(
-    spec: SuperpositionSpec,
-    ents: np.ndarray | None = None,
-    mixing: float | None = None,
-) -> float:
-    """Exact entanglement of a superposition of mutually biorthogonal
-    components: sum |alpha_i|^2 E(phi_i) - sum |alpha_i|^2 log2 |alpha_i|^2.
+def exact_biorthogonal_entanglement(spec: SuperpositionSpec) -> BoundReport:
+    """The biorthogonal equality: the exact entanglement of a superposition
+    of mutually biorthogonal components,
 
-    Requires sum |alpha_i|^2 = 1.  A caller that already holds
-    component_entanglements(spec) or mixing_entropy(spec.coefficients)
-    passes them as ents and mixing instead of having them recomputed.
+        sum |alpha_i|^2 E(phi_i) - sum |alpha_i|^2 log2 |alpha_i|^2,
+
+    against the directly computed one.  Requires sum |alpha_i|^2 = 1.  The
+    report's lhs is the direct entanglement of the normalized
+    superposition, its rhs the formula and its correction the mixing
+    entropy; the check biorth_equality holds when the two sides agree
+    within EQUALITY_TOL.
     """
+    direct = superposition_entanglement(spec)
     if not is_biorthogonal(spec.components):
         raise PreconditionError("components are not mutually biorthogonal")
     a2 = np.abs(spec.coefficients) ** 2
@@ -336,11 +339,17 @@ def exact_biorthogonal_entanglement(
         raise PreconditionError(
             f"sum |alpha_i|^2 = 1 required for the exact formula (got {a2.sum()!r})"
         )
-    if ents is None:
-        ents = component_entanglements(spec)
-    if mixing is None:
-        mixing = mixing_entropy(spec.coefficients)
-    return float(a2 @ ents) + mixing
+    ents = component_entanglements(spec)
+    mixing = mixing_entropy(spec.coefficients)
+    formula = float(a2 @ ents) + mixing
+    return BoundReport(
+        variant=VARIANT_EXACT,
+        lhs=direct,
+        rhs=formula,
+        correction=mixing,
+        component_entanglements=tuple(float(e) for e in ents),
+        checks={"biorth_equality": abs(formula - direct) < EQUALITY_TOL},
+    )
 
 
 def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:

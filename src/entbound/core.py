@@ -9,7 +9,6 @@ no base parameter).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,13 +78,6 @@ class BipartitePureState:
     @property
     def squared_norm(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def normalized(self) -> "BipartitePureState":
-        """Return the unit-norm version of this state."""
-        n2 = self.squared_norm
-        if n2 <= ZERO_NORM_TOL:
-            raise DegenerateStateError("cannot normalize a numerically zero state")
-        return BipartitePureState(self.amplitudes / math.sqrt(n2))
 
 
 @dataclass(frozen=True)

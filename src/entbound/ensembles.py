@@ -3,6 +3,12 @@
 Every draw is a pure function of (seed, substream label): substreams are
 derived by hashing the label path, so adding a new generator never
 perturbs existing draws and trials parallelize trivially.
+
+Each component family returns one (n, dim_a, dim_b) amplitude stack,
+and `generate_spec` wraps each row in a `BipartitePureState` once.  The
+substream labels and the order of draws within each substream are the
+same as when the families built one state per component, so every drawn
+amplitude keeps its bits; tests/test_golden.py pins the drawn specs.
 """
 
 from __future__ import annotations
@@ -19,14 +25,10 @@ from .superposition import SuperpositionSpec
 
 MAX_STATE_ELEMS = 4096  # design target: dim_a * dim_b stays desk-scale
 
-FAMILIES = (
-    "haar",
-    "biorthogonal_blocks",
-    "orthogonal_shared_support",
-    "product_states",
-    "bell_like",
-)
-COEFFICIENT_MODES = ("constrained", "simplex_uniform", "fixed")
+# The two names EnsembleConfig checks; FAMILIES and COEFFICIENT_MODES are
+# the keys of the draw tables at the end of this module.
+FAMILY_BIORTHOGONAL = "biorthogonal_blocks"
+MODE_FIXED = "fixed"
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,13 @@ class RandomStream:
             raise DomainError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
 
     def child(self, label: str) -> "RandomStream":
-        return RandomStream(self.seed, self.path + (str(label),))
+        """The substream under one more label.  The path is hashed joined by
+        "/", so a label that is empty or holds a "/" would alias another
+        path and is rejected."""
+        label = str(label)
+        if not label or "/" in label:
+            raise DomainError(f"stream label must be nonempty and free of '/', got {label!r}")
+        return RandomStream(self.seed, self.path + (label,))
 
     def generator(self) -> np.random.Generator:
         # Entropy comes from hashing the label path, so streams are pinned
@@ -58,13 +66,18 @@ class RandomStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def haar_state(dim_a: int, dim_b: int, stream: RandomStream) -> BipartitePureState:
-    """Normalized state with i.i.d. standard complex Gaussian amplitudes."""
-    if dim_a < 1 or dim_b < 1:
+def _haar(shape: tuple[int, ...], stream: RandomStream) -> np.ndarray:
+    """Unit-norm array of i.i.d. standard complex Gaussian amplitudes."""
+    if min(shape) < 1:
         raise DomainError("dimensions must be >= 1")
     g = stream.generator()
-    amp = g.standard_normal((dim_a, dim_b)) + 1j * g.standard_normal((dim_a, dim_b))
-    return BipartitePureState(amp).normalized()
+    amp = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    return amp / math.sqrt(float(np.vdot(amp, amp).real))
+
+
+def haar_state(dim_a: int, dim_b: int, stream: RandomStream) -> BipartitePureState:
+    """Normalized state with i.i.d. standard complex Gaussian amplitudes."""
+    return BipartitePureState(_haar((dim_a, dim_b), stream))
 
 
 def haar_unitary(dim: int, stream: RandomStream) -> np.ndarray:
@@ -76,15 +89,14 @@ def haar_unitary(dim: int, stream: RandomStream) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def biorthogonal_family(
-    n: int, block_a: int, block_b: int, stream: RandomStream
-) -> list[BipartitePureState]:
-    """n components, each Haar-random on its own diagonal block.
+def biorthogonal_family(n: int, block_a: int, block_b: int, stream: RandomStream) -> np.ndarray:
+    """(n, n*block_a, n*block_b) stack of n components, each Haar-random on
+    its own diagonal block.
 
     Component i is supported on rows [i*block_a, (i+1)*block_a) and
-    columns [i*block_b, (i+1)*block_b) of an (n*block_a) x (n*block_b)
-    matrix, so the reduced states have disjoint supports on both sides
-    and biorthogonality holds by construction.
+    columns [i*block_b, (i+1)*block_b), so the reduced states have
+    disjoint supports on both sides and biorthogonality holds by
+    construction.
     """
     if n < 2 or block_a < 1 or block_b < 1:
         raise DomainError("need n >= 2 and positive block dimensions")
@@ -93,21 +105,19 @@ def biorthogonal_family(
         raise DomainError(
             f"family would need {da}x{db} amplitudes, above the {MAX_STATE_ELEMS} cap"
         )
-    out = []
+    out = np.zeros((n, da, db), dtype=complex)
     for i in range(n):
-        block = haar_state(block_a, block_b, stream.child(f"block-{i}"))
-        amp = np.zeros((da, db), dtype=complex)
-        amp[i * block_a : (i + 1) * block_a, i * block_b : (i + 1) * block_b] = (
-            block.amplitudes
+        out[i, i * block_a : (i + 1) * block_a, i * block_b : (i + 1) * block_b] = _haar(
+            (block_a, block_b), stream.child(f"block-{i}")
         )
-        out.append(BipartitePureState(amp))
     return out
 
 
 def orthogonal_not_biorthogonal_family(
     n: int, dim_a: int, dim_b: int, stream: RandomStream
-) -> list[BipartitePureState]:
-    """n mutually orthogonal product states that are NOT biorthogonal.
+) -> np.ndarray:
+    """(n, dim_a, dim_b) stack of n mutually orthogonal product states that
+    are NOT biorthogonal.
 
     Component k is (U_A x U_B)|k // dim_b>|k mod dim_b> for a shared
     random local rotation, so the Gram matrix is exactly the identity
@@ -120,45 +130,34 @@ def orthogonal_not_biorthogonal_family(
         raise DomainError(
             f"dim_a*dim_b = {dim_a * dim_b} cannot host {n} orthogonal states"
         )
-    u_a = haar_unitary(dim_a, stream.child("unitary-a"))
-    u_b = haar_unitary(dim_b, stream.child("unitary-b"))
-    out = []
-    for k in range(n):
-        out.append(BipartitePureState(np.outer(u_a[:, k // dim_b], u_b[:, k % dim_b])))
-    return out
+    k = np.arange(n)
+    a = haar_unitary(dim_a, stream.child("unitary-a"))[:, k // dim_b].T
+    b = haar_unitary(dim_b, stream.child("unitary-b"))[:, k % dim_b].T
+    return a[:, :, None] * b[:, None, :]
 
 
-def product_state_family(
-    n: int, dim_a: int, dim_b: int, stream: RandomStream
-) -> list[BipartitePureState]:
-    """n independent Haar-random product states (zero entanglement each)."""
-    out = []
-    for k in range(n):
-        a = haar_state(dim_a, 1, stream.child(f"a-{k}")).amplitudes[:, 0]
-        b = haar_state(dim_b, 1, stream.child(f"b-{k}")).amplitudes[:, 0]
-        out.append(BipartitePureState(np.outer(a, b)))
-    return out
+def product_state_family(n: int, dim_a: int, dim_b: int, stream: RandomStream) -> np.ndarray:
+    """(n, dim_a, dim_b) stack of independent Haar-random product states
+    (zero entanglement each)."""
+    a = np.stack([_haar((dim_a,), stream.child(f"a-{k}")) for k in range(n)])
+    b = np.stack([_haar((dim_b,), stream.child(f"b-{k}")) for k in range(n)])
+    return a[:, :, None] * b[:, None, :]
 
 
-def bell_like_family(
-    n: int, dim_a: int, dim_b: int, stream: RandomStream
-) -> list[BipartitePureState]:
-    """n maximally entangled states, each rotated by its own local unitaries."""
+def bell_like_family(n: int, dim_a: int, dim_b: int, stream: RandomStream) -> np.ndarray:
+    """(n, dim_a, dim_b) stack of maximally entangled states, each rotated by
+    its own local unitaries."""
     d = min(dim_a, dim_b)
     base = np.zeros((dim_a, dim_b), dtype=complex)
     base[np.arange(d), np.arange(d)] = 1.0 / math.sqrt(d)
-    out = []
-    for k in range(n):
-        u_a = haar_unitary(dim_a, stream.child(f"ua-{k}"))
-        u_b = haar_unitary(dim_b, stream.child(f"ub-{k}"))
-        out.append(BipartitePureState(u_a @ base @ u_b.T))
-    return out
-
-
-def _simplex_weights(n: int, g: np.random.Generator) -> np.ndarray:
-    # Normalized exponentials: exactly uniform on the simplex, no rejection.
-    w = g.exponential(size=n)
-    return w / w.sum()
+    return np.stack(
+        [
+            haar_unitary(dim_a, stream.child(f"ua-{k}"))
+            @ base
+            @ haar_unitary(dim_b, stream.child(f"ub-{k}")).T
+            for k in range(n)
+        ]
+    )
 
 
 def constrained_coefficients(n: int, coeffs: np.ndarray, stream: RandomStream) -> np.ndarray:
@@ -168,19 +167,19 @@ def constrained_coefficients(n: int, coeffs: np.ndarray, stream: RandomStream) -
     if len(coeffs) != n:
         raise ShapeMismatchError(f"normalization table is for n={len(coeffs)}, got n={n}")
     g = stream.generator()
-    w = _simplex_weights(n, g)
+    # Normalized exponentials: exactly uniform on the simplex, no rejection.
+    w = g.exponential(size=n)
+    w = w / w.sum()
     phases = np.exp(2j * np.pi * g.random(n))
     return np.sqrt(w / coeffs) * phases
 
 
 def simplex_coefficients(n: int, stream: RandomStream) -> np.ndarray:
-    """Complex coefficients with sum |alpha_i|^2 = 1, uniform weights and phases."""
+    """Complex coefficients with sum |alpha_i|^2 = 1, uniform weights and
+    phases: the constrained draw under the unit table (w / 1.0 == w)."""
     if n < 2:
         raise DomainError("need n >= 2 coefficients")
-    g = stream.generator()
-    w = _simplex_weights(n, g)
-    phases = np.exp(2j * np.pi * g.random(n))
-    return np.sqrt(w) * phases
+    return constrained_coefficients(n, np.ones(n), stream)
 
 
 @dataclass(frozen=True)
@@ -213,12 +212,12 @@ class EnsembleConfig:
             )
         if not 0 <= int(self.seed) < 2**64:
             raise DomainError("seed must fit an unsigned 64-bit integer")
-        if self.family == "biorthogonal_blocks":
+        if self.family == FAMILY_BIORTHOGONAL:
             if self.dim_a < self.n * self.block_a or self.dim_b < self.n * self.block_b:
                 raise DomainError(
                     "biorthogonal_blocks needs dim_a >= n*block_a and dim_b >= n*block_b"
                 )
-        if self.coefficient_mode == "fixed":
+        if self.coefficient_mode == MODE_FIXED:
             if self.fixed_coefficients is None or len(self.fixed_coefficients) != self.n:
                 raise DomainError("fixed mode needs exactly n fixed_coefficients")
             object.__setattr__(
@@ -230,46 +229,54 @@ class EnsembleConfig:
             raise DomainError("fixed_coefficients only apply to coefficient_mode='fixed'")
 
 
-def _embed(state: BipartitePureState, dim_a: int, dim_b: int) -> BipartitePureState:
-    if (state.dim_a, state.dim_b) == (dim_a, dim_b):
-        return state
-    amp = np.zeros((dim_a, dim_b), dtype=complex)
-    amp[: state.dim_a, : state.dim_b] = state.amplitudes
-    return BipartitePureState(amp)
+def _padded_biorthogonal(config: EnsembleConfig, stream: RandomStream) -> np.ndarray:
+    blocks = biorthogonal_family(config.n, config.block_a, config.block_b, stream)
+    out = np.zeros((config.n, config.dim_a, config.dim_b), dtype=complex)
+    out[:, : blocks.shape[1], : blocks.shape[2]] = blocks
+    return out
 
 
-def generate_components(config: EnsembleConfig, stream: RandomStream) -> list[BipartitePureState]:
-    """Draw the component states of one trial."""
-    n, da, db = config.n, config.dim_a, config.dim_b
-    if config.family == "haar":
-        return [haar_state(da, db, stream.child(f"component-{k}")) for k in range(n)]
-    if config.family == "biorthogonal_blocks":
-        raw = biorthogonal_family(n, config.block_a, config.block_b, stream)
-        return [_embed(s, da, db) for s in raw]
-    if config.family == "orthogonal_shared_support":
-        return orthogonal_not_biorthogonal_family(n, da, db, stream)
-    if config.family == "product_states":
-        return product_state_family(n, da, db, stream)
-    if config.family == "bell_like":
-        return bell_like_family(n, da, db, stream)
-    raise DomainError(f"unknown family {config.family!r}")
+# Every family and coefficient mode, by the name an EnsembleConfig gives it.
+# The lambdas look the public functions up when they run, so a rebound
+# function (a profiler's wrapper, a test double) is the one called.
+_FAMILY_DRAWS = {
+    "haar": lambda c, s: np.stack(
+        [_haar((c.dim_a, c.dim_b), s.child(f"component-{k}")) for k in range(c.n)]
+    ),
+    FAMILY_BIORTHOGONAL: _padded_biorthogonal,
+    "orthogonal_shared_support": lambda c, s: orthogonal_not_biorthogonal_family(
+        c.n, c.dim_a, c.dim_b, s
+    ),
+    "product_states": lambda c, s: product_state_family(c.n, c.dim_a, c.dim_b, s),
+    "bell_like": lambda c, s: bell_like_family(c.n, c.dim_a, c.dim_b, s),
+}
+_COEFFICIENT_DRAWS = {
+    "constrained": lambda c, coeffs, s: constrained_coefficients(c.n, coeffs, s),
+    "simplex_uniform": lambda c, coeffs, s: simplex_coefficients(c.n, s),
+    MODE_FIXED: lambda c, coeffs, s: np.array(c.fixed_coefficients, dtype=complex),
+}
+FAMILIES = tuple(_FAMILY_DRAWS)
+COEFFICIENT_MODES = tuple(_COEFFICIENT_DRAWS)
+
+
+def generate_components(config: EnsembleConfig, stream: RandomStream) -> np.ndarray:
+    """Draw the (n, dim_a, dim_b) component stack of one trial."""
+    return _FAMILY_DRAWS[config.family](config, stream)
 
 
 def generate_coefficients(
     config: EnsembleConfig, coeffs: np.ndarray, stream: RandomStream
 ) -> np.ndarray:
     """Draw (or echo) the coefficient vector of one trial."""
-    if config.coefficient_mode == "constrained":
-        return constrained_coefficients(config.n, coeffs, stream)
-    if config.coefficient_mode == "simplex_uniform":
-        return simplex_coefficients(config.n, stream)
-    return np.array(config.fixed_coefficients, dtype=complex)
+    return _COEFFICIENT_DRAWS[config.coefficient_mode](config, coeffs, stream)
 
 
 def generate_spec(
     config: EnsembleConfig, coeffs: np.ndarray, trial_stream: RandomStream
 ) -> SuperpositionSpec:
     """Assemble the full superposition spec for one trial substream."""
-    components = generate_components(config, trial_stream.child("components"))
+    stack = generate_components(config, trial_stream.child("components"))
     alphas = generate_coefficients(config, coeffs, trial_stream.child("coefficients"))
-    return SuperpositionSpec(coefficients=alphas, components=tuple(components))
+    return SuperpositionSpec(
+        coefficients=alphas, components=tuple(BipartitePureState(amp) for amp in stack)
+    )

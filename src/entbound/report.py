@@ -8,6 +8,7 @@ re-checkable: the (config, trial_id) pair pins the exact inputs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import time
 from dataclasses import asdict, dataclass
@@ -15,9 +16,9 @@ from pathlib import Path
 from typing import Iterator
 
 from .bounds import (
-    EQUALITY_TOL,
     VARIANT_ASSISTANT,
     VARIANT_CONSTRAINED,
+    VARIANT_EXACT,
     VARIANT_MINIMIZED,
     VARIANT_UNCONSTRAINED,
     BoundReport,
@@ -26,15 +27,13 @@ from .bounds import (
     bound_minimized,
     bound_unconstrained,
     exact_biorthogonal_entanglement,
-    mixing_entropy,
     normalization_coeffs,
 )
 from .ensembles import EnsembleConfig, RandomStream, generate_spec
 from .errors import DomainError, InvariantViolationError
 from .serialize import config_to_json, dumps, format_float
-from .superposition import SuperpositionSpec, component_entanglements, superposition_entanglement
+from .superposition import SuperpositionSpec
 
-VARIANT_EXACT = "exact"
 VARIANTS = (
     VARIANT_CONSTRAINED,
     VARIANT_UNCONSTRAINED,
@@ -66,23 +65,6 @@ def trial_stream(config: EnsembleConfig, trial_id: int) -> RandomStream:
     return RandomStream(config.seed).child(f"trial-{trial_id}")
 
 
-def _exact_check(spec: SuperpositionSpec) -> BoundReport:
-    """The biorthogonal equality: the exact formula against the directly
-    computed entanglement."""
-    direct = superposition_entanglement(spec)
-    ents = component_entanglements(spec)
-    mixing = mixing_entropy(spec.coefficients)
-    formula = exact_biorthogonal_entanglement(spec, ents, mixing)
-    return BoundReport(
-        variant=VARIANT_EXACT,
-        lhs=direct,
-        rhs=formula,
-        correction=mixing,
-        component_entanglements=tuple(float(e) for e in ents),
-        checks={"biorth_equality": abs(formula - direct) < EQUALITY_TOL},
-    )
-
-
 def evaluate_variant(spec: SuperpositionSpec, variant: str) -> BoundReport:
     """Evaluate one bound variant (or equality/proof-chain check) on a spec."""
     # Built per call, not at import, so that rebinding a module-level
@@ -91,7 +73,7 @@ def evaluate_variant(spec: SuperpositionSpec, variant: str) -> BoundReport:
         VARIANT_CONSTRAINED: bound_constrained,
         VARIANT_UNCONSTRAINED: bound_unconstrained,
         VARIANT_MINIMIZED: bound_minimized,
-        VARIANT_EXACT: _exact_check,
+        VARIANT_EXACT: exact_biorthogonal_entanglement,
         VARIANT_ASSISTANT: assistant_state_check,
     }
     if variant not in evaluators:
@@ -108,13 +90,18 @@ def run_trial(config: EnsembleConfig, variant: str, trial_id: int) -> TrialRecor
 def iter_trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[TrialRecord]:
     """Lazily evaluate trial_id = 0 .. trials-1 in order.
 
-    A trial that trips a numeric invariant is recorded as a violation
-    rather than aborting the campaign.
+    The arguments are checked here, when the iterator is made, not at its
+    first step.  A trial that trips a numeric invariant is recorded as a
+    violation rather than aborting the campaign.
     """
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    return _trials(config, variant, trials)
+
+
+def _trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[TrialRecord]:
     for trial_id in range(trials):
         try:
             yield run_trial(config, variant, trial_id)
@@ -166,44 +153,43 @@ def run_campaign(
     wall-clock runtime.
     """
     start = time.perf_counter()
+    records = iter_trials(config, variant, trials)  # bad arguments raise before any file opens
     violations = 0
     count = 0
     min_gap = float("inf")
     max_gap = float("-inf")
     gap_sum = 0.0
     out_path = Path(out_path)
-    csv_writer = None
-    csv_file = None
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            if csv_path is not None:
-                csv_file = open(csv_path, "w", encoding="utf-8", newline="")
-                csv_writer = csv.writer(csv_file)
+    with contextlib.ExitStack() as files:
+        # Every output is opened before any is truncated, so a path that
+        # cannot be opened leaves the files of an earlier run intact.
+        fh = files.enter_context(open(out_path, "a", encoding="utf-8", newline="\n"))
+        csv_writer = None
+        if csv_path is not None:
+            csv_file = files.enter_context(open(csv_path, "a", encoding="utf-8", newline=""))
+            csv_file.truncate(0)
+            csv_writer = csv.writer(csv_file)
+            csv_writer.writerow(["trial_id", "variant", "lhs", "rhs", "gap", "correction"])
+        fh.truncate(0)
+        for record in records:
+            fh.write(dumps(record_to_json(record)) + "\n")
+            rep = record.report
+            if csv_writer is not None:
                 csv_writer.writerow(
-                    ["trial_id", "variant", "lhs", "rhs", "gap", "correction"]
+                    [
+                        record.trial_id,
+                        rep.variant,
+                        format_float(rep.lhs),
+                        format_float(rep.rhs),
+                        format_float(rep.gap),
+                        format_float(rep.correction),
+                    ]
                 )
-            for record in iter_trials(config, variant, trials):
-                fh.write(dumps(record_to_json(record)) + "\n")
-                rep = record.report
-                if csv_writer is not None:
-                    csv_writer.writerow(
-                        [
-                            record.trial_id,
-                            rep.variant,
-                            format_float(rep.lhs),
-                            format_float(rep.rhs),
-                            format_float(rep.gap),
-                            format_float(rep.correction),
-                        ]
-                    )
-                violations += int(rep.is_violation)
-                count += 1
-                min_gap = min(min_gap, rep.gap)
-                max_gap = max(max_gap, rep.gap)
-                gap_sum += rep.gap
-    finally:
-        if csv_file is not None:
-            csv_file.close()
+            violations += int(rep.is_violation)
+            count += 1
+            min_gap = min(min_gap, rep.gap)
+            max_gap = max(max_gap, rep.gap)
+            gap_sum += rep.gap
     summary = CampaignSummary(
         trials=count,
         violations=violations,

@@ -30,6 +30,11 @@ def two_bell_blocks() -> tuple[BipartitePureState, BipartitePureState]:
     return BipartitePureState(a), BipartitePureState(b)
 
 
+def as_states(stack: np.ndarray) -> tuple[BipartitePureState, ...]:
+    """The rows of an (n, dim_a, dim_b) amplitude stack as states."""
+    return tuple(BipartitePureState(amp) for amp in stack)
+
+
 def random_state(rng: np.random.Generator, dim_a: int, dim_b: int) -> BipartitePureState:
     amp = rng.standard_normal((dim_a, dim_b)) + 1j * rng.standard_normal((dim_a, dim_b))
     return BipartitePureState(amp / np.linalg.norm(amp))

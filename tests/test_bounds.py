@@ -36,7 +36,7 @@ from entbound import (
 )
 from entbound.bounds import _exact_n_squared, _permutation_gather_index, _permutation_table
 from entbound.core import xlog2x
-from conftest import basis_state, bell_state, random_state, two_bell_blocks
+from conftest import as_states, basis_state, bell_state, random_state, two_bell_blocks
 
 
 def make_spec(coeffs, components) -> SuperpositionSpec:
@@ -426,7 +426,7 @@ class TestBiorthogonality:
 
     def test_reduced_overlap_oracle(self):
         # direct evaluation of both trace overlaps for the family
-        comps = biorthogonal_family(3, 2, 2, RandomStream(8).child("fam"))
+        comps = as_states(biorthogonal_family(3, 2, 2, RandomStream(8).child("fam")))
         for i in range(3):
             for j in range(3):
                 if i == j:
@@ -443,41 +443,39 @@ class TestBiorthogonality:
 class TestExactBiorthogonal:
     def test_two_bell_blocks_two_bits(self):
         spec = make_spec([2**-0.5, 2**-0.5], two_bell_blocks())
-        assert exact_biorthogonal_entanglement(spec) == pytest.approx(2.0, abs=1e-9)
+        assert exact_biorthogonal_entanglement(spec).rhs == pytest.approx(2.0, abs=1e-9)
         assert superposition_entanglement(spec) == pytest.approx(2.0, abs=1e-9)
 
     def test_single_dominant_coefficient(self):
         a, b = two_bell_blocks()
         spec = make_spec([1.0, 0.0], [a, b])
-        assert exact_biorthogonal_entanglement(spec) == pytest.approx(
+        assert exact_biorthogonal_entanglement(spec).rhs == pytest.approx(
             entanglement(a), abs=1e-12
         )
 
     def test_three_product_blocks(self):
         comps = [basis_state(3, 3, k, k) for k in range(3)]
         spec = make_spec(np.ones(3) / math.sqrt(3), comps)
-        assert exact_biorthogonal_entanglement(spec) == pytest.approx(
+        assert exact_biorthogonal_entanglement(spec).rhs == pytest.approx(
             math.log2(3), abs=1e-9
         )
 
     def test_equals_direct_entanglement(self):
         for trial in range(40):
             stream = RandomStream(101).child(f"t{trial}")
-            comps = biorthogonal_family(3, 2, 2, stream.child("fam"))
+            comps = as_states(biorthogonal_family(3, 2, 2, stream.child("fam")))
             alphas = simplex_coefficients(3, stream.child("a"))
             spec = make_spec(alphas, comps)
-            formula = exact_biorthogonal_entanglement(spec)
+            report = exact_biorthogonal_entanglement(spec)
             direct = superposition_entanglement(spec)
-            assert abs(formula - direct) < 1e-9
-            precomputed = exact_biorthogonal_entanglement(
-                spec, component_entanglements(spec), mixing_entropy(alphas)
-            )
-            assert precomputed == formula
+            assert abs(report.rhs - direct) < 1e-9
+            assert report.lhs == direct
+            assert report.checks == {"biorth_equality": True}
 
     def test_biorthogonal_specs_are_orthogonal(self):
         for trial in range(10):
             stream = RandomStream(55).child(f"t{trial}")
-            comps = biorthogonal_family(4, 1, 2, stream)
+            comps = as_states(biorthogonal_family(4, 1, 2, stream))
             spec = make_spec(np.ones(4) / 2, comps)
             off = spec.gram.matrix - np.diag(np.diag(spec.gram.matrix))
             assert np.abs(off).max() < 1e-9

@@ -44,11 +44,6 @@ class TestStateType:
         s = BipartitePureState(np.array([[2.0, 0], [0, 0]]))
         assert s.squared_norm == pytest.approx(4.0)
         assert abs(s.squared_norm - 1.0) > 1e-12
-        assert abs(s.normalized().squared_norm - 1.0) <= 1e-12
-
-    def test_zero_state_cannot_normalize(self):
-        with pytest.raises(DegenerateStateError):
-            BipartitePureState(np.zeros((2, 2))).normalized()
 
     def test_amplitudes_are_frozen(self):
         s = basis_state(2, 2, 0, 0)

@@ -21,6 +21,7 @@ from entbound import (
     SuperpositionSpec,
 )
 from entbound.ensembles import MAX_STATE_ELEMS
+from conftest import as_states
 
 
 class TestRandomStream:
@@ -42,15 +43,22 @@ class TestRandomStream:
     def test_nested_children(self):
         s = RandomStream(7).child("a").child("b")
         assert s.path == ("a", "b")
-        t = RandomStream(7).child("a/b")  # flat label must differ from nesting? no:
-        # the separator makes these collide by design of the path encoding; just
-        # check both are reproducible
+        # "/" joins the path when it is hashed, so a label holding one (or an
+        # empty label) would alias another path
+        for label in ("a/b", "/", ""):
+            with pytest.raises(DomainError):
+                RandomStream(7).child(label)
         np.testing.assert_array_equal(
             s.generator().standard_normal(4), s.generator().standard_normal(4)
         )
-        np.testing.assert_array_equal(
-            t.generator().standard_normal(4), t.generator().standard_normal(4)
-        )
+        paths = [("a", "b"), ("ab",), ("b", "a"), ("a",), ("a", "b", "c"), ()]
+        draws = []
+        for path in paths:
+            stream = RandomStream(7)
+            for label in path:
+                stream = stream.child(label)
+            draws.append(stream.generator().standard_normal(4).tobytes())
+        assert len(set(draws)) == len(paths)
 
     def test_seed_range(self):
         with pytest.raises(DomainError):
@@ -101,18 +109,18 @@ class TestHaarState:
 class TestBiorthogonalFamily:
     def test_biorthogonal_by_construction(self):
         for trial in range(50):
-            comps = biorthogonal_family(3, 2, 2, RandomStream(1).child(f"t{trial}"))
+            comps = as_states(biorthogonal_family(3, 2, 2, RandomStream(1).child(f"t{trial}")))
             assert is_biorthogonal(comps)
 
     def test_rank_one_blocks_are_basis_kets(self):
-        comps = biorthogonal_family(3, 1, 1, RandomStream(2).child("x"))
+        comps = as_states(biorthogonal_family(3, 1, 1, RandomStream(2).child("x")))
         for k, c in enumerate(comps):
             amp = c.amplitudes
             assert abs(abs(amp[k, k]) - 1.0) < 1e-12
             assert np.abs(amp).sum() == pytest.approx(abs(amp[k, k]), abs=1e-12)
 
     def test_block_dims(self):
-        comps = biorthogonal_family(2, 2, 3, RandomStream(3).child("x"))
+        comps = as_states(biorthogonal_family(2, 2, 3, RandomStream(3).child("x")))
         assert comps[0].dim_a == 4 and comps[0].dim_b == 6
 
     def test_cap(self):
@@ -122,7 +130,7 @@ class TestBiorthogonalFamily:
 
 class TestOrthogonalNotBiorthogonal:
     def test_two_qubit_family(self):
-        comps = orthogonal_not_biorthogonal_family(2, 2, 2, RandomStream(4).child("x"))
+        comps = as_states(orthogonal_not_biorthogonal_family(2, 2, 2, RandomStream(4).child("x")))
         spec = SuperpositionSpec(np.array([1.0, 1.0]), tuple(comps))
         off = spec.gram.matrix[0, 1]
         assert abs(off) < 1e-10
@@ -130,21 +138,21 @@ class TestOrthogonalNotBiorthogonal:
 
     def test_gram_is_identity(self):
         for trial in range(30):
-            comps = orthogonal_not_biorthogonal_family(
-                4, 3, 3, RandomStream(6).child(f"t{trial}")
+            comps = as_states(
+                orthogonal_not_biorthogonal_family(4, 3, 3, RandomStream(6).child(f"t{trial}"))
             )
             spec = SuperpositionSpec(np.ones(4), tuple(comps))
             np.testing.assert_allclose(spec.gram.matrix, np.eye(4), atol=1e-10)
             assert not is_biorthogonal(comps)
 
     def test_unit_coefficient_norm_is_weight_sum(self):
-        comps = orthogonal_not_biorthogonal_family(3, 2, 3, RandomStream(7).child("x"))
+        comps = as_states(orthogonal_not_biorthogonal_family(3, 2, 3, RandomStream(7).child("x")))
         alphas = np.array([1.0, 1.0, 1.0])
         spec = SuperpositionSpec(alphas, tuple(comps))
         assert squared_norm(spec) == pytest.approx(np.sum(np.abs(alphas) ** 2), abs=1e-10)
 
     def test_b_side_collision_when_dim_b_is_one(self):
-        comps = orthogonal_not_biorthogonal_family(2, 3, 1, RandomStream(8).child("x"))
+        comps = as_states(orthogonal_not_biorthogonal_family(2, 3, 1, RandomStream(8).child("x")))
         spec = SuperpositionSpec(np.array([1.0, 1.0]), tuple(comps))
         assert abs(spec.gram.matrix[0, 1]) < 1e-10
         assert not is_biorthogonal(comps)

@@ -1,4 +1,5 @@
-"""Golden bytes: campaign records and the CLI's outputs and exit codes.
+"""Golden bytes: drawn inputs, campaign records and the CLI's outputs and
+exit codes.
 
 The sha256 digests in DIGESTS pin the exact output bytes on Python 3.11,
 numpy 2.4.6 and scipy-openblas 0.3.31 on x86-64; another platform or BLAS
@@ -24,7 +25,7 @@ import pytest
 
 from entbound import EnsembleConfig, normalization_coeffs, run_campaign
 from entbound.cli import main
-from entbound.ensembles import generate_spec
+from entbound.ensembles import FAMILIES, generate_spec
 from entbound.report import VARIANTS, summary_to_json, trial_stream
 from entbound.serialize import config_to_json, dumps, spec_to_json
 
@@ -38,8 +39,15 @@ MATRIX = (
     ("exact", "simplex_uniform", ("biorthogonal_blocks",)),
     ("assistant", "simplex_uniform", ("haar", "biorthogonal_blocks")),
 )
+SPEC_NS = (2, 4)
+SPEC_TRIALS = 2
 
 DIGESTS = {
+    "spec haar": "ba36a6537a52dde82092cc0d7bd27914187cd084d8518fd728c91c9dafebe28d",
+    "spec biorthogonal_blocks": "9d84b946b48993a66ae354a1064d7fd1f22e1284aa66b88e387883a34f73bfd8",
+    "spec orthogonal_shared_support": "8f74324397ec5423096b88bf076b948b5fb60163412f1ea92a0670341458e88f",
+    "spec product_states": "3c7b5df74b18aa4d40ecce9329e94fe8d89c6e92ec61e40764be914bfac6cc34",
+    "spec bell_like": "76784902983f7167efc884092a91312fa8d7fd6704c4d807a58b477f45090a7a",
     "campaign constrained": "b766d543bbea7b9f0b31c0e8f5d5e9be5b5f6340f34b29ecc1129b8db42cec6d",
     "eval constrained": "60ed18cd2c82be9fce601c97fe0a00fa88fd18c069ce66ca3acaaeb9ec288e03",
     "campaign unconstrained": "dcbeab765332de2863212ac0e8096e73c92894a7f313ea20f018ef32dbee8446",
@@ -53,6 +61,35 @@ DIGESTS = {
     "coeffs 16": "1b6d24fc5316ce7c9414efc73f7ae817ccdef3bd0684a9753a1e3a8e8df98cae",
     "verify": "505d1597e869ed597acf65d92d91c57cad40cd8bd97150fbd8704c76c1ecfa26",
 }
+
+
+def spec_configs(family: str) -> list[EnsembleConfig]:
+    """The configs whose drawn specs pin a family's amplitudes: n in SPEC_NS
+    under the constrained and simplex coefficients.  The biorthogonal blocks
+    are drawn padded into larger dims and filling the dims exactly, the
+    shared-support family also with dim_b = 1, and haar once with fixed
+    coefficients."""
+    shapes = {
+        "biorthogonal_blocks": lambda n: [(8, 8, 1, 2), (2 * n, 2 * n, 2, 2)],
+        "orthogonal_shared_support": lambda n: [(4, 4, 1, 1), (4, 1, 1, 1)],
+    }.get(family, lambda n: [(4, 4, 1, 1)])
+    out = [
+        EnsembleConfig(
+            n=n, dim_a=da, dim_b=db, family=family, seed=len(family) + n,
+            coefficient_mode=mode, block_a=ba, block_b=bb,
+        )
+        for n in SPEC_NS
+        for mode in ("constrained", "simplex_uniform")
+        for da, db, ba, bb in shapes(n)
+    ]
+    if family == "haar":
+        out.append(
+            EnsembleConfig(
+                n=3, dim_a=2, dim_b=3, family=family, seed=1, coefficient_mode="fixed",
+                fixed_coefficients=(0.5, 0.5j, -(0.5**0.5)),
+            )
+        )
+    return out
 
 
 def config(mode: str, family: str, n: int, seed: int) -> EnsembleConfig:
@@ -80,6 +117,13 @@ def deterministic_summary(summary_json: dict) -> str:
 def golden_digests(workdir: Path) -> dict[str, str]:
     """Digest of every pinned output, computed in a scratch directory."""
     digests = {}
+    for family in FAMILIES:
+        specs = (
+            generate_spec(cfg, normalization_coeffs(cfg.n), trial_stream(cfg, t))
+            for cfg in spec_configs(family)
+            for t in range(SPEC_TRIALS)
+        )
+        digests[f"spec {family}"] = sha256("".join(dumps(spec_to_json(s)) + "\n" for s in specs))
     for variant, mode, families in MATRIX:
         data = b""
         for seed, (family, n) in enumerate((f, n) for f in families for n in NS):

@@ -6,6 +6,7 @@ import pytest
 
 from entbound import (
     BoundReport,
+    DomainError,
     EnsembleConfig,
     bound_constrained,
     iter_trials,
@@ -159,6 +160,13 @@ class TestCampaign:
         assert footer["trials"] == 25
         assert footer["violations"] == 0
         assert footer["min_gap"] <= footer["mean_gap"] <= footer["max_gap"]
+
+    def test_rejected_variant_keeps_existing_output(self, tmp_path):
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"records of an earlier run\n")
+        with pytest.raises(DomainError):
+            run_campaign(haar_config(), "bogus", 2, out)
+        assert out.read_bytes() == b"records of an earlier run\n"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -333,6 +341,14 @@ class TestCli:
             args += [name, str(path)]
         assert main(args) == 2
         assert str(paths[flag]) in capsys.readouterr().err
+
+    def test_verify_unwritable_csv_keeps_existing_output(self, tmp_path):
+        cfg_path = write_config(tmp_path, haar_config())
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"records of an earlier run\n")
+        assert main(["verify", "--config", str(cfg_path), "--trials", "1", "--out", str(out),
+                     "--csv", str(tmp_path / "missing" / "x.csv")]) == 2
+        assert out.read_bytes() == b"records of an earlier run\n"
 
     def test_verify_precondition_mismatch(self, tmp_path):
         # exact variant needs biorthogonal components; haar family fails per trial
