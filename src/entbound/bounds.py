@@ -38,7 +38,6 @@ from .core import (
     GAP_SLACK,
     ZERO_NORM_TOL,
     BipartitePureState,
-    entanglement,
     partial_trace_a,
     partial_trace_b,
     schmidt_entropies,
@@ -179,10 +178,20 @@ class BoundReport:
 
 
 def _lhs_and_entanglements(spec: SuperpositionSpec) -> tuple[float, np.ndarray]:
+    """||psi||^2 E(psi) for the combined state psi, and E(phi_i) of every
+    component, from one batched singular value pass over the (n + 1)-row
+    stack of the components and psi.  Each matrix is decomposed and each
+    row normalized on its own, so the values equal those of
+    `entanglement(combine(spec))` and `component_entanglements(spec)`,
+    whose zero-state check is kept here."""
     n2 = squared_norm(spec)
     if n2 <= ZERO_NORM_TOL:
         raise DegenerateStateError("superposition vanishes; the bound is vacuous")
-    return n2 * entanglement(combine(spec)), component_entanglements(spec)
+    combined = combine(spec)
+    if combined.squared_norm <= ZERO_NORM_TOL:
+        raise DegenerateStateError("entanglement of a numerically zero state is undefined")
+    ents = schmidt_entropies(np.concatenate((spec._stack, combined.amplitudes[None])))
+    return n2 * float(ents[-1]), ents[:-1]
 
 
 @functools.lru_cache(maxsize=None)

@@ -62,7 +62,7 @@ class BipartitePureState:
             raise ShapeMismatchError(
                 f"amplitudes must be a 2-d matrix, got shape {amp.shape}"
             )
-        if not np.all(np.isfinite(amp)):
+        if not np.isfinite(amp).all():
             raise InvariantViolationError("state amplitudes contain NaN or Inf")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)

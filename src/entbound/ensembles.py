@@ -2,7 +2,16 @@
 
 Every draw is a pure function of (seed, substream label): substreams are
 derived by hashing the label path, so adding a new generator never
-perturbs existing draws and trials parallelize trivially.
+perturbs existing draws and trials parallelize trivially.  The stream
+contract: `RandomStream(seed, path).generator()` is
+
+    Generator(Philox(SeedSequence(int.from_bytes(
+        sha256(("%d|" % seed + "/".join(path)).encode()).digest(), "big"))))
+
+at its origin.  The key is handed to SeedSequence as the uint32 words
+that it derives from that integer (see `_seed_words`), which skips the
+int conversion and draws the same numbers; tests/test_ensembles.py
+checks the formula itself.
 
 Each component family returns one (n, dim_a, dim_b) amplitude stack,
 and `generate_spec` wraps each row in a `BipartitePureState` once.  The
@@ -25,9 +34,10 @@ from .superposition import SuperpositionSpec
 
 MAX_STATE_ELEMS = 4096  # design target: dim_a * dim_b stays desk-scale
 
-# The two names EnsembleConfig checks; FAMILIES and COEFFICIENT_MODES are
+# The names EnsembleConfig checks; FAMILIES and COEFFICIENT_MODES are
 # the keys of the draw tables at the end of this module.
 FAMILY_BIORTHOGONAL = "biorthogonal_blocks"
+FAMILY_SHARED_SUPPORT = "orthogonal_shared_support"
 MODE_FIXED = "fixed"
 
 
@@ -62,8 +72,16 @@ class RandomStream:
         digest = hashlib.sha256(
             ("%d|" % self.seed + "/".join(self.path)).encode()
         ).digest()
-        seq = np.random.SeedSequence(int.from_bytes(digest, "big"))
+        seq = np.random.SeedSequence(_seed_words(digest))
         return np.random.Generator(np.random.Philox(seq))
+
+
+def _seed_words(digest: bytes) -> np.ndarray:
+    """The uint32 words SeedSequence derives from int.from_bytes(digest, "big"):
+    least significant first, with the high zero words dropped but at least
+    one word kept (the integer 0 is the single word 0)."""
+    count = max(1, (len(digest.lstrip(b"\0")) + 3) // 4)
+    return np.frombuffer(digest[::-1], dtype="<u4", count=count)
 
 
 def _haar(shape: tuple[int, ...], stream: RandomStream) -> np.ndarray:
@@ -203,6 +221,10 @@ class EnsembleConfig:
             raise DomainError("dimensions must be >= 1")
         if self.dim_a * self.dim_b > MAX_STATE_ELEMS:
             raise DomainError(f"dims {self.dim_a}x{self.dim_b} are over the {MAX_STATE_ELEMS} cap")
+        if self.block_a < 1 or self.block_b < 1:
+            raise DomainError(
+                f"block dimensions must be >= 1, got {self.block_a}x{self.block_b}"
+            )
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.coefficient_mode not in COEFFICIENT_MODES:
@@ -217,6 +239,10 @@ class EnsembleConfig:
                 raise DomainError(
                     "biorthogonal_blocks needs dim_a >= n*block_a and dim_b >= n*block_b"
                 )
+        if self.family == FAMILY_SHARED_SUPPORT and self.dim_a * self.dim_b < self.n:
+            raise DomainError(
+                f"dim_a*dim_b = {self.dim_a * self.dim_b} cannot host {self.n} orthogonal states"
+            )
         if self.coefficient_mode == MODE_FIXED:
             if self.fixed_coefficients is None or len(self.fixed_coefficients) != self.n:
                 raise DomainError("fixed mode needs exactly n fixed_coefficients")
@@ -244,7 +270,7 @@ _FAMILY_DRAWS = {
         [_haar((c.dim_a, c.dim_b), s.child(f"component-{k}")) for k in range(c.n)]
     ),
     FAMILY_BIORTHOGONAL: _padded_biorthogonal,
-    "orthogonal_shared_support": lambda c, s: orthogonal_not_biorthogonal_family(
+    FAMILY_SHARED_SUPPORT: lambda c, s: orthogonal_not_biorthogonal_family(
         c.n, c.dim_a, c.dim_b, s
     ),
     "product_states": lambda c, s: product_state_family(c.n, c.dim_a, c.dim_b, s),

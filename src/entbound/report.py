@@ -122,13 +122,31 @@ def bound_report_to_json(report: BoundReport) -> dict:
     }
 
 
-def record_to_json(record: TrialRecord) -> dict:
+def _value_text(value: str | float | list[float]) -> str:
+    """JSON text of one `bound_report_to_json` value, as `dumps` renders it."""
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, list):
+        return "[" + ", ".join([format_float(v) for v in value]) + "]"
+    return dumps(value)
+
+
+def record_line(record: TrialRecord, config_text: str) -> str:
+    """One JSON-lines record, without its newline: the text `dumps` gives
+    for {trial_id, the `bound_report_to_json` keys, checks, [permutation],
+    config}, where config_text is the campaign's
+    `dumps(config_to_json(config))`, rendered once and reused.  Every float
+    goes through `format_float`, so a non-finite value raises SchemaError
+    before any text exists."""
     rep = record.report
-    out = {"trial_id": record.trial_id, **bound_report_to_json(rep), "checks": dict(rep.checks)}
+    fields = [f'"trial_id": {record.trial_id}']
+    # the keys are plain ASCII names, which dumps quotes as is
+    fields += [f'"{key}": {_value_text(v)}' for key, v in bound_report_to_json(rep).items()]
+    fields.append(f'"checks": {dumps(rep.checks)}')
     if rep.permutation is not None:
-        out["permutation"] = list(rep.permutation)
-    out["config"] = config_to_json(record.config)
-    return out
+        fields.append(f'"permutation": [{", ".join(map(str, rep.permutation))}]')
+    fields.append(f'"config": {config_text}')
+    return "{" + ", ".join(fields) + "}"
 
 
 def summary_to_json(summary: CampaignSummary) -> dict:
@@ -154,6 +172,7 @@ def run_campaign(
     """
     start = time.perf_counter()
     records = iter_trials(config, variant, trials)  # bad arguments raise before any file opens
+    config_text = dumps(config_to_json(config))
     violations = 0
     count = 0
     min_gap = float("inf")
@@ -172,7 +191,7 @@ def run_campaign(
             csv_writer.writerow(["trial_id", "variant", "lhs", "rhs", "gap", "correction"])
         fh.truncate(0)
         for record in records:
-            fh.write(dumps(record_to_json(record)) + "\n")
+            fh.write(record_line(record, config_text) + "\n")
             rep = record.report
             if csv_writer is not None:
                 csv_writer.writerow(

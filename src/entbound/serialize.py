@@ -22,9 +22,13 @@ from .superposition import SuperpositionSpec
 
 def format_float(x: float) -> str:
     """Render a real with 17 significant digits (exact float round trip)."""
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise SchemaError(f"cannot serialize non-finite real {x!r}")
     return format(float(x), ".17g")
+
+
+# json.dumps(s, ensure_ascii=False) for a str, without building an encoder per call
+_encode_str = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _int_literal(v: int) -> str:
@@ -54,7 +58,7 @@ def dumps(obj: Any) -> str:
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+        return _encode_str(obj)
     if isinstance(obj, dict):
         items = (f"{dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from entbound import (
@@ -20,8 +23,26 @@ from entbound import (
     BipartitePureState,
     SuperpositionSpec,
 )
-from entbound.ensembles import MAX_STATE_ELEMS
+from entbound.ensembles import MAX_STATE_ELEMS, _seed_words
 from conftest import as_states
+
+
+def reference_generator(seed: int, path: tuple[str, ...]) -> np.random.Generator:
+    """The stream contract as written in the ensembles module docstring."""
+    digest = hashlib.sha256(("%d|" % seed + "/".join(path)).encode()).digest()
+    seq = np.random.SeedSequence(int.from_bytes(digest, "big"))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def int_words(value: int) -> list[int]:
+    """The uint32 words SeedSequence takes from a nonnegative int: least
+    significant first, and [0] for zero."""
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
 
 
 class TestRandomStream:
@@ -65,6 +86,36 @@ class TestRandomStream:
             RandomStream(-1)
         with pytest.raises(DomainError):
             RandomStream(2**64)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(
+            st.text(min_size=1, max_size=12).filter(lambda label: "/" not in label),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_generator_follows_the_stream_contract(self, seed, labels):
+        stream = RandomStream(seed)
+        for label in labels:
+            stream = stream.child(label)
+        got, want = stream.generator(), reference_generator(seed, tuple(labels))
+        np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)
+        assert got.random(3).tobytes() == want.random(3).tobytes()
+        assert got.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
+
+    @pytest.mark.parametrize("zeros", [0, 1, 3, 4, 5, 31, 32])
+    def test_seed_words_are_the_words_of_the_digest_int(self, zeros):
+        body = hashlib.sha256(b"%d" % zeros).digest()
+        digest = (bytes(zeros) + bytes([body[0] | 1]) + body[1:])[:32]
+        assert len(digest.lstrip(b"\0")) == 32 - zeros
+        value = int.from_bytes(digest, "big")
+        words = _seed_words(digest)
+        assert words.dtype == np.uint32
+        assert words.tolist() == int_words(value)
+        got, want = np.random.SeedSequence(words), np.random.SeedSequence(value)
+        np.testing.assert_array_equal(got.pool, want.pool)
 
 
 class TestHaarState:

@@ -8,16 +8,20 @@ from entbound import (
     BoundReport,
     DomainError,
     EnsembleConfig,
+    SchemaError,
+    TrialRecord,
     bound_constrained,
     iter_trials,
     normalization_coeffs,
     run_campaign,
     run_trial,
 )
+from entbound import report
 from entbound.cli import main
 from entbound.report import (
+    bound_report_to_json,
     evaluate_variant,
-    record_to_json,
+    record_line,
     summary_path_for,
     trial_stream,
 )
@@ -114,7 +118,73 @@ class TestTrialRecords:
         rec = next(iter(iter_trials(haar_config(), "minimized", 1)))
         assert rec.report.permutation is not None
         assert sorted(rec.report.permutation) == [0, 1, 2]
-        assert "permutation" in record_to_json(rec)
+        assert "permutation" in json.loads(record_line(rec, dumps(config_to_json(rec.config))))
+
+    @pytest.mark.parametrize(
+        "variant, overrides",
+        [
+            ("constrained", {}),
+            ("minimized", {"coefficient_mode": "simplex_uniform"}),
+            ("assistant", {"coefficient_mode": "simplex_uniform"}),
+            ("unconstrained", {"coefficient_mode": "fixed", "fixed_coefficients": (1, 1j, -1)}),
+        ],
+    )
+    def test_record_line_is_dumps_of_the_record(self, variant, overrides):
+        cfg = haar_config(**overrides)
+        config_text = dumps(config_to_json(cfg))
+        for rec in iter_trials(cfg, variant, 3):
+            rep = rec.report
+            obj = {"trial_id": rec.trial_id, **bound_report_to_json(rep), "checks": rep.checks}
+            if rep.permutation is not None:
+                obj["permutation"] = list(rep.permutation)
+            obj["config"] = config_to_json(cfg)
+            assert record_line(rec, config_text) == dumps(obj)
+
+
+def _report_with(field: str, value: float) -> BoundReport:
+    """A hand-built report whose one named field (or second component
+    entanglement) holds value; a gap of +-inf comes from finite sides
+    whose difference overflows."""
+    values = dict(lhs=1.0, rhs=2.0, correction=0.5, component_entanglements=(0.25, 0.75))
+    if field == "gap":
+        values.update(rhs=math.copysign(1e308, value), lhs=-math.copysign(1e308, value))
+    elif field == "component_entanglements":
+        values[field] = (0.25, value)
+    else:
+        values[field] = value
+    return BoundReport("constrained", **values)
+
+
+NONFINITE_FIELDS = ["lhs", "rhs", "correction", "component_entanglements"]
+NONFINITE_CASES = [
+    (field, value) for field in NONFINITE_FIELDS for value in (math.nan, math.inf, -math.inf)
+] + [("gap", math.inf), ("gap", -math.inf)]
+
+
+class TestNonFiniteRecords:
+    @pytest.mark.parametrize("field, value", NONFINITE_CASES)
+    def test_record_line_rejects(self, field, value):
+        rec = TrialRecord(0, haar_config(), _report_with(field, value))
+        with pytest.raises(SchemaError, match="non-finite"):
+            record_line(rec, dumps(config_to_json(rec.config)))
+
+    @pytest.mark.parametrize(
+        "field, value", [(f, math.nan) for f in NONFINITE_FIELDS] + [("gap", math.inf)]
+    )
+    def test_campaign_writes_nothing_for_the_trial(self, field, value, tmp_path, monkeypatch):
+        real_run_trial = report.run_trial
+
+        def run_trial(config, variant, trial_id):
+            if trial_id == 1:
+                return TrialRecord(trial_id, config, _report_with(field, value))
+            return real_run_trial(config, variant, trial_id)
+
+        monkeypatch.setattr(report, "run_trial", run_trial)
+        out = tmp_path / "r.jsonl"
+        with pytest.raises(SchemaError):
+            run_campaign(haar_config(), "constrained", 3, out)
+        lines = out.read_text().splitlines()
+        assert [json.loads(line)["trial_id"] for line in lines] == [0]
 
 
 # Known defects of the float bound kernel at large n (ROADMAP item 1), pinned
@@ -348,6 +418,33 @@ class TestCli:
         out.write_bytes(b"records of an earlier run\n")
         assert main(["verify", "--config", str(cfg_path), "--trials", "1", "--out", str(out),
                      "--csv", str(tmp_path / "missing" / "x.csv")]) == 2
+        assert out.read_bytes() == b"records of an earlier run\n"
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n=5, dim_a=2, dim_b=2, family="orthogonal_shared_support"),
+            dict(n=3, dim_a=6, dim_b=6, family="biorthogonal_blocks", block_a=0),
+            dict(n=3, dim_a=6, dim_b=6, family="biorthogonal_blocks", block_b=-1),
+            dict(block_a=-2),
+        ],
+        ids=[
+            "shared-support-over-capacity",
+            "biorthogonal-block-a-0",
+            "biorthogonal-block-b-negative",
+            "haar-block-negative",
+        ],
+    )
+    def test_verify_rejected_config_keeps_existing_output(self, tmp_path, overrides):
+        # written by hand: EnsembleConfig itself refuses these fields
+        cfg = {"n": 3, "dim_a": 3, "dim_b": 3, "family": "haar", "seed": 1,
+               "coefficient_mode": "constrained", **overrides}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(dumps(cfg))
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"records of an earlier run\n")
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2",
+                     "--out", str(out)]) == 2
         assert out.read_bytes() == b"records of an earlier run\n"
 
     def test_verify_precondition_mismatch(self, tmp_path):
