@@ -11,15 +11,15 @@ the orthonormal auxiliary-basis change built from it, and the bound
 where T H(p / T) = -sum p_i log2 p_i + T log2 T is the correction.  The
 constrained variant is the case T = 1, the unconstrained one takes any
 coefficient scale, and the minimized one takes the lowest rhs over all
-n! assignments of the N_i^2 to the components.  All three run through
-one kernel (`_bound`) that gathers rows of weights from the n x n table
-N_i^2 |alpha_j|^2.  Every variant forms sum p_i E(phi_i) as one matrix
-product P @ E over its rows: on a single row that rounds exactly like
-the dot product p @ E, so the constrained and unconstrained values equal
-a direct evaluation, whereas summing the products row by row would
-round differently.  Also here: the exact formula for biorthogonal
-components and the assistant-state verifier that traces the proof chain
-numerically.
+n! assignments of the N_i^2 to the components; all three gather rows of
+weights from the n x n table N_i^2 |alpha_j|^2 (`_bound`).  Also here:
+the exact formula for biorthogonal components and the assistant-state
+verifier that traces the proof chain numerically.  The right-hand side
+of both, sum |alpha_i|^2 E(phi_i) + H(|alpha|^2), is the unit-weight
+case of the bound's (every N_i^2 = 1, so T = 1), and one kernel (`_rhs`)
+evaluates it for every variant as one matrix product P @ E over the
+weight rows: on a single row that rounds exactly like the dot product
+p @ E, whereas summing the products row by row would round differently.
 """
 
 from __future__ import annotations
@@ -39,25 +39,18 @@ from .core import (
     ZERO_NORM_TOL,
     BipartitePureState,
     partial_trace_a,
-    partial_trace_b,
     schmidt_entropies,
-    shannon_entropy,
     von_neumann_entropy,
     xlog2x,
 )
 from .errors import (
     DegenerateStateError,
     DomainError,
+    InvariantViolationError,
     PreconditionError,
     ShapeMismatchError,
 )
-from .superposition import (
-    SuperpositionSpec,
-    combine,
-    component_entanglements,
-    squared_norm,
-    superposition_entanglement,
-)
+from .superposition import SuperpositionSpec, combine, component_entanglements, squared_norm
 
 MAX_N = 16              # recursion values overflow even float64 shortly beyond
 MAX_MINIMIZED_N = 8     # exhaustive n! permutation search cap
@@ -136,13 +129,6 @@ def basis_matrix(n: int) -> np.ndarray:
     return m
 
 
-def mixing_entropy(alphas: Sequence[complex] | np.ndarray) -> float:
-    """-sum_i |alpha_i|^2 log2 |alpha_i|^2, the correction for biorthogonal
-    components (and the upper sandwich slack for the assistant state)."""
-    a2 = np.abs(np.asarray(alphas, dtype=complex).reshape(-1)) ** 2
-    return shannon_entropy(a2)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Both sides of a bound inequality (or of an equality or proof-chain
@@ -177,108 +163,98 @@ class BoundReport:
         return self.gap < -GAP_SLACK or not all(self.checks.values())
 
 
-def _lhs_and_entanglements(spec: SuperpositionSpec) -> tuple[float, np.ndarray]:
-    """||psi||^2 E(psi) for the combined state psi, and E(phi_i) of every
-    component, from one batched singular value pass over the (n + 1)-row
-    stack of the components and psi.  Each matrix is decomposed and each
-    row normalized on its own, so the values equal those of
-    `entanglement(combine(spec))` and `component_entanglements(spec)`,
-    whose zero-state check is kept here."""
+def _entanglements(spec: SuperpositionSpec, vanishing: str) -> tuple[float, float, np.ndarray]:
+    """||psi||^2, E(psi) and every E(phi_i) for psi = sum alpha_i phi_i, from
+    one batched singular value pass over the (n + 1)-row stack of the
+    components and psi.  Each matrix is decomposed on its own, so the
+    values equal `entanglement(combine(spec))` and
+    `component_entanglements(spec)`; a vanishing psi raises, with
+    `vanishing` as the reason."""
     n2 = squared_norm(spec)
     if n2 <= ZERO_NORM_TOL:
-        raise DegenerateStateError("superposition vanishes; the bound is vacuous")
+        raise DegenerateStateError(f"superposition vanishes; {vanishing}")
     combined = combine(spec)
     if combined.squared_norm <= ZERO_NORM_TOL:
         raise DegenerateStateError("entanglement of a numerically zero state is undefined")
     ents = schmidt_entropies(np.concatenate((spec._stack, combined.amplitudes[None])))
-    return n2 * float(ents[-1]), ents[:-1]
+    return n2, float(ents[-1]), ents[:-1]
+
+
+def _rhs(
+    p: np.ndarray, xlog_p: np.ndarray, ents: np.ndarray, constraint: str | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """rhs and correction of every row P of weights, given xlog_p = xlog2x(P):
+
+        T = sum_j P_j,   correction = -sum_j P_j log2 P_j + T log2 T,
+        rhs = P @ E + correction.
+
+    Given a constraint message, the single row needs |T - 1| <=
+    CONSTRAINT_TOL (else PreconditionError, the message formatted with T)
+    and the T log2 T term is dropped.
+    """
+    totals = p.sum(axis=1)
+    if totals.min() <= ZERO_NORM_TOL:
+        raise DegenerateStateError("all coefficients vanish")
+    corrections = -xlog_p.sum(axis=1)
+    if constraint is None:
+        corrections += np.log2(totals) * totals
+    elif abs(totals[0] - 1.0) > CONSTRAINT_TOL:
+        raise PreconditionError(constraint.format(totals[0]))
+    return p @ ents + corrections, corrections
 
 
 @functools.lru_cache(maxsize=None)
-def _permutation_table(n: int) -> np.ndarray:
-    """All n! permutations of range(n) as rows, in lexicographic order."""
-    count = math.factorial(n)
-    perms = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(n))),
-        dtype=np.intp,
-        count=count * n,
-    ).reshape(count, n)
-    perms.setflags(write=False)
-    return perms
-
-
-@functools.lru_cache(maxsize=None)
-def _permutation_gather_index(n: int) -> np.ndarray:
-    """Flat index perm[k, j] * n + j of every permutation into a C-ordered
-    n x n (table entry, component) array."""
-    index = _permutation_table(n) * n + np.arange(n)
-    index.setflags(write=False)
-    return index
-
-
-@functools.lru_cache(maxsize=None)
-def _diagonal_gather_index(n: int) -> np.ndarray:
-    """Flat index of the diagonal of an n x n array, as a single row."""
-    index = np.arange(n)[None, :] * (n + 1)
+def _gather_index(n: int, minimized: bool) -> np.ndarray:
+    """Flat index perm[k, j] * n + j into a C-ordered n x n (table entry,
+    component) array, so perm[k, j] = index[k, j] // n: one row per
+    permutation of range(n), in lexicographic order, when minimized, else
+    the single row of the identity permutation, which is the diagonal."""
+    if minimized:
+        perms = np.fromiter(
+            itertools.chain.from_iterable(itertools.permutations(range(n))),
+            dtype=np.intp,
+            count=math.factorial(n) * n,
+        ).reshape(-1, n)
+    else:
+        perms = np.arange(n)[None, :]
+    index = perms * n + np.arange(n)
     index.setflags(write=False)
     return index
 
 
 def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
-    """The one bound kernel behind every variant.
+    """The one bound kernel behind the three bound variants.
 
     Every weight is one of the n^2 products N_i^2 |alpha_j|^2, so p and
     p log2 p are evaluated once on that n x n table and gathered into
     rows P through a cached index: the diagonal, as one row, for the
     constrained and unconstrained variants, and one row per permutation
-    (lexicographic order) for the minimized one.  Per row,
-
-        T = sum_j P_j,   correction = -sum_j P_j log2 P_j + T log2 T,
-        rhs = P @ E + correction,
-
-    where the constrained variant requires |T - 1| <= CONSTRAINT_TOL and
-    drops the T log2 T term.  P @ E is one matrix product for every
-    variant because a one-row product rounds exactly like the dot product
-    p @ E (see the module docstring).  The first minimal row wins, so
-    ties resolve to the lexicographically smallest permutation.
+    (lexicographic order) for the minimized one.  The first minimal row
+    wins, so ties resolve to the lexicographically smallest permutation.
     """
     n = spec.n
-    if variant == VARIANT_MINIMIZED and n > MAX_MINIMIZED_N:
+    minimized = variant == VARIANT_MINIMIZED
+    if minimized and n > MAX_MINIMIZED_N:
         raise DomainError(
             f"exhaustive permutation search is capped at n = {MAX_MINIMIZED_N}, got {n}"
         )
     nsq = normalization_coeffs(n)
-    lhs, ents = _lhs_and_entanglements(spec)
-    if variant == VARIANT_MINIMIZED:
-        index = _permutation_gather_index(n)
-    else:
-        index = _diagonal_gather_index(n)
+    n2, e_psi, ents = _entanglements(spec, "the bound is vacuous")
+    index = _gather_index(n, minimized)
     table = nsq[:, None] * (np.abs(spec.coefficients) ** 2)[None, :]
-    p = table.ravel()[index]
-    totals = p.sum(axis=1)
-    if totals.min() <= ZERO_NORM_TOL:
-        raise DegenerateStateError("all coefficients vanish")
-    corrections = -xlog2x(table).ravel()[index].sum(axis=1)
-    if variant == VARIANT_CONSTRAINED:
-        if abs(totals[0] - 1.0) > CONSTRAINT_TOL:
-            raise PreconditionError(
-                f"constraint sum N_i^2|alpha_i|^2 = 1 violated (got {totals[0]!r})"
-            )
-    else:
-        corrections += np.log2(totals) * totals
-    rhs = p @ ents + corrections
+    constraint = "constraint sum N_i^2|alpha_i|^2 = 1 violated (got {!r})"
+    rhs, corrections = _rhs(
+        table.ravel()[index], xlog2x(table).ravel()[index], ents,
+        constraint if variant == VARIANT_CONSTRAINED else None,
+    )
     k = int(rhs.argmin())
     return BoundReport(
         variant=variant,
-        lhs=lhs,
+        lhs=n2 * e_psi,
         rhs=float(rhs[k]),
         correction=float(corrections[k]),
         component_entanglements=tuple(float(e) for e in ents),
-        permutation=(
-            tuple(int(j) for j in _permutation_table(n)[k])
-            if variant == VARIANT_MINIMIZED
-            else None
-        ),
+        permutation=tuple(int(j) // n for j in index[k]) if minimized else None,
     )
 
 
@@ -296,8 +272,8 @@ def bound_unconstrained(spec: SuperpositionSpec) -> BoundReport:
 def bound_minimized(spec: SuperpositionSpec) -> BoundReport:
     """Lowest unconstrained bound over all n! assignments of the
     normalization table to components (capped at n = MAX_MINIMIZED_N).
-    The permutation table and its gather index are cached per n: n! * n
-    intp each, about 2.6 MB per table at n = 8.
+    The permutations' gather index is cached per n: n! * n intp, about
+    2.6 MB at n = 8.
 
     Ties go to the first minimal row, the lexicographically smallest
     permutation.  At n = 8 the rhs reaches about 1e24, and rows whose rhs
@@ -309,7 +285,9 @@ def bound_minimized(spec: SuperpositionSpec) -> BoundReport:
 def is_biorthogonal(components: Sequence[BipartitePureState]) -> bool:
     """True iff every pair of components has zero overlap between reduced
     states on both sides: Tr[rho_i^A rho_j^A] and Tr[rho_i^B rho_j^B]
-    below BIORTHOGONALITY_TOL in magnitude for all i != j."""
+    below BIORTHOGONALITY_TOL in magnitude for all i != j.  The reduced
+    states of each side come from one batched contraction of the
+    amplitude stack, and all their pairwise overlaps from one more."""
     comps = list(components)
     if len(comps) < 2:
         raise PreconditionError("biorthogonality needs at least 2 components")
@@ -317,14 +295,17 @@ def is_biorthogonal(components: Sequence[BipartitePureState]) -> bool:
     for k, c in enumerate(comps):
         if (c.dim_a, c.dim_b) != dims:
             raise ShapeMismatchError(f"component {k} has mismatched dimensions")
-    red_a = [partial_trace_b(c).matrix for c in comps]
-    red_b = [partial_trace_a(c).matrix for c in comps]
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            if abs(np.einsum("ij,ji->", red_a[i], red_a[j])) >= BIORTHOGONALITY_TOL:
-                return False
-            if abs(np.einsum("ij,ji->", red_b[i], red_b[j])) >= BIORTHOGONALITY_TOL:
-                return False
+    stack = np.stack([c.amplitudes for c in comps])
+    off_diagonal = ~np.eye(len(comps), dtype=bool)
+    for reduced in (
+        np.einsum("kab,kcb->kac", stack, stack.conj()),  # rho^A of every component
+        np.einsum("kab,kac->kbc", stack, stack.conj()),  # rho^B of every component
+    ):
+        overlaps = np.abs(np.einsum("iac,jca->ij", reduced, reduced)[off_diagonal])
+        if not np.isfinite(overlaps).all():
+            raise InvariantViolationError("reduced-state overlaps are not finite")
+        if (overlaps >= BIORTHOGONALITY_TOL).any():
+            return False
     return True
 
 
@@ -340,22 +321,19 @@ def exact_biorthogonal_entanglement(spec: SuperpositionSpec) -> BoundReport:
     entropy; the check biorth_equality holds when the two sides agree
     within EQUALITY_TOL.
     """
-    direct = superposition_entanglement(spec)
+    _, direct, ents = _entanglements(spec, "entanglement of the normalized version is undefined")
     if not is_biorthogonal(spec.components):
         raise PreconditionError("components are not mutually biorthogonal")
-    a2 = np.abs(spec.coefficients) ** 2
-    if abs(a2.sum() - 1.0) > CONSTRAINT_TOL:
-        raise PreconditionError(
-            f"sum |alpha_i|^2 = 1 required for the exact formula (got {a2.sum()!r})"
-        )
-    ents = component_entanglements(spec)
-    mixing = mixing_entropy(spec.coefficients)
-    formula = float(a2 @ ents) + mixing
+    a2 = np.abs(spec.coefficients)[None, :] ** 2
+    rhs, mixing = _rhs(
+        a2, xlog2x(a2), ents, "sum |alpha_i|^2 = 1 required for the exact formula (got {!r})"
+    )
+    formula = float(rhs[0])
     return BoundReport(
         variant=VARIANT_EXACT,
         lhs=direct,
         rhs=formula,
-        correction=mixing,
+        correction=float(mixing[0]),
         component_entanglements=tuple(float(e) for e in ents),
         checks={"biorth_equality": abs(formula - direct) < EQUALITY_TOL},
     )
@@ -385,11 +363,12 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
             f"assistant state would exceed {MAX_ASSISTANT_ELEMS} amplitudes"
         )
     alphas = spec.coefficients
-    a2 = np.abs(alphas) ** 2
-    if abs(a2.sum() - 1.0) > CONSTRAINT_TOL:
-        raise PreconditionError(
-            f"assistant state requires sum |alpha_i|^2 = 1 (got {a2.sum()!r})"
-        )
+    a2 = np.abs(alphas)[None, :] ** 2
+    comp_ents = component_entanglements(spec)
+    rhs, mixing = _rhs(
+        a2, xlog2x(a2), comp_ents, "assistant state requires sum |alpha_i|^2 = 1 (got {!r})"
+    )
+    upper_bound = float(rhs[0])
 
     # Assistant state as a bipartite (register x A) : B amplitude matrix.
     lam = (alphas[:, None, None] * spec._stack).reshape(n * spec.dim_a, spec.dim_b)
@@ -405,15 +384,11 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
     lower_chain = float(weights @ block_entropies)
     leading_term = float(weights[0] * block_entropies[0])
 
-    comp_ents = component_entanglements(spec)
-    mixing = mixing_entropy(alphas)
-    upper_bound = float(a2 @ comp_ents) + mixing
-
     return BoundReport(
         variant=VARIANT_ASSISTANT,
         lhs=s_rho_b,
         rhs=upper_bound,
-        correction=mixing,
+        correction=float(mixing[0]),
         component_entanglements=tuple(float(e) for e in comp_ents),
         checks={
             "norm_partition": residual < EQUALITY_TOL,

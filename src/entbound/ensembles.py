@@ -22,6 +22,7 @@ amplitude keeps its bits; tests/test_golden.py pins the drawn specs.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 from dataclasses import dataclass
@@ -246,11 +247,12 @@ class EnsembleConfig:
         if self.coefficient_mode == MODE_FIXED:
             if self.fixed_coefficients is None or len(self.fixed_coefficients) != self.n:
                 raise DomainError("fixed mode needs exactly n fixed_coefficients")
-            object.__setattr__(
-                self,
-                "fixed_coefficients",
-                tuple(complex(c) for c in self.fixed_coefficients),
-            )
+            fixed = tuple(complex(c) for c in self.fixed_coefficients)
+            if not all(cmath.isfinite(c) for c in fixed):
+                raise DomainError("fixed_coefficients must be finite")
+            if not any(fixed):
+                raise DomainError("fixed_coefficients must not all be zero")
+            object.__setattr__(self, "fixed_coefficients", fixed)
         elif self.fixed_coefficients is not None:
             raise DomainError("fixed_coefficients only apply to coefficient_mode='fixed'")
 
@@ -285,24 +287,16 @@ FAMILIES = tuple(_FAMILY_DRAWS)
 COEFFICIENT_MODES = tuple(_COEFFICIENT_DRAWS)
 
 
-def generate_components(config: EnsembleConfig, stream: RandomStream) -> np.ndarray:
-    """Draw the (n, dim_a, dim_b) component stack of one trial."""
-    return _FAMILY_DRAWS[config.family](config, stream)
-
-
-def generate_coefficients(
-    config: EnsembleConfig, coeffs: np.ndarray, stream: RandomStream
-) -> np.ndarray:
-    """Draw (or echo) the coefficient vector of one trial."""
-    return _COEFFICIENT_DRAWS[config.coefficient_mode](config, coeffs, stream)
-
-
 def generate_spec(
     config: EnsembleConfig, coeffs: np.ndarray, trial_stream: RandomStream
 ) -> SuperpositionSpec:
-    """Assemble the full superposition spec for one trial substream."""
-    stack = generate_components(config, trial_stream.child("components"))
-    alphas = generate_coefficients(config, coeffs, trial_stream.child("coefficients"))
+    """Assemble the full superposition spec for one trial substream: the
+    family's component stack and the coefficient vector, drawn (or echoed)
+    from their own substreams."""
+    stack = _FAMILY_DRAWS[config.family](config, trial_stream.child("components"))
+    alphas = _COEFFICIENT_DRAWS[config.coefficient_mode](
+        config, coeffs, trial_stream.child("coefficients")
+    )
     return SuperpositionSpec(
         coefficients=alphas, components=tuple(BipartitePureState(amp) for amp in stack)
     )

@@ -8,6 +8,7 @@ the components is computed once and cached on the spec.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,9 +112,13 @@ def squared_norm(spec: SuperpositionSpec) -> float:
     """||sum_i alpha_i phi_i||^2 via the cached Gram matrix.
 
     For mutually orthogonal components this reduces to sum |alpha_i|^2.
+    A quadratic form that overflows to inf or NaN raises instead of
+    being read as a vanishing superposition.
     """
     a = spec.coefficients
     value = complex(a.conj() @ spec.gram.matrix @ a)
+    if not cmath.isfinite(value):
+        raise InvariantViolationError(f"squared norm is not finite: {value}")
     scale = max(1.0, abs(value))
     if abs(value.imag) > 1e-12 * scale:
         raise InvariantViolationError(

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entbound import (
     BipartitePureState,
     DensityMatrix,
     DomainError,
+    InvariantViolationError,
     PreconditionError,
     RandomStream,
     ShapeMismatchError,
@@ -25,7 +27,6 @@ from entbound import (
     exact_biorthogonal_entanglement,
     haar_state,
     is_biorthogonal,
-    mixing_entropy,
     normalization_coeffs,
     partial_trace_a,
     partial_trace_b,
@@ -34,7 +35,7 @@ from entbound import (
     superposition_entanglement,
     von_neumann_entropy,
 )
-from entbound.bounds import _exact_n_squared, _permutation_gather_index, _permutation_table
+from entbound.bounds import _exact_n_squared, _gather_index
 from entbound.core import xlog2x
 from conftest import as_states, basis_state, bell_state, random_state, two_bell_blocks
 
@@ -202,7 +203,10 @@ class TestCorrectionTerms:
         )
 
     def test_mixing_entropy_uniform(self):
-        assert mixing_entropy([2**-0.5, 2**-0.5]) == pytest.approx(1.0, abs=1e-12)
+        # the exact and assistant corrections are H(|alpha|^2)
+        spec = product_spec([2**-0.5, 2**-0.5])
+        assert exact_biorthogonal_entanglement(spec).correction == pytest.approx(1.0, abs=1e-12)
+        assert assistant_state_check(spec).correction == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBoundConstrained:
@@ -363,15 +367,14 @@ class TestBoundMinimized:
         assert bound_minimized(spec).permutation == (0, 1, 2, 3)
 
     def test_cached_permutation_tables_are_read_only(self):
-        for table in (_permutation_table(5), _permutation_gather_index(5)):
+        for table in (_gather_index(5, True), _gather_index(5, False)):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 1
-        assert _permutation_table(5) is _permutation_table(5)
-        np.testing.assert_array_equal(_permutation_table(3), list(itertools.permutations(range(3))))
-        np.testing.assert_array_equal(
-            _permutation_gather_index(3), _permutation_table(3) * 3 + np.arange(3)
-        )
+        assert _gather_index(5, True) is _gather_index(5, True)
+        perms = np.array(list(itertools.permutations(range(3))))
+        np.testing.assert_array_equal(_gather_index(3, True), perms * 3 + np.arange(3))
+        np.testing.assert_array_equal(_gather_index(3, False), [[0, 4, 8]])
 
     def test_prefers_small_weights_on_entangled_components(self):
         # E = (0, 0, 1): the minimum cannot exceed the identity assignment
@@ -408,7 +411,53 @@ class TestBoundMinimized:
             assert bound_minimized(spec).gap >= -1e-9
 
 
+def reference_is_biorthogonal(components) -> bool:
+    """The pairwise definition: one reduced-state pair per component pair
+    and side, each overlap Tr[rho_i rho_j] taken on its own."""
+    red_a = [partial_trace_b(c).matrix for c in components]
+    red_b = [partial_trace_a(c).matrix for c in components]
+    for i in range(len(components)):
+        for j in range(i + 1, len(components)):
+            if abs(np.einsum("ij,ji->", red_a[i], red_a[j])) >= 1e-10:
+                return False
+            if abs(np.einsum("ij,ji->", red_b[i], red_b[j])) >= 1e-10:
+                return False
+    return True
+
+
 class TestBiorthogonality:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        kind=st.sampled_from(["random", "blocks", "perturbed"]),
+        n=st.integers(min_value=2, max_value=5),
+        block_a=st.integers(min_value=1, max_value=3),
+        block_b=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        log_eps=st.floats(min_value=-8.0, max_value=-3.0),
+    )
+    def test_matches_pairwise_definition(self, kind, n, block_a, block_b, seed, log_eps):
+        stream = RandomStream(seed)
+        stack = biorthogonal_family(n, block_a, block_b, stream.child("fam"))
+        g = np.random.default_rng(seed)
+        noise = g.standard_normal(stack.shape) + 1j * g.standard_normal(stack.shape)
+        if kind == "random":
+            stack = noise
+        elif kind == "perturbed":
+            stack = stack + 10.0**log_eps * noise
+        stack = stack / np.linalg.norm(stack, axis=(1, 2), keepdims=True)
+        comps = as_states(stack)
+        assert is_biorthogonal(comps) == reference_is_biorthogonal(comps)
+
+    def test_pairwise_definition_sees_both_outcomes_of_perturbed_blocks(self):
+        # overlaps of blocks perturbed by eps grow like eps^2 and cross the
+        # tolerance inside the property test's range
+        stack = biorthogonal_family(3, 2, 2, RandomStream(4).child("fam"))
+        noise = np.random.default_rng(4).standard_normal(stack.shape)
+        for eps, expected in ((1e-8, True), (1e-3, False)):
+            comps = as_states(stack + eps * noise)
+            assert reference_is_biorthogonal(comps) is expected
+            assert is_biorthogonal(comps) is expected
+
     def test_bell_blocks_true(self):
         assert is_biorthogonal(two_bell_blocks())
 
@@ -423,6 +472,15 @@ class TestBiorthogonality:
     def test_dim_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             is_biorthogonal([basis_state(2, 2, 0, 0), basis_state(3, 2, 0, 0)])
+
+    def test_overflowing_overlaps_raise(self):
+        # rho_0 overflows to inf where rho_1 underflows to 0: a NaN overlap is no verdict
+        big = np.zeros((2, 2))
+        big[0, 0] = 1e200
+        other = np.zeros((2, 2))
+        other[0, 0], other[1, 1] = 1e-200, 1e200
+        with pytest.raises(InvariantViolationError, match="not finite"):
+            is_biorthogonal([BipartitePureState(big), BipartitePureState(other)])
 
     def test_reduced_overlap_oracle(self):
         # direct evaluation of both trace overlaps for the family
@@ -471,6 +529,18 @@ class TestExactBiorthogonal:
             assert abs(report.rhs - direct) < 1e-9
             assert report.lhs == direct
             assert report.checks == {"biorth_equality": True}
+
+    def test_rhs_is_the_unit_weight_formula(self):
+        for trial in range(60):
+            stream = RandomStream(111).child(f"t{trial}")
+            n = 2 + trial % 4
+            comps = as_states(biorthogonal_family(n, 1 + trial % 2, 2, stream.child("fam")))
+            spec = make_spec(simplex_coefficients(n, stream.child("a")), comps)
+            rep = exact_biorthogonal_entanglement(spec)
+            a2 = np.abs(spec.coefficients) ** 2
+            assert rep.component_entanglements == tuple(component_entanglements(spec))
+            assert rep.correction == shannon_entropy(a2)
+            assert rep.rhs == float(a2 @ component_entanglements(spec)) + rep.correction
 
     def test_biorthogonal_specs_are_orthogonal(self):
         for trial in range(10):
@@ -559,7 +629,7 @@ class TestAssistantStateCheck:
             assert rep.checks == dict.fromkeys(CHAIN_CHECKS, True)
             a2 = np.abs(spec.coefficients) ** 2
             assert rep.component_entanglements == tuple(component_entanglements(spec))
-            assert rep.correction == mixing_entropy(spec.coefficients)
+            assert rep.correction == shannon_entropy(a2)
             assert rep.rhs == float(a2 @ component_entanglements(spec)) + rep.correction
 
     def test_requires_unit_weight(self):

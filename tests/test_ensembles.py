@@ -8,6 +8,7 @@ from scipy.stats import ks_2samp
 from entbound import (
     DomainError,
     EnsembleConfig,
+    SchemaError,
     RandomStream,
     biorthogonal_family,
     constrained_coefficients,
@@ -24,6 +25,7 @@ from entbound import (
     SuperpositionSpec,
 )
 from entbound.ensembles import MAX_STATE_ELEMS, _seed_words
+from entbound.serialize import config_from_json
 from conftest import as_states
 
 
@@ -280,6 +282,23 @@ class TestEnsembleConfig:
             EnsembleConfig(
                 n=2, dim_a=2, dim_b=2, family="haar", seed=0, coefficient_mode="fixed"
             )
+
+    @pytest.mark.parametrize(
+        "fixed",
+        [(0, 0, 0), (0j, -0.0, 0.0j), (float("nan"), 1, 0), (1, complex(0, float("inf")), 0)],
+        ids=["all-zero", "signed-zeros", "nan", "inf"],
+    )
+    def test_fixed_coefficients_must_be_finite_and_nonzero(self, fixed):
+        with pytest.raises(DomainError, match="fixed_coefficients must"):
+            EnsembleConfig(
+                n=3, dim_a=2, dim_b=2, family="haar", seed=0, coefficient_mode="fixed",
+                fixed_coefficients=fixed,
+            )
+        obj = {"n": 3, "dim_a": 2, "dim_b": 2, "family": "haar", "seed": 0,
+               "coefficient_mode": "fixed",
+               "fixed_coefficients": [[c.real, c.imag] for c in map(complex, fixed)]}
+        with pytest.raises(SchemaError, match="fixed_coefficients must"):
+            config_from_json(obj)
 
     def test_spec_generation_deterministic(self):
         cfg = EnsembleConfig(

@@ -447,6 +447,25 @@ class TestCli:
                      "--out", str(out)]) == 2
         assert out.read_bytes() == b"records of an earlier run\n"
 
+    @pytest.mark.parametrize(
+        "fixed",
+        ["[[0, 0], [0, 0], [0, 0]]", "[[NaN, 0], [1, 0], [0, 0]]", "[[1, 0], [0, Infinity], [0, 0]]"],
+        ids=["all-zero", "nan", "inf"],
+    )
+    def test_verify_rejects_unusable_fixed_coefficients(self, tmp_path, capsys, fixed):
+        # JSON by hand: dumps refuses non-finite floats, but json.loads takes them
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            '{"n": 3, "dim_a": 3, "dim_b": 3, "family": "haar", "seed": 1,'
+            f' "coefficient_mode": "fixed", "fixed_coefficients": {fixed}}}'
+        )
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"records of an earlier run\n")
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2",
+                     "--out", str(out)]) == 2
+        assert out.read_bytes() == b"records of an earlier run\n"
+        assert "fixed_coefficients must" in capsys.readouterr().err
+
     def test_verify_precondition_mismatch(self, tmp_path):
         # exact variant needs biorthogonal components; haar family fails per trial
         cfg_path = tmp_path / "cfg.json"

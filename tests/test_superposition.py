@@ -14,6 +14,8 @@ from entbound import (
     squared_norm,
     superposition_entanglement,
 )
+from entbound.cli import main
+from entbound.serialize import dumps, spec_to_json
 from conftest import basis_state, bell_state, random_state, two_bell_blocks
 
 
@@ -109,6 +111,22 @@ class TestSuperpositionEntanglement:
     def test_two_bell_blocks(self):
         spec = make_spec([2**-0.5, 2**-0.5], two_bell_blocks())
         assert superposition_entanglement(spec) == pytest.approx(2.0, abs=1e-12)
+
+    def test_overflowing_squared_norm_raises(self):
+        # |1e300 + 1e300j|^2 overflows: the quadratic form is NaN, which
+        # must not read as a vanishing superposition
+        spec = make_spec([1, 1e300 + 1e300j], [bell_state(), bell_state()])
+        with pytest.warns(RuntimeWarning), pytest.raises(InvariantViolationError, match="finite"):
+            squared_norm(spec)
+
+    @pytest.mark.parametrize("variant", ["unconstrained", "exact"])
+    def test_overflowing_squared_norm_is_an_input_error(self, tmp_path, capsys, variant):
+        spec = make_spec([1, 1e300 + 1e300j], [bell_state(+1), bell_state(-1)])
+        path = tmp_path / "spec.json"
+        path.write_text(dumps(spec_to_json(spec)))
+        with pytest.warns(RuntimeWarning):
+            assert main(["eval", str(path), "--variant", variant]) == 2
+        assert "vanishes" not in capsys.readouterr().err
 
     def test_vanishing_superposition_rejected(self):
         spec = make_spec([1.0, -1.0], [bell_state(), bell_state()])
