@@ -32,12 +32,10 @@ from .bounds import (
 from .ensembles import (
     EnsembleConfig,
     RandomStream,
-    biorthogonal_family,
     constrained_coefficients,
     generate_spec,
     haar_state,
     haar_unitary,
-    orthogonal_not_biorthogonal_family,
     simplex_coefficients,
 )
 from .report import (
@@ -77,7 +75,6 @@ __all__ = [
     "TrialRecord",
     "assistant_state_check",
     "basis_matrix",
-    "biorthogonal_family",
     "bound_constrained",
     "bound_minimized",
     "bound_unconstrained",
@@ -92,7 +89,6 @@ __all__ = [
     "is_biorthogonal",
     "iter_trials",
     "normalization_coeffs",
-    "orthogonal_not_biorthogonal_family",
     "partial_trace_a",
     "partial_trace_b",
     "run_campaign",

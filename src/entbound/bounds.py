@@ -199,7 +199,7 @@ def _rhs(
     if constraint is None:
         corrections += np.log2(totals) * totals
     elif abs(totals[0] - 1.0) > CONSTRAINT_TOL:
-        raise PreconditionError(constraint.format(totals[0]))
+        raise PreconditionError(constraint.format(float(totals[0])))
     return p @ ents + corrections, corrections
 
 

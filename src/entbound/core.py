@@ -19,13 +19,13 @@ from .errors import (
     ShapeMismatchError,
 )
 
-# Tolerances, pinned once for the whole package.
+# Tolerances of this module, some also imported by `bounds` and
+# `superposition`; those two define their other tolerances themselves.
 HERMITIAN_TOL = 1e-12   # elementwise hermiticity
 EIG_CLIP = 1e-10        # eigenvalues in [-EIG_CLIP, 0) are clipped to zero
 EIG_CUTOFF = 1e-14      # weights below this contribute exactly 0 to entropies
 CONSTRAINT_TOL = 1e-9   # coefficient-constraint residuals
 GAP_SLACK = 1e-9        # allowed numerical slack on verified inequalities
-IDENTITY_TOL = 1e-10    # linear-algebra identities (orthonormality, norms)
 ZERO_NORM_TOL = 1e-12   # squared norms below this count as the zero state
 
 

@@ -13,11 +13,11 @@ that it derives from that integer (see `_seed_words`), which skips the
 int conversion and draws the same numbers; tests/test_ensembles.py
 checks the formula itself.
 
-Each component family returns one (n, dim_a, dim_b) amplitude stack,
-and `generate_spec` wraps each row in a `BipartitePureState` once.  The
-substream labels and the order of draws within each substream are the
-same as when the families built one state per component, so every drawn
-amplitude keeps its bits; tests/test_golden.py pins the drawn specs.
+Each component family is a private `(config, stream)` draw that returns
+one (n, dim_a, dim_b) amplitude stack and trusts its config: a family's
+preconditions are checked once, by `EnsembleConfig`.  `generate_spec`
+wraps each row in a `BipartitePureState` once.  tests/test_golden.py
+pins every family's substream labels, draw order and drawn amplitudes.
 """
 
 from __future__ import annotations
@@ -108,77 +108,6 @@ def haar_unitary(dim: int, stream: RandomStream) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def biorthogonal_family(n: int, block_a: int, block_b: int, stream: RandomStream) -> np.ndarray:
-    """(n, n*block_a, n*block_b) stack of n components, each Haar-random on
-    its own diagonal block.
-
-    Component i is supported on rows [i*block_a, (i+1)*block_a) and
-    columns [i*block_b, (i+1)*block_b), so the reduced states have
-    disjoint supports on both sides and biorthogonality holds by
-    construction.
-    """
-    if n < 2 or block_a < 1 or block_b < 1:
-        raise DomainError("need n >= 2 and positive block dimensions")
-    da, db = n * block_a, n * block_b
-    if da * db > MAX_STATE_ELEMS:
-        raise DomainError(
-            f"family would need {da}x{db} amplitudes, above the {MAX_STATE_ELEMS} cap"
-        )
-    out = np.zeros((n, da, db), dtype=complex)
-    for i in range(n):
-        out[i, i * block_a : (i + 1) * block_a, i * block_b : (i + 1) * block_b] = _haar(
-            (block_a, block_b), stream.child(f"block-{i}")
-        )
-    return out
-
-
-def orthogonal_not_biorthogonal_family(
-    n: int, dim_a: int, dim_b: int, stream: RandomStream
-) -> np.ndarray:
-    """(n, dim_a, dim_b) stack of n mutually orthogonal product states that
-    are NOT biorthogonal.
-
-    Component k is (U_A x U_B)|k // dim_b>|k mod dim_b> for a shared
-    random local rotation, so the Gram matrix is exactly the identity
-    while the first two components share their A-side reduced state
-    (or, when dim_b = 1, their B-side one).
-    """
-    if n < 2:
-        raise DomainError("need n >= 2 components")
-    if dim_a * dim_b < n:
-        raise DomainError(
-            f"dim_a*dim_b = {dim_a * dim_b} cannot host {n} orthogonal states"
-        )
-    k = np.arange(n)
-    a = haar_unitary(dim_a, stream.child("unitary-a"))[:, k // dim_b].T
-    b = haar_unitary(dim_b, stream.child("unitary-b"))[:, k % dim_b].T
-    return a[:, :, None] * b[:, None, :]
-
-
-def product_state_family(n: int, dim_a: int, dim_b: int, stream: RandomStream) -> np.ndarray:
-    """(n, dim_a, dim_b) stack of independent Haar-random product states
-    (zero entanglement each)."""
-    a = np.stack([_haar((dim_a,), stream.child(f"a-{k}")) for k in range(n)])
-    b = np.stack([_haar((dim_b,), stream.child(f"b-{k}")) for k in range(n)])
-    return a[:, :, None] * b[:, None, :]
-
-
-def bell_like_family(n: int, dim_a: int, dim_b: int, stream: RandomStream) -> np.ndarray:
-    """(n, dim_a, dim_b) stack of maximally entangled states, each rotated by
-    its own local unitaries."""
-    d = min(dim_a, dim_b)
-    base = np.zeros((dim_a, dim_b), dtype=complex)
-    base[np.arange(d), np.arange(d)] = 1.0 / math.sqrt(d)
-    return np.stack(
-        [
-            haar_unitary(dim_a, stream.child(f"ua-{k}"))
-            @ base
-            @ haar_unitary(dim_b, stream.child(f"ub-{k}")).T
-            for k in range(n)
-        ]
-    )
-
-
 def constrained_coefficients(n: int, coeffs: np.ndarray, stream: RandomStream) -> np.ndarray:
     """Complex coefficients with sum N_i^2 |alpha_i|^2 = 1 by construction:
     simplex-uniform weights w_i, |alpha_i|^2 = w_i / N_i^2, uniform phases.
@@ -257,26 +186,67 @@ class EnsembleConfig:
             raise DomainError("fixed_coefficients only apply to coefficient_mode='fixed'")
 
 
-def _padded_biorthogonal(config: EnsembleConfig, stream: RandomStream) -> np.ndarray:
-    blocks = biorthogonal_family(config.n, config.block_a, config.block_b, stream)
+def _haar_draw(config: EnsembleConfig, stream: RandomStream) -> np.ndarray:
+    shape = (config.dim_a, config.dim_b)
+    return np.stack([_haar(shape, stream.child(f"component-{k}")) for k in range(config.n)])
+
+
+def _biorthogonal_blocks_draw(config: EnsembleConfig, stream: RandomStream) -> np.ndarray:
+    """Component i Haar-random on its own diagonal block, rows
+    [i*block_a, (i+1)*block_a) and columns [i*block_b, (i+1)*block_b), and
+    zero elsewhere, so the reduced states have disjoint supports on both
+    sides and biorthogonality holds by construction."""
+    ba, bb = config.block_a, config.block_b
     out = np.zeros((config.n, config.dim_a, config.dim_b), dtype=complex)
-    out[:, : blocks.shape[1], : blocks.shape[2]] = blocks
+    for i in range(config.n):
+        out[i, i * ba : (i + 1) * ba, i * bb : (i + 1) * bb] = _haar(
+            (ba, bb), stream.child(f"block-{i}")
+        )
     return out
 
 
+def _orthogonal_shared_support_draw(config: EnsembleConfig, stream: RandomStream) -> np.ndarray:
+    """Mutually orthogonal product states that are NOT biorthogonal: component
+    k is (U_A x U_B)|k // dim_b>|k mod dim_b> for a shared random local
+    rotation, so the Gram matrix is exactly the identity while the first two
+    components share their A-side reduced state (their B-side one if dim_b = 1)."""
+    k = np.arange(config.n)
+    a = haar_unitary(config.dim_a, stream.child("unitary-a"))[:, k // config.dim_b].T
+    b = haar_unitary(config.dim_b, stream.child("unitary-b"))[:, k % config.dim_b].T
+    return a[:, :, None] * b[:, None, :]
+
+
+def _product_states_draw(config: EnsembleConfig, stream: RandomStream) -> np.ndarray:
+    """Independent Haar-random product states (zero entanglement each)."""
+    a = np.stack([_haar((config.dim_a,), stream.child(f"a-{k}")) for k in range(config.n)])
+    b = np.stack([_haar((config.dim_b,), stream.child(f"b-{k}")) for k in range(config.n)])
+    return a[:, :, None] * b[:, None, :]
+
+
+def _bell_like_draw(config: EnsembleConfig, stream: RandomStream) -> np.ndarray:
+    """Maximally entangled states, each rotated by its own local unitaries."""
+    d = min(config.dim_a, config.dim_b)
+    base = np.zeros((config.dim_a, config.dim_b), dtype=complex)
+    base[np.arange(d), np.arange(d)] = 1.0 / math.sqrt(d)
+    return np.stack(
+        [
+            haar_unitary(config.dim_a, stream.child(f"ua-{k}"))
+            @ base
+            @ haar_unitary(config.dim_b, stream.child(f"ub-{k}")).T
+            for k in range(config.n)
+        ]
+    )
+
+
 # Every family and coefficient mode, by the name an EnsembleConfig gives it.
-# The lambdas look the public functions up when they run, so a rebound
-# function (a profiler's wrapper, a test double) is the one called.
+# The draws and the lambdas look the public samplers up when they run, so
+# a rebound sampler (a profiler's wrapper, a test double) is the one called.
 _FAMILY_DRAWS = {
-    "haar": lambda c, s: np.stack(
-        [_haar((c.dim_a, c.dim_b), s.child(f"component-{k}")) for k in range(c.n)]
-    ),
-    FAMILY_BIORTHOGONAL: _padded_biorthogonal,
-    FAMILY_SHARED_SUPPORT: lambda c, s: orthogonal_not_biorthogonal_family(
-        c.n, c.dim_a, c.dim_b, s
-    ),
-    "product_states": lambda c, s: product_state_family(c.n, c.dim_a, c.dim_b, s),
-    "bell_like": lambda c, s: bell_like_family(c.n, c.dim_a, c.dim_b, s),
+    "haar": _haar_draw,
+    FAMILY_BIORTHOGONAL: _biorthogonal_blocks_draw,
+    FAMILY_SHARED_SUPPORT: _orthogonal_shared_support_draw,
+    "product_states": _product_states_draw,
+    "bell_like": _bell_like_draw,
 }
 _COEFFICIENT_DRAWS = {
     "constrained": lambda c, coeffs, s: constrained_coefficients(c.n, coeffs, s),

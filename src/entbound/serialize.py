@@ -7,9 +7,9 @@ rendered with 17 significant digits so round trips are bit exact.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
-import sys
 from typing import Any
 
 import numpy as np
@@ -31,20 +31,6 @@ def format_float(x: float) -> str:
 _encode_str = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _int_literal(v: int) -> str:
-    try:
-        return str(v)
-    except ValueError:
-        # CPython's digit guard rejects huge conversions; the normalization
-        # table wants exact integers, so lift it just for this value.
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(v)
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-
 def dumps(obj: Any) -> str:
     """Deterministic JSON text with controlled float formatting.
 
@@ -54,7 +40,9 @@ def dumps(obj: Any) -> str:
     if obj is None or obj is True or obj is False:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return _int_literal(int(obj))
+        # exact, and unlike str() not refused by CPython's int digit limit,
+        # which the normalization table's exact integers pass at n = 16
+        return str(decimal.Decimal(int(obj)))
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
     if isinstance(obj, str):

@@ -9,6 +9,7 @@ the components is computed once and cached on the spec.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,8 +68,16 @@ class SuperpositionSpec:
             )
         if not np.all(np.isfinite(alphas)):
             raise InvariantViolationError("coefficients contain NaN or Inf")
-        if np.abs(alphas).max() == 0.0:
+        largest = float(np.abs(alphas).max())
+        if largest == 0.0:
             raise PreconditionError("coefficients must not all be zero")
+        # a^+ G a <= n ||a||^2 <= n^2 max|a_i|^2 bounds the Gram form and every
+        # |a_i|^2; the 4 covers the complex products inside a matmul.  Python
+        # floats overflow to inf without a numpy warning.
+        if not math.isfinite(4.0 * len(comps) ** 2 * largest * largest):
+            raise InvariantViolationError(
+                f"coefficients up to |alpha| = {largest:.3e} give a non-finite squared-norm bound"
+            )
         dims = (comps[0].dim_a, comps[0].dim_b)
         for k, c in enumerate(comps):
             if (c.dim_a, c.dim_b) != dims:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from entbound import BipartitePureState
+from entbound import BipartitePureState, EnsembleConfig, generate_spec, normalization_coeffs
 
 
 def basis_state(dim_a: int, dim_b: int, i: int, j: int) -> BipartitePureState:
@@ -33,6 +33,18 @@ def two_bell_blocks() -> tuple[BipartitePureState, BipartitePureState]:
 def as_states(stack: np.ndarray) -> tuple[BipartitePureState, ...]:
     """The rows of an (n, dim_a, dim_b) amplitude stack as states."""
     return tuple(BipartitePureState(amp) for amp in stack)
+
+
+def drawn_components(
+    family: str, n: int, dim_a: int, dim_b: int, stream, block_a: int = 1, block_b: int = 1
+) -> tuple[BipartitePureState, ...]:
+    """The components `generate_spec` draws from `stream` for a family, under
+    the EnsembleConfig that validates them (simplex coefficients)."""
+    config = EnsembleConfig(
+        n=n, dim_a=dim_a, dim_b=dim_b, family=family, seed=0,
+        coefficient_mode="simplex_uniform", block_a=block_a, block_b=block_b,
+    )
+    return generate_spec(config, normalization_coeffs(n), stream).components
 
 
 def random_state(rng: np.random.Generator, dim_a: int, dim_b: int) -> BipartitePureState:

@@ -17,7 +17,6 @@ from entbound import (
     SuperpositionSpec,
     assistant_state_check,
     basis_matrix,
-    biorthogonal_family,
     bound_constrained,
     bound_minimized,
     bound_unconstrained,
@@ -37,7 +36,15 @@ from entbound import (
 )
 from entbound.bounds import _exact_n_squared, _gather_index
 from entbound.core import xlog2x
-from conftest import as_states, basis_state, bell_state, random_state, two_bell_blocks
+from entbound.ensembles import FAMILY_BIORTHOGONAL as BIORTHOGONAL
+from conftest import (
+    as_states,
+    basis_state,
+    bell_state,
+    drawn_components,
+    random_state,
+    two_bell_blocks,
+)
 
 
 def make_spec(coeffs, components) -> SuperpositionSpec:
@@ -437,7 +444,10 @@ class TestBiorthogonality:
     )
     def test_matches_pairwise_definition(self, kind, n, block_a, block_b, seed, log_eps):
         stream = RandomStream(seed)
-        stack = biorthogonal_family(n, block_a, block_b, stream.child("fam"))
+        comps = drawn_components(
+            BIORTHOGONAL, n, n * block_a, n * block_b, stream.child("fam"), block_a, block_b
+        )
+        stack = np.stack([c.amplitudes for c in comps])
         g = np.random.default_rng(seed)
         noise = g.standard_normal(stack.shape) + 1j * g.standard_normal(stack.shape)
         if kind == "random":
@@ -451,7 +461,8 @@ class TestBiorthogonality:
     def test_pairwise_definition_sees_both_outcomes_of_perturbed_blocks(self):
         # overlaps of blocks perturbed by eps grow like eps^2 and cross the
         # tolerance inside the property test's range
-        stack = biorthogonal_family(3, 2, 2, RandomStream(4).child("fam"))
+        comps = drawn_components(BIORTHOGONAL, 3, 6, 6, RandomStream(4).child("fam"), 2, 2)
+        stack = np.stack([c.amplitudes for c in comps])
         noise = np.random.default_rng(4).standard_normal(stack.shape)
         for eps, expected in ((1e-8, True), (1e-3, False)):
             comps = as_states(stack + eps * noise)
@@ -484,7 +495,7 @@ class TestBiorthogonality:
 
     def test_reduced_overlap_oracle(self):
         # direct evaluation of both trace overlaps for the family
-        comps = as_states(biorthogonal_family(3, 2, 2, RandomStream(8).child("fam")))
+        comps = drawn_components(BIORTHOGONAL, 3, 6, 6, RandomStream(8).child("fam"), 2, 2)
         for i in range(3):
             for j in range(3):
                 if i == j:
@@ -521,7 +532,7 @@ class TestExactBiorthogonal:
     def test_equals_direct_entanglement(self):
         for trial in range(40):
             stream = RandomStream(101).child(f"t{trial}")
-            comps = as_states(biorthogonal_family(3, 2, 2, stream.child("fam")))
+            comps = drawn_components(BIORTHOGONAL, 3, 6, 6, stream.child("fam"), 2, 2)
             alphas = simplex_coefficients(3, stream.child("a"))
             spec = make_spec(alphas, comps)
             report = exact_biorthogonal_entanglement(spec)
@@ -534,7 +545,10 @@ class TestExactBiorthogonal:
         for trial in range(60):
             stream = RandomStream(111).child(f"t{trial}")
             n = 2 + trial % 4
-            comps = as_states(biorthogonal_family(n, 1 + trial % 2, 2, stream.child("fam")))
+            block_a = 1 + trial % 2
+            comps = drawn_components(
+                BIORTHOGONAL, n, n * block_a, 2 * n, stream.child("fam"), block_a, 2
+            )
             spec = make_spec(simplex_coefficients(n, stream.child("a")), comps)
             rep = exact_biorthogonal_entanglement(spec)
             a2 = np.abs(spec.coefficients) ** 2
@@ -545,7 +559,7 @@ class TestExactBiorthogonal:
     def test_biorthogonal_specs_are_orthogonal(self):
         for trial in range(10):
             stream = RandomStream(55).child(f"t{trial}")
-            comps = as_states(biorthogonal_family(4, 1, 2, stream))
+            comps = drawn_components(BIORTHOGONAL, 4, 4, 8, stream, 1, 2)
             spec = make_spec(np.ones(4) / 2, comps)
             off = spec.gram.matrix - np.diag(np.diag(spec.gram.matrix))
             assert np.abs(off).max() < 1e-9

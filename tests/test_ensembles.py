@@ -10,7 +10,6 @@ from entbound import (
     EnsembleConfig,
     SchemaError,
     RandomStream,
-    biorthogonal_family,
     constrained_coefficients,
     entanglement,
     generate_spec,
@@ -18,15 +17,22 @@ from entbound import (
     haar_unitary,
     is_biorthogonal,
     normalization_coeffs,
-    orthogonal_not_biorthogonal_family,
     simplex_coefficients,
     squared_norm,
     BipartitePureState,
     SuperpositionSpec,
 )
-from entbound.ensembles import MAX_STATE_ELEMS, _seed_words
+from entbound.ensembles import (
+    COEFFICIENT_MODES,
+    FAMILIES,
+    FAMILY_BIORTHOGONAL as BIORTHOGONAL,
+    FAMILY_SHARED_SUPPORT as SHARED_SUPPORT,
+    MAX_STATE_ELEMS,
+    _seed_words,
+)
+from entbound.report import trial_stream
 from entbound.serialize import config_from_json
-from conftest import as_states
+from conftest import drawn_components
 
 
 def reference_generator(seed: int, path: tuple[str, ...]) -> np.random.Generator:
@@ -162,28 +168,32 @@ class TestHaarState:
 class TestBiorthogonalFamily:
     def test_biorthogonal_by_construction(self):
         for trial in range(50):
-            comps = as_states(biorthogonal_family(3, 2, 2, RandomStream(1).child(f"t{trial}")))
+            stream = RandomStream(1).child(f"t{trial}")
+            comps = drawn_components(BIORTHOGONAL, 3, 6, 6, stream, 2, 2)
             assert is_biorthogonal(comps)
 
     def test_rank_one_blocks_are_basis_kets(self):
-        comps = as_states(biorthogonal_family(3, 1, 1, RandomStream(2).child("x")))
+        comps = drawn_components(BIORTHOGONAL, 3, 3, 3, RandomStream(2).child("x"))
         for k, c in enumerate(comps):
             amp = c.amplitudes
             assert abs(abs(amp[k, k]) - 1.0) < 1e-12
             assert np.abs(amp).sum() == pytest.approx(abs(amp[k, k]), abs=1e-12)
 
     def test_block_dims(self):
-        comps = as_states(biorthogonal_family(2, 2, 3, RandomStream(3).child("x")))
+        comps = drawn_components(BIORTHOGONAL, 2, 4, 6, RandomStream(3).child("x"), 2, 3)
         assert comps[0].dim_a == 4 and comps[0].dim_b == 6
 
     def test_cap(self):
         with pytest.raises(DomainError):
-            biorthogonal_family(10, 7, 7, RandomStream(0).child("x"))
+            EnsembleConfig(
+                n=10, dim_a=70, dim_b=70, family=BIORTHOGONAL, seed=0,
+                coefficient_mode="simplex_uniform", block_a=7, block_b=7,
+            )
 
 
 class TestOrthogonalNotBiorthogonal:
     def test_two_qubit_family(self):
-        comps = as_states(orthogonal_not_biorthogonal_family(2, 2, 2, RandomStream(4).child("x")))
+        comps = drawn_components(SHARED_SUPPORT, 2, 2, 2, RandomStream(4).child("x"))
         spec = SuperpositionSpec(np.array([1.0, 1.0]), tuple(comps))
         off = spec.gram.matrix[0, 1]
         assert abs(off) < 1e-10
@@ -191,28 +201,29 @@ class TestOrthogonalNotBiorthogonal:
 
     def test_gram_is_identity(self):
         for trial in range(30):
-            comps = as_states(
-                orthogonal_not_biorthogonal_family(4, 3, 3, RandomStream(6).child(f"t{trial}"))
-            )
+            comps = drawn_components(SHARED_SUPPORT, 4, 3, 3, RandomStream(6).child(f"t{trial}"))
             spec = SuperpositionSpec(np.ones(4), tuple(comps))
             np.testing.assert_allclose(spec.gram.matrix, np.eye(4), atol=1e-10)
             assert not is_biorthogonal(comps)
 
     def test_unit_coefficient_norm_is_weight_sum(self):
-        comps = as_states(orthogonal_not_biorthogonal_family(3, 2, 3, RandomStream(7).child("x")))
+        comps = drawn_components(SHARED_SUPPORT, 3, 2, 3, RandomStream(7).child("x"))
         alphas = np.array([1.0, 1.0, 1.0])
         spec = SuperpositionSpec(alphas, tuple(comps))
         assert squared_norm(spec) == pytest.approx(np.sum(np.abs(alphas) ** 2), abs=1e-10)
 
     def test_b_side_collision_when_dim_b_is_one(self):
-        comps = as_states(orthogonal_not_biorthogonal_family(2, 3, 1, RandomStream(8).child("x")))
+        comps = drawn_components(SHARED_SUPPORT, 2, 3, 1, RandomStream(8).child("x"))
         spec = SuperpositionSpec(np.array([1.0, 1.0]), tuple(comps))
         assert abs(spec.gram.matrix[0, 1]) < 1e-10
         assert not is_biorthogonal(comps)
 
     def test_insufficient_dimension(self):
         with pytest.raises(DomainError):
-            orthogonal_not_biorthogonal_family(5, 2, 2, RandomStream(9).child("x"))
+            EnsembleConfig(
+                n=5, dim_a=2, dim_b=2, family=SHARED_SUPPORT, seed=0,
+                coefficient_mode="simplex_uniform",
+            )
 
 
 class TestCoefficientSamplers:
@@ -341,6 +352,40 @@ class TestEnsembleConfig:
             orth = generate_spec(cfg_orth, coeffs, stream)
             assert not is_biorthogonal(orth.components)
             assert abs(orth.gram.matrix[0, 1]) < 1e-10
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        mode=st.sampled_from(COEFFICIENT_MODES),
+        n=st.integers(min_value=2, max_value=16),
+        dim_a=st.integers(min_value=1, max_value=64),
+        dim_b=st.integers(min_value=1, max_value=64),
+        data=st.data(),
+    )
+    def test_config_is_the_complete_validator_of_the_draws(
+        self, family, mode, n, dim_a, dim_b, data
+    ):
+        # blocks up to the largest that fits the dims, and one beyond
+        block_a = data.draw(st.integers(min_value=1, max_value=dim_a // n + 1))
+        block_b = data.draw(st.integers(min_value=1, max_value=dim_b // n + 1))
+        fixed = tuple(complex(k + 1, -k) for k in range(n)) if mode == "fixed" else None
+        try:
+            cfg = EnsembleConfig(
+                n=n, dim_a=dim_a, dim_b=dim_b, family=family, seed=17, coefficient_mode=mode,
+                block_a=block_a, block_b=block_b, fixed_coefficients=fixed,
+            )
+        except DomainError:
+            return
+        spec = generate_spec(cfg, normalization_coeffs(n), trial_stream(cfg, n))
+        assert spec.n == n and spec.coefficients.shape == (n,)
+        for c in spec.components:
+            assert c.amplitudes.shape == (dim_a, dim_b)
+            assert abs(c.squared_norm - 1.0) < 1e-10
+        if family == BIORTHOGONAL:
+            assert is_biorthogonal(spec.components)
+        if family == SHARED_SUPPORT:
+            np.testing.assert_allclose(spec.gram.matrix, np.eye(n), atol=1e-10)
+            assert not is_biorthogonal(spec.components)
 
     def test_product_states_unentangled(self):
         cfg = EnsembleConfig(

@@ -343,6 +343,17 @@ class TestCli:
         )
         assert main(["eval", str(path), "--variant", "constrained"]) == 3
 
+    @pytest.mark.parametrize(
+        "variant, total", [("constrained", "4.0"), ("exact", "2.0"), ("assistant", "2.0")]
+    )
+    def test_eval_precondition_message_prints_a_plain_float(
+        self, tmp_path, capsys, variant, total
+    ):
+        # sum N_i^2 |alpha_i|^2 = 2 + 2 and sum |alpha_i|^2 = 1 + 1, exactly
+        path = write_spec_file(tmp_path, [1.0, 1.0], two_bell_blocks())
+        assert main(["eval", str(path), "--variant", variant]) == 3
+        assert capsys.readouterr().err.endswith(f"(got {total})\n")
+
     def test_eval_degenerate_superposition(self, tmp_path):
         path = write_spec_file(tmp_path, [1.0, -1.0], [bell_state(), bell_state()])
         assert main(["eval", str(path), "--variant", "unconstrained"]) == 3

@@ -1,9 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from entbound import EnsembleConfig, SchemaError
+from entbound.bounds import _exact_n_squared
 from entbound.serialize import (
     complex_to_pair,
     config_from_json,
@@ -45,6 +47,24 @@ class TestDumps:
     def test_big_integers_survive(self):
         n = 10**50 + 7
         assert json.loads(dumps({"v": n}))["v"] == n
+
+    def test_huge_integers_leave_the_digit_limit_alone(self, monkeypatch):
+        # N_16^2 has 6671 digits, beyond CPython's default int-to-str limit;
+        # dumps renders it exactly without touching the interpreter-wide limit
+        big = _exact_n_squared(16)[-1]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(big)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+        def refuse(_):
+            raise AssertionError("dumps changed the int digit limit")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        assert dumps(big) == expected
+        assert dumps([-big, 0]) == f"[-{expected}, 0]"
 
     def test_numpy_scalars(self):
         text = dumps({"i": np.int64(3), "f": np.float64(0.25), "arr": np.arange(3)})

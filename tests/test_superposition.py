@@ -15,8 +15,13 @@ from entbound import (
     superposition_entanglement,
 )
 from entbound.cli import main
-from entbound.serialize import dumps, spec_to_json
+from entbound.report import VARIANTS
+from entbound.serialize import dumps, state_to_json
 from conftest import basis_state, bell_state, random_state, two_bell_blocks
+
+
+# finite coefficients whose squared norm overflows float64
+OVERFLOWING_COEFFICIENTS = ([1, 1e300 + 1e300j], [1e154, 1e154])
 
 
 def make_spec(coeffs, components) -> SuperpositionSpec:
@@ -113,20 +118,26 @@ class TestSuperpositionEntanglement:
         assert superposition_entanglement(spec) == pytest.approx(2.0, abs=1e-12)
 
     def test_overflowing_squared_norm_raises(self):
-        # |1e300 + 1e300j|^2 overflows: the quadratic form is NaN, which
-        # must not read as a vanishing superposition
-        spec = make_spec([1, 1e300 + 1e300j], [bell_state(), bell_state()])
-        with pytest.warns(RuntimeWarning), pytest.raises(InvariantViolationError, match="finite"):
-            squared_norm(spec)
+        # |1e300 + 1e300j|^2 overflows, and so does the Gram form of
+        # (1e154, 1e154), whose |alpha_i|^2 are finite: the spec refuses both
+        # before a NaN quadratic form could read as a vanishing superposition
+        for alphas in OVERFLOWING_COEFFICIENTS:
+            with pytest.raises(InvariantViolationError, match="finite"):
+                make_spec(alphas, [bell_state(), bell_state()])
 
-    @pytest.mark.parametrize("variant", ["unconstrained", "exact"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_overflowing_squared_norm_is_an_input_error(self, tmp_path, capsys, variant):
-        spec = make_spec([1, 1e300 + 1e300j], [bell_state(+1), bell_state(-1)])
+        # RuntimeWarnings are errors under pytest, so a numpy overflow on the
+        # way to the message would fail here rather than reach stderr
+        components = [state_to_json(bell_state(+1)), state_to_json(bell_state(-1))]
         path = tmp_path / "spec.json"
-        path.write_text(dumps(spec_to_json(spec)))
-        with pytest.warns(RuntimeWarning):
+        for alphas in OVERFLOWING_COEFFICIENTS:
+            coefficients = [[complex(a).real, complex(a).imag] for a in alphas]
+            path.write_text(dumps({"coefficients": coefficients, "components": components}))
             assert main(["eval", str(path), "--variant", variant]) == 2
-        assert "vanishes" not in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("entbound: spec: ") and "finite" in err
+            assert err.count("\n") == 1
 
     def test_vanishing_superposition_rejected(self):
         spec = make_spec([1.0, -1.0], [bell_state(), bell_state()])
