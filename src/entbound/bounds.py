@@ -8,24 +8,29 @@ the orthonormal auxiliary-basis change built from it, and the bound
         <= rhs = sum p_i E(phi_i) + T H(p / T),
     p_i = N_i^2 |alpha_i|^2,  T = sum p_i,
 
-where T H(p / T) = -sum p_i log2 p_i + T log2 T is the correction.  The
+where T H(p / T) = sum p_i log2(T / p_i) is the correction.  The
 constrained variant is the case T = 1, the unconstrained one takes any
 coefficient scale, and the minimized one takes the lowest rhs over all
-n! assignments of the N_i^2 to the components; all three gather rows of
-weights from the n x n table N_i^2 |alpha_j|^2 (`_bound`).  Also here:
-the exact formula for biorthogonal components and the assistant-state
+n! assignments of the N_i^2 to the components.  One kernel, `_rhs`,
+evaluates the rows of weights of every variant.  The unconstrained and
+minimized rows take the cancellation-free form sum_j P_j log1p(S_j / P_j)
+/ ln 2, S_j the sum of the other weights: N_n^2 grows doubly
+exponentially, so one weight can dominate T so far that -sum p_i log2 p_i
++ T log2 T cancels to nothing.  The minimized variant finds its row by an
+exact branch and bound over the assignments (`_minimized`), not by
+evaluating all n! rows; rows within TIE_REL of the least rhs tie, and the
+lexicographically smallest permutation of them wins.  Also here: the
+exact formula for biorthogonal components and the assistant-state
 verifier that traces the proof chain numerically.  The right-hand side
 of both, sum |alpha_i|^2 E(phi_i) + H(|alpha|^2), is the unit-weight
-case of the bound's (every N_i^2 = 1, so T = 1), and one kernel (`_rhs`)
-evaluates it for every variant as one matrix product P @ E over the
-weight rows: on a single row that rounds exactly like the dot product
-p @ E, whereas summing the products row by row would round differently.
+case of the bound's (every N_i^2 = 1, so T = 1), which `_rhs` evaluates
+with the constrained one as -sum p_i log2 p_i and P @ E: on its single
+row that rounds exactly like the dot product p @ E.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,10 +58,23 @@ from .errors import (
 from .superposition import SuperpositionSpec, combine, component_entanglements, squared_norm
 
 MAX_N = 16              # recursion values overflow even float64 shortly beyond
-MAX_MINIMIZED_N = 8     # exhaustive n! permutation search cap
+# Caps the minimized bound and the assistant check.  The minimized search
+# builds no n! table, but the cap stays where the full enumeration set it
+# until larger n is tested.
+MAX_MINIMIZED_N = 8
 MAX_ASSISTANT_ELEMS = 65536
 BIORTHOGONALITY_TOL = 1e-10
 EQUALITY_TOL = 1e-9  # |formula - direct| and the assistant's norm partition residual
+TIE_REL = 1e-12  # minimized rows whose rhs is within this of the least one tie
+
+# Relative and absolute rounding slack between the rhs of a row and the
+# bounds of the minimized search.  Both come from `_row_values`, whose sums
+# of nonnegative terms carry at most (2n + 4) ulp of relative error (under
+# 5e-15 for n <= 16), and whose products of subnormal weights at most a
+# few multiples of 2^-1074.
+_ROUNDING = 1e-14
+_ROUNDING_FLOOR = 2.0**-1060
+_LN2 = math.log(2.0)
 
 VARIANT_CONSTRAINED = "constrained"
 VARIANT_UNCONSTRAINED = "unconstrained"
@@ -138,8 +156,9 @@ class BoundReport:
     verified claim, and checks holds the named boolean checks of the
     variants that have them.  permutation is populated only by the
     minimized variant and gives, per component, the index into the
-    sorted normalization table that was assigned to it; see
-    `bound_minimized` for how ties are broken.
+    sorted normalization table that was assigned to it: of the
+    assignments whose rhs is within TIE_REL of the least, the
+    lexicographically smallest (see `bound_minimized`).
     """
 
     variant: str
@@ -180,81 +199,185 @@ def _entanglements(spec: SuperpositionSpec, vanishing: str) -> tuple[float, floa
     return n2, float(ents[-1]), ents[:-1]
 
 
+def _row_values(p: np.ndarray, ents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rhs and correction of every row P of weights, in the cancellation-free
+    form of the unconstrained bound:
+
+        correction = sum_j P_j log1p(S_j / P_j) / ln 2,   rhs = sum_j P_j E_j + correction,
+
+    where S_j is the sum of the other weights of the row, taken from prefix
+    and suffix sums (never T - P_j), and a zero weight adds nothing.  Every
+    term is nonnegative, so no digit cancels, and each row is reduced on its
+    own, so its value does not depend on the rows evaluated beside it.  A
+    ratio S_j / P_j beyond the float range takes log S_j - log P_j instead.
+    """
+    others = np.zeros_like(p)
+    others[:, 1:] = p[:, :-1].cumsum(axis=1)
+    others[:, :-1] += p[:, :0:-1].cumsum(axis=1)[:, ::-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        terms = p * np.log1p(others / p)
+    rare = ~np.isfinite(terms)  # a zero weight (0 * inf), or a ratio beyond the float range
+    if rare.any():
+        terms[rare] = 0.0
+        beyond = rare & (p > 0)
+        terms[beyond] = p[beyond] * (np.log(others[beyond]) - np.log(p[beyond]))
+    corrections = terms.sum(axis=1) / _LN2
+    return (p * ents).sum(axis=1) + corrections, corrections
+
+
 def _rhs(
-    p: np.ndarray, xlog_p: np.ndarray, ents: np.ndarray, constraint: str | None = None
+    p: np.ndarray, ents: np.ndarray, constraint: str | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """rhs and correction of every row P of weights, given xlog_p = xlog2x(P):
+    """rhs and correction of every row P of weights, T = sum_j P_j.
 
-        T = sum_j P_j,   correction = -sum_j P_j log2 P_j + T log2 T,
-        rhs = P @ E + correction.
+    Without a constraint the rows take the cancellation-free form of
+    `_row_values`, with each row's (P_j, E_j) pairs first sorted by weight,
+    ties by entanglement, so that rows that differ only in the order of
+    their pairs get the same rhs bit for bit.  Given a constraint message,
+    the single row needs |T - 1| <= CONSTRAINT_TOL (else PreconditionError,
+    the message formatted with T) and is the T = 1 case written directly:
 
-    Given a constraint message, the single row needs |T - 1| <=
-    CONSTRAINT_TOL (else PreconditionError, the message formatted with T)
-    and the T log2 T term is dropped.
+        correction = -sum_j P_j log2 P_j,   rhs = P @ E + correction.
     """
     totals = p.sum(axis=1)
     if totals.min() <= ZERO_NORM_TOL:
         raise DegenerateStateError("all coefficients vanish")
-    corrections = -xlog_p.sum(axis=1)
     if constraint is None:
-        corrections += np.log2(totals) * totals
-    elif abs(totals[0] - 1.0) > CONSTRAINT_TOL:
+        order = np.lexsort((np.broadcast_to(ents, p.shape), p), axis=-1)
+        return _row_values(np.take_along_axis(p, order, axis=1), ents[order])
+    if abs(totals[0] - 1.0) > CONSTRAINT_TOL:
         raise PreconditionError(constraint.format(float(totals[0])))
+    corrections = -xlog2x(p).sum(axis=1)
     return p @ ents + corrections, corrections
 
 
-@functools.lru_cache(maxsize=None)
-def _gather_index(n: int, minimized: bool) -> np.ndarray:
-    """Flat index perm[k, j] * n + j into a C-ordered n x n (table entry,
-    component) array, so perm[k, j] = index[k, j] // n: one row per
-    permutation of range(n), in lexicographic order, when minimized, else
-    the single row of the identity permutation, which is the diagonal."""
-    if minimized:
-        perms = np.fromiter(
-            itertools.chain.from_iterable(itertools.permutations(range(n))),
-            dtype=np.intp,
-            count=math.factorial(n) * n,
-        ).reshape(-1, n)
-    else:
-        perms = np.arange(n)[None, :]
-    index = perms * n + np.arange(n)
-    index.setflags(write=False)
-    return index
+def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[int, ...]]:
+    """rhs, correction and permutation of the minimized bound's row: of the
+    rows whose rhs is within TIE_REL of the least, the one whose
+    permutation (perm[j] = the index into the sorted normalization table
+    that component j takes) is lexicographically smallest.
+
+    An exact branch and bound over the n! assignments, level by level,
+    placing the largest N_i^2 first.  The rhs is nondecreasing in every
+    weight (its derivative in P_j is E_j + log2(T / P_j) >= 0) and in
+    every entanglement, and it is symmetric in the (P_j, E_j) pairs, so
+    two pairs of rows bound the rows of a node's subtree from below and
+    above.  By entry: every free component at the smallest, then the
+    largest, remaining entry, which is tight once the remaining entries
+    are small.  By place: the remaining entries, each at the least, then
+    the greatest, weight and entanglement of the free components, which
+    is tight when those components are alike.  A node is pruned once its
+    lower bound is beyond the tie window of the least upper bound.  It
+    settles to its lexicographically smallest completion (the remaining
+    entries, in ascending order, to the free components, in ascending
+    order) once its whole subtree lies inside the tie window of the least
+    lower bound.  The surviving rows go through `_rhs` once.
+
+    The margins of _ROUNDING cover the rounding of bounds and rows, so the
+    search keeps every row that the full enumeration of all n! rows would
+    weigh, and returns that enumeration's row.  The one exception: a
+    subtree that settles gives only its completion's rhs, so when it held
+    the least row, the least rhs read is up to the window above the true
+    one, and a row that close to the window's edge could be judged
+    differently.
+    """
+    n = a2.size
+    nsq = normalization_coeffs(n)
+    # The enumeration raises on any degenerate row; the least total gives
+    # the largest entries to the smallest weights.
+    if nsq[::-1] @ np.sort(a2) <= ZERO_NORM_TOL:
+        raise DegenerateStateError("all coefficients vanish")
+    # Components i < j of equal weight and entanglement, or both of zero
+    # weight, are twins: swapping their entries changes no bit of the rhs
+    # (see `_rhs`), and the swap that gives the smaller entry to i is the
+    # lexicographically smaller one.  So twins take ascending entries, and
+    # a component takes the largest free entry only if no later twin is free.
+    twins = (a2[:, None] == a2) & ((ents[:, None] == ents) | (a2[:, None] == 0))
+    later_twins = np.triu(twins, k=1).T
+    frontier = np.full((1, n), -1, dtype=np.intp)  # table index per component, -1 while free
+    settled = []
+    least_upper = settled_lower = math.inf
+    a2_ents = np.stack((a2, ents))
+    for entry in range(n - 1, 0, -1):
+        free = frontier < 0
+        node, comp = np.nonzero(free & ~(free @ later_twins))
+        frontier = frontier[node]
+        frontier[np.arange(node.size), comp] = entry
+        free = frontier < 0
+        # The lexicographically smallest completion of each node: the k-th
+        # free component, in ascending order, takes entry k.
+        completion = np.where(free, np.cumsum(free, axis=1) - 1, frontier)
+        # The bounding rows by entry, then by place; lows and highs hold the
+        # least and the greatest (weight, entanglement) of the free components.
+        lows = np.where(free[:, None], a2_ents, math.inf).min(axis=2)
+        highs = np.where(free[:, None], a2_ents, -math.inf).max(axis=2)
+        weights = np.empty((4,) + free.shape)
+        weights[0] = nsq[0] * a2
+        weights[1] = nsq[entry - 1] * a2
+        weights[2] = nsq[completion] * lows[:, :1]
+        weights[3] = nsq[completion] * highs[:, :1]
+        np.copyto(weights, nsq[frontier] * a2, where=~free)
+        row_ents = np.empty_like(weights)
+        row_ents[:2] = ents
+        row_ents[2] = lows[:, 1:]
+        row_ents[3] = highs[:, 1:]
+        np.copyto(row_ents, ents, where=~free)
+        values = _row_values(weights.reshape(-1, n), row_ents.reshape(-1, n))[0].reshape(4, -1)
+        lower = np.maximum(values[0], values[2]) * (1 - _ROUNDING) - _ROUNDING_FLOOR
+        upper = np.minimum(values[1], values[3]) * (1 + _ROUNDING) + _ROUNDING_FLOOR
+        least_upper = min(least_upper, float(upper.min()))
+        keep = lower <= least_upper * (1 + TIE_REL)
+        least_lower = min(settled_lower, float(lower.min(where=keep, initial=math.inf)))
+        done = keep & (upper <= least_lower * (1 + TIE_REL))
+        if done.any():
+            settled_lower = min(settled_lower, float(lower[done].min()))
+            settled.append(completion[done])
+        frontier = frontier[keep & ~done]
+        if not frontier.size:
+            break
+    frontier[frontier < 0] = 0  # the one free component of a row left after the last level
+    settled.append(frontier)
+    perms = np.concatenate(settled)
+    rhs, corrections = _rhs(nsq[perms] * a2, ents)
+    least = rhs.min()
+    tied = np.flatnonzero(rhs - least <= TIE_REL * least)
+    k = tied[np.lexsort(perms[tied].T[::-1])[0]]
+    return float(rhs[k]), float(corrections[k]), tuple(int(j) for j in perms[k])
 
 
 def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
     """The one bound kernel behind the three bound variants.
 
-    Every weight is one of the n^2 products N_i^2 |alpha_j|^2, so p and
-    p log2 p are evaluated once on that n x n table and gathered into
-    rows P through a cached index: the diagonal, as one row, for the
-    constrained and unconstrained variants, and one row per permutation
-    (lexicographic order) for the minimized one.  The first minimal row
-    wins, so ties resolve to the lexicographically smallest permutation.
+    The weights are products N_i^2 |alpha_j|^2: the single row of the
+    identity assignment, p_j = N_j^2 |alpha_j|^2, for the constrained and
+    unconstrained variants, and the row `_minimized` finds for the
+    minimized one.
     """
     n = spec.n
     minimized = variant == VARIANT_MINIMIZED
     if minimized and n > MAX_MINIMIZED_N:
         raise DomainError(
-            f"exhaustive permutation search is capped at n = {MAX_MINIMIZED_N}, got {n}"
+            f"the minimized bound is capped at n = {MAX_MINIMIZED_N}, got {n}"
         )
-    nsq = normalization_coeffs(n)
     n2, e_psi, ents = _entanglements(spec, "the bound is vacuous")
-    index = _gather_index(n, minimized)
-    table = nsq[:, None] * (np.abs(spec.coefficients) ** 2)[None, :]
-    constraint = "constraint sum N_i^2|alpha_i|^2 = 1 violated (got {!r})"
-    rhs, corrections = _rhs(
-        table.ravel()[index], xlog2x(table).ravel()[index], ents,
-        constraint if variant == VARIANT_CONSTRAINED else None,
-    )
-    k = int(rhs.argmin())
+    a2 = np.abs(spec.coefficients) ** 2
+    permutation = None
+    if minimized:
+        rhs, correction, permutation = _minimized(a2, ents)
+    else:
+        constraint = "constraint sum N_i^2|alpha_i|^2 = 1 violated (got {!r})"
+        rows = _rhs(
+            (normalization_coeffs(n) * a2)[None], ents,
+            constraint if variant == VARIANT_CONSTRAINED else None,
+        )
+        rhs, correction = (float(v[0]) for v in rows)
     return BoundReport(
         variant=variant,
         lhs=n2 * e_psi,
-        rhs=float(rhs[k]),
-        correction=float(corrections[k]),
+        rhs=rhs,
+        correction=correction,
         component_entanglements=tuple(float(e) for e in ents),
-        permutation=tuple(int(j) // n for j in index[k]) if minimized else None,
+        permutation=permutation,
     )
 
 
@@ -272,13 +395,13 @@ def bound_unconstrained(spec: SuperpositionSpec) -> BoundReport:
 def bound_minimized(spec: SuperpositionSpec) -> BoundReport:
     """Lowest unconstrained bound over all n! assignments of the
     normalization table to components (capped at n = MAX_MINIMIZED_N).
-    The permutations' gather index is cached per n: n! * n intp, about
-    2.6 MB at n = 8.
 
-    Ties go to the first minimal row, the lexicographically smallest
-    permutation.  At n = 8 the rhs reaches about 1e24, and rows whose rhs
-    agree to every printed digit are ordered by float rounding, so the
-    reported permutation is then not a stable observable."""
+    An exact branch and bound finds it without an n! table (see
+    `_minimized`).  Rows whose rhs is within TIE_REL relative of the least
+    one tie, and the lexicographically smallest permutation of them wins,
+    so rows that differ only in rounding no longer pick the reported
+    permutation.  The reported rhs and correction are that row's, equal
+    to `_rhs` at the reported permutation bit for bit."""
     return _bound(spec, VARIANT_MINIMIZED)
 
 
@@ -326,7 +449,7 @@ def exact_biorthogonal_entanglement(spec: SuperpositionSpec) -> BoundReport:
         raise PreconditionError("components are not mutually biorthogonal")
     a2 = np.abs(spec.coefficients)[None, :] ** 2
     rhs, mixing = _rhs(
-        a2, xlog2x(a2), ents, "sum |alpha_i|^2 = 1 required for the exact formula (got {!r})"
+        a2, ents, "sum |alpha_i|^2 = 1 required for the exact formula (got {!r})"
     )
     formula = float(rhs[0])
     return BoundReport(
@@ -366,7 +489,7 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
     a2 = np.abs(alphas)[None, :] ** 2
     comp_ents = component_entanglements(spec)
     rhs, mixing = _rhs(
-        a2, xlog2x(a2), comp_ents, "assistant state requires sum |alpha_i|^2 = 1 (got {!r})"
+        a2, comp_ents, "assistant state requires sum |alpha_i|^2 = 1 (got {!r})"
     )
     upper_bound = float(rhs[0])
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import BipartitePureState
 from .errors import DomainError, ShapeMismatchError
-from .superposition import SuperpositionSpec
+from .superposition import SuperpositionSpec, check_coefficient_scale
 
 MAX_STATE_ELEMS = 4096  # design target: dim_a * dim_b stays desk-scale
 
@@ -181,6 +181,9 @@ class EnsembleConfig:
                 raise DomainError("fixed_coefficients must be finite")
             if not any(fixed):
                 raise DomainError("fixed_coefficients must not all be zero")
+            check_coefficient_scale(
+                self.n, max(abs(c) for c in fixed), "fixed_coefficients", DomainError
+            )
             object.__setattr__(self, "fixed_coefficients", fixed)
         elif self.fixed_coefficients is not None:
             raise DomainError("fixed_coefficients only apply to coefficient_mode='fixed'")

@@ -22,12 +22,27 @@ from .core import (
 )
 from .errors import (
     DegenerateStateError,
+    EntboundError,
     InvariantViolationError,
     PreconditionError,
     ShapeMismatchError,
 )
 
 COMPONENT_NORM_TOL = 1e-10  # |squared_norm - 1| allowed for each component
+
+
+def check_coefficient_scale(
+    n: int, largest: float, what: str, error: type[EntboundError]
+) -> None:
+    """Raise error unless 4 n^2 max|alpha_i|^2 is a finite float, where
+    largest = max|alpha_i| of n coefficients.  a^+ G a <= n ||a||^2 <=
+    n^2 max|alpha_i|^2 bounds the Gram form and every |alpha_i|^2, and the 4
+    covers the complex products inside a matmul.  Python floats overflow to
+    inf without a numpy warning."""
+    if not math.isfinite(4.0 * n**2 * largest * largest):
+        raise error(
+            f"{what} must keep 4 n^2 max|alpha_i|^2 finite (got max|alpha_i| = {largest:.3e})"
+        )
 
 
 @dataclass(frozen=True)
@@ -71,13 +86,7 @@ class SuperpositionSpec:
         largest = float(np.abs(alphas).max())
         if largest == 0.0:
             raise PreconditionError("coefficients must not all be zero")
-        # a^+ G a <= n ||a||^2 <= n^2 max|a_i|^2 bounds the Gram form and every
-        # |a_i|^2; the 4 covers the complex products inside a matmul.  Python
-        # floats overflow to inf without a numpy warning.
-        if not math.isfinite(4.0 * len(comps) ** 2 * largest * largest):
-            raise InvariantViolationError(
-                f"coefficients up to |alpha| = {largest:.3e} give a non-finite squared-norm bound"
-            )
+        check_coefficient_scale(len(comps), largest, "coefficients", InvariantViolationError)
         dims = (comps[0].dim_a, comps[0].dim_b)
         for k, c in enumerate(comps):
             if (c.dim_a, c.dim_b) != dims:

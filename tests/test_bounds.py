@@ -1,15 +1,19 @@
 import itertools
 import math
+import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from entbound import (
     BipartitePureState,
+    DegenerateStateError,
     DensityMatrix,
     DomainError,
+    EnsembleConfig,
     InvariantViolationError,
     PreconditionError,
     RandomStream,
@@ -24,6 +28,7 @@ from entbound import (
     constrained_coefficients,
     entanglement,
     exact_biorthogonal_entanglement,
+    generate_spec,
     haar_state,
     is_biorthogonal,
     normalization_coeffs,
@@ -34,9 +39,9 @@ from entbound import (
     superposition_entanglement,
     von_neumann_entropy,
 )
-from entbound.bounds import _exact_n_squared, _gather_index
-from entbound.core import xlog2x
+from entbound.bounds import TIE_REL, _exact_n_squared, _minimized, _rhs
 from entbound.ensembles import FAMILY_BIORTHOGONAL as BIORTHOGONAL
+from entbound.report import trial_stream
 from conftest import (
     as_states,
     basis_state,
@@ -307,20 +312,41 @@ def oracle_minimized_rhs(spec: SuperpositionSpec) -> tuple[float, tuple[int, ...
     return best, best_perm
 
 
-def reference_minimized(spec: SuperpositionSpec) -> tuple[float, float, tuple[int, ...]]:
-    """bound_minimized's search as first written: every row of the (n!, n)
-    weight array evaluated directly from a freshly built permutation table.
-    Returns (rhs, correction, permutation) of the first minimal row."""
-    n = spec.n
+def brute_force_minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[int, ...]]:
+    """The minimized bound by full enumeration: every one of the n! rows,
+    in lexicographic order, through `_rhs` in one call, and the first row
+    whose rhs is within TIE_REL of the least.  Returns its (rhs,
+    correction, permutation)."""
+    n = a2.size
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    a2 = np.abs(spec.coefficients) ** 2
-    ents = component_entanglements(spec)
-    p = normalization_coeffs(n)[perms] * a2[None, :]
-    totals = p.sum(axis=1)
-    corrections = -xlog2x(p).sum(axis=1) + np.log2(totals) * totals
-    rhs_all = p @ ents + corrections
-    k = int(np.argmin(rhs_all))
-    return float(rhs_all[k]), float(corrections[k]), tuple(int(j) for j in perms[k])
+    rhs, corrections = _rhs(normalization_coeffs(n)[perms] * a2, ents)
+    least = rhs.min()
+    k = int(np.flatnonzero(rhs - least <= TIE_REL * least)[0])
+    return float(rhs[k]), float(corrections[k]), tuple(int(j) for j in perms[k])
+
+
+def spec_arrays(spec: SuperpositionSpec) -> tuple[np.ndarray, np.ndarray]:
+    return np.abs(spec.coefficients) ** 2, component_entanglements(spec)
+
+
+def decimal_rhs(a2, ents, perm) -> tuple[Decimal, Decimal]:
+    """rhs and correction of one row, sum p_j E_j + sum p_j log2(T / p_j),
+    from the exact N_i^2 and the exact values of the float inputs.  The
+    precision covers the square of the largest N_i^2 (a weight and the
+    sum it is divided by can differ by that factor) plus 40 digits: at 80
+    digits, n = 11 read 0.4% off."""
+    nsq = oracle_n_squared(len(perm))
+    with localcontext() as ctx:
+        ctx.prec = 2 * len(str(nsq[-1])) + 40
+        p = [nsq[t] * Decimal(float(x)) for t, x in zip(perm, a2)]
+        total = sum(p, Decimal(0))
+        correction = sum((x * (total / x).ln() for x in p if x), Decimal(0)) / Decimal(2).ln()
+        rhs = sum((x * Decimal(float(e)) for x, e in zip(p, ents)), Decimal(0)) + correction
+    return rhs, correction
+
+
+def assert_decimal_close(value: float, exact: Decimal) -> None:
+    assert abs(Decimal(value) - exact) <= Decimal("1e-12") * abs(exact)
 
 
 class TestBoundMinimized:
@@ -337,51 +363,105 @@ class TestBoundMinimized:
 
     def test_matches_brute_force_oracle(self):
         for n in range(2, 9):
-            for trial in range(30 if n < 7 else 4):
-                spec = haar_spec(RandomStream(17).child(f"n{n}-t{trial}"), n, 3, 5, "simplex")
-                rep = bound_minimized(spec)
-                best, best_perm = oracle_minimized_rhs(spec)
-                assert rep.rhs == pytest.approx(best, rel=1e-12, abs=1e-10)
-                assert rep.permutation == best_perm
+            for mode in ("simplex", "constrained"):
+                for trial in range(12 if n < 7 else 3):
+                    stream = RandomStream(17).child(f"n{n}-{mode}-t{trial}")
+                    spec = haar_spec(stream, n, 3, 5, mode)
+                    rep = bound_minimized(spec)
+                    want = brute_force_minimized(*spec_arrays(spec))
+                    assert (rep.rhs, rep.correction, rep.permutation) == want
 
     @pytest.mark.parametrize(
-        "case", ["haar-n8-simplex", "haar-n8-constrained", "zero-coefficient", "identical"]
+        "case",
+        ["haar-n8-simplex", "haar-n8-constrained", "zero-coefficient", "identical", "near-identical"],
     )
     def test_bit_identical_to_row_by_row_reference(self, case):
-        # No tolerance: the gathered kernel must reproduce every bit of the
-        # row-by-row evaluation, including which of several tied rows wins.
+        # No tolerance: the search must reproduce every bit of the full
+        # enumeration, including which of several tied rows wins, and a row
+        # must read the same alone as among all n! rows.
         if case.startswith("haar-n8"):
             mode = case.rsplit("-", 1)[1]
             specs = [haar_spec(RandomStream(41).child(f"t{t}"), 8, 4, 4, mode) for t in range(4)]
         elif case == "zero-coefficient":
             comps = [haar_state(3, 3, RandomStream(43).child(f"c{k}")) for k in range(5)]
             specs = [make_spec([0.6, 0.0, 0.48, 0.0, 0.64], comps)]
-        else:
+        elif case == "identical":
             specs = [make_spec(np.full(4, 0.5), [bell_state()] * 4)]
+        else:  # product components whose weights differ in their last bits
+            specs = [product_spec(8**-0.5 * (1 + 1e-15 * np.arange(8)))]
         for spec in specs:
+            a2, ents = spec_arrays(spec)
             rep = bound_minimized(spec)
-            rhs, correction, perm = reference_minimized(spec)
+            rhs, correction, perm = brute_force_minimized(a2, ents)
             assert rep.rhs == rhs
             assert rep.gap == rhs - rep.lhs
             assert rep.correction == correction
             assert rep.permutation == perm
+            alone = _rhs(normalization_coeffs(spec.n)[list(perm)][None] * a2, ents)
+            assert (float(alone[0][0]), float(alone[1][0])) == (rhs, correction)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        n=st.integers(min_value=2, max_value=7),
+        pool=st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+            ),
+            min_size=1, max_size=7,
+        ),
+        picks=st.lists(st.integers(min_value=0, max_value=6), min_size=7, max_size=7),
+        exponent=st.floats(-100.0, 100.0),
+    )
+    def test_search_is_the_full_enumeration(self, n, pool, picks, exponent):
+        # Zero and repeated (|alpha|^2, E) pairs give exact ties and twins;
+        # the scale runs from below the degenerate threshold to 1e100.
+        pairs = [pool[k % len(pool)] for k in picks[:n]]
+        a2 = np.array([a for a, _ in pairs]) * 10.0**exponent
+        ents = np.array([e for _, e in pairs])
+        assume(a2.any())
+        try:
+            want = brute_force_minimized(a2, ents)
+        except DegenerateStateError:
+            with pytest.raises(DegenerateStateError):
+                _minimized(a2, ents)
+            return
+        assert _minimized(a2, ents) == want
+
+    def test_rhs_ignores_the_order_of_a_rows_pairs(self):
+        g = np.random.default_rng(5)
+        p = g.exponential(size=(1, 7)) * 10.0 ** g.uniform(-5, 20, size=7)
+        ents = g.uniform(0, 2, size=7)
+        rhs, correction = _rhs(p, ents)
+        for _ in range(20):
+            order = g.permutation(7)
+            assert _rhs(p[:, order], ents[order]) == (rhs, correction)
 
     def test_exact_ties_keep_lexicographically_smallest(self):
         # Zero weight on the last two identical components makes the rows
         # of (0,1,2,3), (0,1,3,2), (1,0,2,3) and (1,0,3,2) bit-equal minima.
         spec = make_spec([2**-0.5, 2**-0.5, 0.0, 0.0], [bell_state()] * 4)
-        assert reference_minimized(spec)[2] == (0, 1, 2, 3)
+        assert brute_force_minimized(*spec_arrays(spec))[2] == (0, 1, 2, 3)
         assert bound_minimized(spec).permutation == (0, 1, 2, 3)
 
     def test_cached_permutation_tables_are_read_only(self):
-        for table in (_gather_index(5, True), _gather_index(5, False)):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0, 0] = 1
-        assert _gather_index(5, True) is _gather_index(5, True)
-        perms = np.array(list(itertools.permutations(range(3))))
-        np.testing.assert_array_equal(_gather_index(3, True), perms * 3 + np.arange(3))
-        np.testing.assert_array_equal(_gather_index(3, False), [[0, 4, 8]])
+        # The search builds no n! table (the full n = 8 enumeration takes
+        # 40320 rows of 8 floats, 2.6 MB): it reads only the shared
+        # normalization table, which stays read-only and unchanged.
+        spec = haar_spec(RandomStream(47).child("t"), 8, 4, 4, "simplex")
+        a2, ents = spec_arrays(spec)
+        table = normalization_coeffs(8)
+        before = table.copy()
+        tracemalloc.start()
+        try:
+            found = _minimized(a2, ents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+        assert found == brute_force_minimized(a2, ents)
+        assert normalization_coeffs(8) is table and not table.flags.writeable
+        np.testing.assert_array_equal(table, before)
 
     def test_prefers_small_weights_on_entangled_components(self):
         # E = (0, 0, 1): the minimum cannot exceed the identity assignment
@@ -416,6 +496,57 @@ class TestBoundMinimized:
         for trial in range(60):
             spec = haar_spec(RandomStream(29).child(f"t{trial}"), 4, 4, 4, "simplex")
             assert bound_minimized(spec).gap >= -1e-9
+
+    def test_shared_support_n8_has_no_violation(self):
+        # Product components (every E = 0), on which the rhs used to cancel
+        # to 0 below a positive lhs on all 5 trials.  The reported row is
+        # the full enumeration's and reads within 1e-12 of its exact value.
+        cfg = EnsembleConfig(
+            n=8, dim_a=4, dim_b=4, family="orthogonal_shared_support", seed=1,
+            coefficient_mode="constrained",
+        )
+        for trial in range(5):
+            spec = generate_spec(cfg, normalization_coeffs(8), trial_stream(cfg, trial))
+            rep = bound_minimized(spec)
+            assert not rep.is_violation and rep.rhs > 1.0
+            a2, ents = spec_arrays(spec)
+            assert (rep.rhs, rep.correction, rep.permutation) == brute_force_minimized(a2, ents)
+            assert_decimal_close(rep.rhs, decimal_rhs(a2, ents, rep.permutation)[0])
+
+
+class TestDecimalOracle:
+    """The unconstrained and minimized rhs and correction against exact
+    decimal arithmetic, within 1e-12 relative."""
+
+    @pytest.mark.parametrize("family", ["haar", "product_states", "bell_like"])
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_unconstrained(self, family, n):
+        for mode in ("simplex_uniform", "constrained"):
+            cfg = EnsembleConfig(
+                n=n, dim_a=3, dim_b=3, family=family, seed=n, coefficient_mode=mode
+            )
+            spec = generate_spec(cfg, normalization_coeffs(n), trial_stream(cfg, 0))
+            rep = bound_unconstrained(spec)
+            rhs, correction = decimal_rhs(*spec_arrays(spec), range(n))
+            assert_decimal_close(rep.rhs, rhs)
+            assert_decimal_close(rep.correction, correction)
+
+    @pytest.mark.parametrize("family", ["haar", "product_states", "orthogonal_shared_support"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_minimized(self, family, n):
+        for mode in ("simplex_uniform", "constrained"):
+            cfg = EnsembleConfig(
+                n=n, dim_a=3, dim_b=3, family=family, seed=n, coefficient_mode=mode
+            )
+            spec = generate_spec(cfg, normalization_coeffs(n), trial_stream(cfg, 1))
+            rep = bound_minimized(spec)
+            a2, ents = spec_arrays(spec)
+            rhs, correction = decimal_rhs(a2, ents, rep.permutation)
+            assert_decimal_close(rep.rhs, rhs)
+            assert_decimal_close(rep.correction, correction)
+            if n <= 5:  # the least exact rhs is the reported row's, up to the tie window
+                least = min(decimal_rhs(a2, ents, perm)[0] for perm in itertools.permutations(range(n)))
+                assert rhs - least <= Decimal("1e-12") * least
 
 
 def reference_is_biorthogonal(components) -> bool:

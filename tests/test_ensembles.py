@@ -296,8 +296,11 @@ class TestEnsembleConfig:
 
     @pytest.mark.parametrize(
         "fixed",
-        [(0, 0, 0), (0j, -0.0, 0.0j), (float("nan"), 1, 0), (1, complex(0, float("inf")), 0)],
-        ids=["all-zero", "signed-zeros", "nan", "inf"],
+        [
+            (0, 0, 0), (0j, -0.0, 0.0j), (float("nan"), 1, 0), (1, complex(0, float("inf")), 0),
+            (1e200, 1, 0),
+        ],
+        ids=["all-zero", "signed-zeros", "nan", "inf", "overflowing"],
     )
     def test_fixed_coefficients_must_be_finite_and_nonzero(self, fixed):
         with pytest.raises(DomainError, match="fixed_coefficients must"):

@@ -50,10 +50,10 @@ DIGESTS = {
     "spec bell_like": "76784902983f7167efc884092a91312fa8d7fd6704c4d807a58b477f45090a7a",
     "campaign constrained": "b766d543bbea7b9f0b31c0e8f5d5e9be5b5f6340f34b29ecc1129b8db42cec6d",
     "eval constrained": "60ed18cd2c82be9fce601c97fe0a00fa88fd18c069ce66ca3acaaeb9ec288e03",
-    "campaign unconstrained": "dcbeab765332de2863212ac0e8096e73c92894a7f313ea20f018ef32dbee8446",
-    "eval unconstrained": "b62b411f457e3581f8a363779ba0ad8406bde57a4cb7cd381de082d838a4e986",
-    "campaign minimized": "07cabcd180305db0c838cd8b1f051b26fdfa0d214a1d0e4f6f31b0a5bd59d906",
-    "eval minimized": "cc798e3d99d44beb4a263b68d02380beaf1bf3956d382e8f6c3aeeccfd92b8b6",
+    "campaign unconstrained": "eec36867887aa34c36c6e13361c1ccf94a41be0f4713db0f20238d76c10ecd18",
+    "eval unconstrained": "909a56130cce821bbd30b736ff2a72ae29dfb5faaaf43eb41a586c853294165b",
+    "campaign minimized": "db27c8f670f080252b829d78ceb4bac526a0fb155ff1fc5b0da8f46b7b7223cd",
+    "eval minimized": "b7d6b56d984e413f3f57e5499eff719d1a78786283319f71ba8f97845249d1cc",
     "campaign exact": "18e95341c37c0ac287a54343185444529d71d121bd48050941fc2e806f0bb282",
     "eval exact": "dd53ae5b32dd092dedc70086345118b51dbd36f6d05e159b3d29f234110511cc",
     "campaign assistant": "aaa0a7e3548d79246ad8c607164a6ad908566cea432dd756149a8fc942aa78ae",
