@@ -31,6 +31,7 @@ row that rounds exactly like the dot product p @ E.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -231,9 +232,7 @@ def _rhs(
     """rhs and correction of every row P of weights, T = sum_j P_j.
 
     Without a constraint the rows take the cancellation-free form of
-    `_row_values`, with each row's (P_j, E_j) pairs first sorted by weight,
-    ties by entanglement, so that rows that differ only in the order of
-    their pairs get the same rhs bit for bit.  Given a constraint message,
+    `_row_values`, each row reduced on its own.  Given a constraint message,
     the single row needs |T - 1| <= CONSTRAINT_TOL (else PreconditionError,
     the message formatted with T) and is the T = 1 case written directly:
 
@@ -243,12 +242,29 @@ def _rhs(
     if totals.min() <= ZERO_NORM_TOL:
         raise DegenerateStateError("all coefficients vanish")
     if constraint is None:
-        order = np.lexsort((np.broadcast_to(ents, p.shape), p), axis=-1)
-        return _row_values(np.take_along_axis(p, order, axis=1), ents[order])
+        return _row_values(p, ents)
     if abs(totals[0] - 1.0) > CONSTRAINT_TOL:
         raise PreconditionError(constraint.format(float(totals[0])))
     corrections = -xlog2x(p).sum(axis=1)
     return p @ ents + corrections, corrections
+
+
+def _completions(nodes: np.ndarray, every: bool = False) -> np.ndarray:
+    """The rows of the subtrees of `nodes` (table index per component, -1
+    while free): the k free components of a node take the remaining
+    entries 0..k-1, in ascending order, the node's lexicographically
+    smallest completion, or, if every, in all k! orders, node by node."""
+    free = nodes < 0
+    if not every:
+        return np.where(free, np.cumsum(free, axis=1) - 1, nodes)
+    counts = free.sum(axis=1)
+    rows = []
+    for k in np.unique(counts):
+        orders = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+        block = np.repeat(nodes[counts == k], len(orders), axis=0)
+        block[block < 0] = np.tile(orders.ravel(), len(block) // len(orders))
+        rows.append(block)
+    return np.concatenate(rows)
 
 
 def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[int, ...]]:
@@ -267,19 +283,20 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
     are small.  By place: the remaining entries, each at the least, then
     the greatest, weight and entanglement of the free components, which
     is tight when those components are alike.  A node is pruned once its
-    lower bound is beyond the tie window of the least upper bound.  It
-    settles to its lexicographically smallest completion (the remaining
-    entries, in ascending order, to the free components, in ascending
-    order) once its whole subtree lies inside the tie window of the least
-    lower bound.  The surviving rows go through `_rhs` once.
+    lower bound is beyond the tie window of the least upper bound, so
+    none of its rows ties.  It settles once its whole subtree lies inside
+    the tie window of the least lower bound: every row of it ties, and
+    its lexicographically smallest completion stands for it.  The
+    surviving rows and the completions go through `_rhs` once.
 
-    The margins of _ROUNDING cover the rounding of bounds and rows, so the
-    search keeps every row that the full enumeration of all n! rows would
-    weigh, and returns that enumeration's row.  The one exception: a
-    subtree that settles gives only its completion's rhs, so when it held
-    the least row, the least rhs read is up to the window above the true
-    one, and a row that close to the window's edge could be judged
-    differently.
+    A settled subtree may still hold a row below the least rhs read,
+    which would narrow the window.  When that could untie the winning
+    row, every row of the settled subtrees whose lower bound is below
+    the least rhs read is weighed as well (at most n! rows, and rare: 2
+    of 800 n = 8 specs drawn from four families).  The margins of
+    _ROUNDING cover the rounding of bounds and rows, so the result is
+    the full enumeration's: the same row, rhs and correction, bit for
+    bit.
     """
     n = a2.size
     nsq = normalization_coeffs(n)
@@ -287,26 +304,16 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
     # the largest entries to the smallest weights.
     if nsq[::-1] @ np.sort(a2) <= ZERO_NORM_TOL:
         raise DegenerateStateError("all coefficients vanish")
-    # Components i < j of equal weight and entanglement, or both of zero
-    # weight, are twins: swapping their entries changes no bit of the rhs
-    # (see `_rhs`), and the swap that gives the smaller entry to i is the
-    # lexicographically smaller one.  So twins take ascending entries, and
-    # a component takes the largest free entry only if no later twin is free.
-    twins = (a2[:, None] == a2) & ((ents[:, None] == ents) | (a2[:, None] == 0))
-    later_twins = np.triu(twins, k=1).T
     frontier = np.full((1, n), -1, dtype=np.intp)  # table index per component, -1 while free
-    settled = []
+    settled, floors = [], []  # the settled nodes and their lower bounds
     least_upper = settled_lower = math.inf
     a2_ents = np.stack((a2, ents))
     for entry in range(n - 1, 0, -1):
-        free = frontier < 0
-        node, comp = np.nonzero(free & ~(free @ later_twins))
+        node, comp = np.nonzero(frontier < 0)
         frontier = frontier[node]
         frontier[np.arange(node.size), comp] = entry
         free = frontier < 0
-        # The lexicographically smallest completion of each node: the k-th
-        # free component, in ascending order, takes entry k.
-        completion = np.where(free, np.cumsum(free, axis=1) - 1, frontier)
+        completion = _completions(frontier)
         # The bounding rows by entry, then by place; lows and highs hold the
         # least and the greatest (weight, entanglement) of the free components.
         lows = np.where(free[:, None], a2_ents, math.inf).min(axis=2)
@@ -331,17 +338,30 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
         done = keep & (upper <= least_lower * (1 + TIE_REL))
         if done.any():
             settled_lower = min(settled_lower, float(lower[done].min()))
-            settled.append(completion[done])
+            settled.append(frontier[done])
+            floors.append(lower[done])
         frontier = frontier[keep & ~done]
         if not frontier.size:
             break
-    frontier[frontier < 0] = 0  # the one free component of a row left after the last level
-    settled.append(frontier)
-    perms = np.concatenate(settled)
-    rhs, corrections = _rhs(nsq[perms] * a2, ents)
-    least = rhs.min()
-    tied = np.flatnonzero(rhs - least <= TIE_REL * least)
-    k = tied[np.lexsort(perms[tied].T[::-1])[0]]
+    nodes = np.concatenate(settled + [frontier])  # a survivor's one free component takes entry 0
+    floors = np.concatenate(floors + [np.full(len(frontier), math.inf)])
+
+    def least_tied(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        rhs, corrections = _rhs(nsq[perms] * a2, ents)
+        least = rhs.min()
+        tied = np.flatnonzero(rhs - least <= TIE_REL * least)
+        return rhs, corrections, int(tied[np.lexsort(perms[tied].T[::-1])[0]])
+
+    perms = _completions(nodes)
+    rhs, corrections, k = least_tied(perms)
+    # Row k ties with the true least row if it lies below this edge, and
+    # then it wins: the true window holds fewer rows, none lexicographically
+    # smaller.  Else the settled subtrees that may hold a row below the
+    # least rhs read are weighed row by row.
+    below = floors < rhs.min()
+    if below.any() and rhs[k] > floors[below].min() * (1 + TIE_REL) * (1 - _ROUNDING):
+        perms = np.concatenate((perms[~below], _completions(nodes[below], every=True)))
+        rhs, corrections, k = least_tied(perms)
     return float(rhs[k]), float(corrections[k]), tuple(int(j) for j in perms[k])
 
 

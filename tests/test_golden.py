@@ -50,9 +50,9 @@ DIGESTS = {
     "spec bell_like": "76784902983f7167efc884092a91312fa8d7fd6704c4d807a58b477f45090a7a",
     "campaign constrained": "b766d543bbea7b9f0b31c0e8f5d5e9be5b5f6340f34b29ecc1129b8db42cec6d",
     "eval constrained": "60ed18cd2c82be9fce601c97fe0a00fa88fd18c069ce66ca3acaaeb9ec288e03",
-    "campaign unconstrained": "eec36867887aa34c36c6e13361c1ccf94a41be0f4713db0f20238d76c10ecd18",
+    "campaign unconstrained": "7720edf209a00cf27e28286bed879119d2690b25d14650f132b29d2614d90f56",
     "eval unconstrained": "909a56130cce821bbd30b736ff2a72ae29dfb5faaaf43eb41a586c853294165b",
-    "campaign minimized": "db27c8f670f080252b829d78ceb4bac526a0fb155ff1fc5b0da8f46b7b7223cd",
+    "campaign minimized": "e7b293ec60720e5c8f306e1d19b37256e023cd607cbe561c20a8741dcc0bcd4b",
     "eval minimized": "b7d6b56d984e413f3f57e5499eff719d1a78786283319f71ba8f97845249d1cc",
     "campaign exact": "18e95341c37c0ac287a54343185444529d71d121bd48050941fc2e806f0bb282",
     "eval exact": "dd53ae5b32dd092dedc70086345118b51dbd36f6d05e159b3d29f234110511cc",
