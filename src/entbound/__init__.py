@@ -7,7 +7,6 @@ from .core import (
     entanglement,
     partial_trace_a,
     partial_trace_b,
-    schmidt,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "partial_trace_b",
     "run_campaign",
     "run_trial",
-    "schmidt",
     "shannon_entropy",
     "simplex_coefficients",
     "squared_norm",

@@ -275,24 +275,20 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
 
     An exact branch and bound over the n! assignments, level by level,
     placing the largest N_i^2 first.  The rhs is nondecreasing in every
-    weight (its derivative in P_j is E_j + log2(T / P_j) >= 0) and in
-    every entanglement, and it is symmetric in the (P_j, E_j) pairs, so
-    two pairs of rows bound the rows of a node's subtree from below and
-    above.  By entry: every free component at the smallest, then the
-    largest, remaining entry, which is tight once the remaining entries
-    are small.  By place: the remaining entries, each at the least, then
-    the greatest, weight and entanglement of the free components, which
-    is tight when those components are alike.  A node is pruned once its
-    lower bound is beyond the tie window of the least upper bound, so
-    none of its rows ties.  It settles once its whole subtree lies inside
-    the tie window of the least lower bound: every row of it ties, and
-    its lexicographically smallest completion stands for it.  The
-    surviving rows and the completions go through `_rhs` once.
+    weight (its derivative in P_j is E_j + log2(T / P_j) >= 0), so the
+    rows that put every free component at the smallest, then the largest,
+    remaining entry bound the rows of a node's subtree from below and
+    above.  A node is pruned once its lower bound is beyond the tie window
+    of the least upper bound, so none of its rows ties.  It settles once
+    its whole subtree lies inside the tie window of the least lower bound:
+    every row of it ties, and its lexicographically smallest completion
+    stands for it.  The surviving rows and the completions go through
+    `_rhs` once.
 
     A settled subtree may still hold a row below the least rhs read,
     which would narrow the window.  When that could untie the winning
     row, every row of the settled subtrees whose lower bound is below
-    the least rhs read is weighed as well (at most n! rows, and rare: 2
+    the least rhs read is weighed as well (at most n! rows, and rare: none
     of 800 n = 8 specs drawn from four families).  The margins of
     _ROUNDING cover the rounding of bounds and rows, so the result is
     the full enumeration's: the same row, rhs and correction, bit for
@@ -307,31 +303,17 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
     frontier = np.full((1, n), -1, dtype=np.intp)  # table index per component, -1 while free
     settled, floors = [], []  # the settled nodes and their lower bounds
     least_upper = settled_lower = math.inf
-    a2_ents = np.stack((a2, ents))
     for entry in range(n - 1, 0, -1):
         node, comp = np.nonzero(frontier < 0)
         frontier = frontier[node]
         frontier[np.arange(node.size), comp] = entry
-        free = frontier < 0
-        completion = _completions(frontier)
-        # The bounding rows by entry, then by place; lows and highs hold the
-        # least and the greatest (weight, entanglement) of the free components.
-        lows = np.where(free[:, None], a2_ents, math.inf).min(axis=2)
-        highs = np.where(free[:, None], a2_ents, -math.inf).max(axis=2)
-        weights = np.empty((4,) + free.shape)
-        weights[0] = nsq[0] * a2
-        weights[1] = nsq[entry - 1] * a2
-        weights[2] = nsq[completion] * lows[:, :1]
-        weights[3] = nsq[completion] * highs[:, :1]
-        np.copyto(weights, nsq[frontier] * a2, where=~free)
-        row_ents = np.empty_like(weights)
-        row_ents[:2] = ents
-        row_ents[2] = lows[:, 1:]
-        row_ents[3] = highs[:, 1:]
-        np.copyto(row_ents, ents, where=~free)
-        values = _row_values(weights.reshape(-1, n), row_ents.reshape(-1, n))[0].reshape(4, -1)
-        lower = np.maximum(values[0], values[2]) * (1 - _ROUNDING) - _ROUNDING_FLOOR
-        upper = np.minimum(values[1], values[3]) * (1 + _ROUNDING) + _ROUNDING_FLOOR
+        # The bounding rows: every free component at the smallest, then the
+        # largest, remaining entry.
+        ends = nsq[[0, entry - 1]][:, None, None]
+        weights = np.where(frontier < 0, ends, nsq[frontier]) * a2
+        values = _row_values(weights.reshape(-1, n), ents)[0].reshape(2, -1)
+        lower = values[0] * (1 - _ROUNDING) - _ROUNDING_FLOOR
+        upper = values[1] * (1 + _ROUNDING) + _ROUNDING_FLOOR
         least_upper = min(least_upper, float(upper.min()))
         keep = lower <= least_upper * (1 + TIE_REL)
         least_lower = min(settled_lower, float(lower.min(where=keep, initial=math.inf)))

@@ -117,21 +117,6 @@ def partial_trace_b(s: BipartitePureState) -> DensityMatrix:
     return DensityMatrix(m @ m.conj().T)
 
 
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise InvariantViolationError(f"singular value decomposition failed: {exc}") from exc
-
-
-def schmidt(s: BipartitePureState) -> np.ndarray:
-    """Schmidt coefficients, read-only: the singular values of the amplitude
-    matrix, descending and nonnegative by LAPACK's contract."""
-    vals = _singular_values(s.amplitudes)
-    vals.setflags(write=False)
-    return vals
-
-
 def schmidt_entropies(stack: np.ndarray) -> np.ndarray:
     """Entanglement in bits of every amplitude matrix in a (k, dim_a, dim_b)
     stack, from one batched singular value pass.
@@ -140,7 +125,10 @@ def schmidt_entropies(stack: np.ndarray) -> np.ndarray:
     the weights are an exact probability vector; a row whose sum is at
     most ZERO_NORM_TOL counts 0 bits.
     """
-    probs = _singular_values(stack) ** 2
+    try:
+        probs = np.linalg.svd(stack, compute_uv=False) ** 2
+    except np.linalg.LinAlgError as exc:
+        raise InvariantViolationError(f"singular value decomposition failed: {exc}") from exc
     totals = probs.sum(axis=1, keepdims=True)
     # a numerically zero row is divided by inf: every weight and the entropy 0
     probs /= np.where(totals > ZERO_NORM_TOL, totals, np.inf)

@@ -42,6 +42,16 @@ FAMILY_SHARED_SUPPORT = "orthogonal_shared_support"
 MODE_FIXED = "fixed"
 
 
+def _require_int(name: str, value: object) -> None:
+    """Reject a bool or a non-integer, such as a float, which would alias the
+    integer it formats to.  An integer is what implements __index__, numpy
+    integers included; every substream pays this check, and a
+    numbers.Integral one costs several times more."""
+    kind = type(value)
+    if kind is bool or not hasattr(kind, "__index__"):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RandomStream:
     """Counter-based random stream addressed by (seed, label path).
@@ -55,6 +65,7 @@ class RandomStream:
     path: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        _require_int("seed", self.seed)
         if not 0 <= int(self.seed) < 2**64:
             raise DomainError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
 
@@ -145,6 +156,8 @@ class EnsembleConfig:
     fixed_coefficients: tuple[complex, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n", "dim_a", "dim_b", "block_a", "block_b", "seed"):
+            _require_int(name, getattr(self, name))
         if self.n < 2:
             raise DomainError(f"n must be >= 2, got {self.n}")
         if self.dim_a < 1 or self.dim_b < 1:

@@ -376,7 +376,10 @@ class TestBoundMinimized:
 
     @pytest.mark.parametrize(
         "case",
-        ["haar-n8-simplex", "haar-n8-constrained", "zero-coefficient", "identical", "near-identical"],
+        [
+            "haar-n8-simplex", "haar-n8-constrained", "zero-coefficient", "identical",
+            "near-identical", "zero-weights-n8", "repeated-pairs-n8", "bell_like-n8",
+        ],
     )
     def test_bit_identical_to_row_by_row_reference(self, case):
         # No tolerance: the search must reproduce every bit of the full
@@ -385,6 +388,28 @@ class TestBoundMinimized:
         if case.startswith("haar-n8"):
             mode = case.rsplit("-", 1)[1]
             specs = [haar_spec(RandomStream(41).child(f"t{t}"), 8, 4, 4, mode) for t in range(4)]
+        elif case in ("zero-weights-n8", "repeated-pairs-n8"):
+            # Look-alike components at n = 8, whose swapped rows are bit-identical.
+            specs = []
+            for t in range(4):
+                stream = RandomStream(47).child(f"t{t}")
+                comps = [haar_state(4, 4, stream.child(f"c{k}")) for k in range(4)]
+                alphas = simplex_coefficients(4, stream.child("a"))
+                if case == "zero-weights-n8":  # four zero weights, interleaved
+                    comps = [haar_state(4, 4, stream.child(f"z{k}")) for k in range(4)] + comps
+                    alphas = np.concatenate((np.zeros(4), alphas))
+                    order = np.arange(8).reshape(2, 4).T.ravel()
+                    specs.append(make_spec(alphas[order], [comps[k] for k in order]))
+                else:  # four repeated (|alpha|^2, E) pairs
+                    twins = [c for c in comps for _ in (0, 1)]
+                    specs.append(make_spec(np.repeat(alphas, 2) / math.sqrt(2), twins))
+        elif case == "bell_like-n8":  # every E is log2(4), up to rounding
+            cfg = EnsembleConfig(
+                n=8, dim_a=4, dim_b=4, family="bell_like", seed=47,
+                coefficient_mode="simplex_uniform",
+            )
+            coeffs = normalization_coeffs(8)
+            specs = [generate_spec(cfg, coeffs, trial_stream(cfg, t)) for t in range(4)]
         elif case == "zero-coefficient":
             comps = [haar_state(3, 3, RandomStream(43).child(f"c{k}")) for k in range(5)]
             specs = [make_spec([0.6, 0.0, 0.48, 0.0, 0.64], comps)]

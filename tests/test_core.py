@@ -15,7 +15,6 @@ from entbound import (
     entanglement,
     partial_trace_a,
     partial_trace_b,
-    schmidt,
     von_neumann_entropy,
 )
 from entbound.core import ZERO_NORM_TOL, schmidt_entropies
@@ -130,27 +129,6 @@ class TestPartialTrace:
                 m = rho.matrix
                 assert np.abs(m - m.conj().T).max() < 1e-12
                 assert np.linalg.eigvalsh(m).min() > -1e-10
-
-
-class TestSchmidt:
-    def test_bell(self):
-        np.testing.assert_allclose(
-            schmidt(bell_state()), [2**-0.5, 2**-0.5], atol=1e-15
-        )
-
-    def test_product_ket(self):
-        np.testing.assert_allclose(schmidt(basis_state(2, 2, 0, 1)), [1.0, 0.0])
-
-    def test_squares_match_reduced_eigenvalues(self, rng):
-        s = random_state(rng, 3, 4)
-        sq = schmidt(s) ** 2
-        eigs = np.sort(np.linalg.eigvalsh(partial_trace_b(s).matrix))[::-1]
-        np.testing.assert_allclose(sq, eigs, atol=1e-10)
-
-    def test_squares_sum_to_squared_norm(self, rng):
-        amp = 3.7 * (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
-        s = BipartitePureState(amp)
-        assert (schmidt(s) ** 2).sum() == pytest.approx(s.squared_norm, abs=1e-10)
 
 
 # Entries are exactly 0 or of magnitude 1e-3..2, so a row's squared norm is

@@ -95,6 +95,21 @@ class TestRandomStream:
         with pytest.raises(DomainError):
             RandomStream(2**64)
 
+    @pytest.mark.parametrize(
+        "seed", [1.5, 1.0, True, np.float64(1.0), "1"],
+        ids=["float", "integral-float", "bool", "numpy-float", "str"],
+    )
+    def test_seed_must_be_an_integer(self, seed):
+        # A float seed would format as "%d" and alias the streams of its integer part.
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            RandomStream(seed)
+
+    def test_numpy_integer_seed_draws_the_int_streams(self):
+        want = RandomStream(7).child("x").generator().standard_normal(4)
+        for seed in (np.int64(7), np.uint64(7)):
+            got = RandomStream(seed).child("x").generator().standard_normal(4)
+            assert got.tobytes() == want.tobytes()
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(
         st.integers(min_value=0, max_value=2**64 - 1),
@@ -287,6 +302,30 @@ class TestEnsembleConfig:
             n=4, dim_a=64, dim_b=64, family="haar", seed=0, coefficient_mode="constrained"
         )
         assert at_cap.dim_a * at_cap.dim_b == MAX_STATE_ELEMS
+
+    INTEGER_FIELDS = {"n": 3, "dim_a": 3, "dim_b": 3, "block_a": 1, "block_b": 1, "seed": 1}
+
+    @pytest.mark.parametrize("field", list(INTEGER_FIELDS))
+    @pytest.mark.parametrize("kind", ["float", "bool", "numpy-float"])
+    def test_integer_fields_reject_other_types(self, field, kind):
+        # Checked at construction, before a campaign opens its outputs: a
+        # float dimension would otherwise fail in the first draw.
+        value = self.INTEGER_FIELDS[field]
+        bad = {"float": value + 0.5, "bool": bool(value), "numpy-float": np.float64(value)}[kind]
+        kwargs = dict(self.INTEGER_FIELDS, family="haar", coefficient_mode="constrained")
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            EnsembleConfig(**dict(kwargs, **{field: bad}))
+
+    def test_integer_fields_accept_numpy_integers(self):
+        numpy_ints = {k: np.int64(v) for k, v in self.INTEGER_FIELDS.items()}
+        cfg = EnsembleConfig(**numpy_ints, family="haar", coefficient_mode="constrained")
+        plain = EnsembleConfig(**self.INTEGER_FIELDS, family="haar", coefficient_mode="constrained")
+        assert cfg == plain
+        coeffs = normalization_coeffs(3)
+        got = generate_spec(cfg, coeffs, trial_stream(cfg, 0))
+        want = generate_spec(plain, coeffs, trial_stream(plain, 0))
+        np.testing.assert_array_equal(got.coefficients, want.coefficients)
+        np.testing.assert_array_equal(got._stack, want._stack)
 
     def test_fixed_mode_needs_coefficients(self):
         with pytest.raises(DomainError):
