@@ -3,10 +3,7 @@ of superpositions with two or more components."""
 
 from .core import (
     BipartitePureState,
-    DensityMatrix,
     entanglement,
-    partial_trace_a,
-    partial_trace_b,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -61,7 +58,6 @@ __all__ = [
     "BoundReport",
     "CampaignSummary",
     "DegenerateStateError",
-    "DensityMatrix",
     "DomainError",
     "EnsembleConfig",
     "EntboundError",
@@ -88,8 +84,6 @@ __all__ = [
     "is_biorthogonal",
     "iter_trials",
     "normalization_coeffs",
-    "partial_trace_a",
-    "partial_trace_b",
     "run_campaign",
     "run_trial",
     "shannon_entropy",

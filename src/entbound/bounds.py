@@ -44,9 +44,7 @@ from .core import (
     GAP_SLACK,
     ZERO_NORM_TOL,
     BipartitePureState,
-    partial_trace_a,
     schmidt_entropies,
-    von_neumann_entropy,
     xlog2x,
 )
 from .errors import (
@@ -59,9 +57,9 @@ from .errors import (
 from .superposition import SuperpositionSpec, combine, component_entanglements, squared_norm
 
 MAX_N = 16              # recursion values overflow even float64 shortly beyond
-# Caps the minimized bound and the assistant check.  The minimized search
-# builds no n! table, but the cap stays where the full enumeration set it
-# until larger n is tested.
+# Caps the minimized bound only.  Its search builds no n! table, but the
+# cap stays where the full enumeration set it until larger n is tested:
+# the settled-subtree fallback of `_minimized` can still weigh n! rows.
 MAX_MINIMIZED_N = 8
 MAX_ASSISTANT_ELEMS = 65536
 BIORTHOGONALITY_TOL = 1e-10
@@ -347,6 +345,15 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
     return float(rhs[k]), float(corrections[k]), tuple(int(j) for j in perms[k])
 
 
+def _check_n(n: int, variant: str) -> None:
+    """Raise DomainError unless `variant` takes n components: a campaign of
+    any variant draws with the normalization table, which ends at MAX_N,
+    and the minimized bound is capped at MAX_MINIMIZED_N."""
+    cap = MAX_MINIMIZED_N if variant == VARIANT_MINIMIZED else MAX_N
+    if n > cap:
+        raise DomainError(f"the {variant} variant is capped at n = {cap}, got {n}")
+
+
 def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
     """The one bound kernel behind the three bound variants.
 
@@ -356,11 +363,8 @@ def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
     minimized one.
     """
     n = spec.n
+    _check_n(n, variant)
     minimized = variant == VARIANT_MINIMIZED
-    if minimized and n > MAX_MINIMIZED_N:
-        raise DomainError(
-            f"the minimized bound is capped at n = {MAX_MINIMIZED_N}, got {n}"
-        )
     n2, e_psi, ents = _entanglements(spec, "the bound is vacuous")
     a2 = np.abs(spec.coefficients) ** 2
     permutation = None
@@ -468,8 +472,10 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
     """Build the assistant state sum_i alpha_i |i>|phi_i> over an auxiliary
     n-dimensional register, and verify the proof chain on it.
 
-    Requires sum |alpha_i|^2 = 1.  The report's lhs is S(rho_B), its rhs
-    the upper bound sum |alpha_i|^2 E(phi_i) + H(|alpha|^2), and its
+    Requires sum |alpha_i|^2 = 1, n <= MAX_N and at most
+    MAX_ASSISTANT_ELEMS amplitudes.  The report's lhs is S(rho_B), the
+    Schmidt entropy of the pure assistant state across (register x A) : B,
+    its rhs the upper bound sum |alpha_i|^2 E(phi_i) + H(|alpha|^2), and its
     correction the mixing entropy H(|alpha|^2).  Its checks are:
       norm_partition: the auxiliary basis change partitions the unit norm
          between the leading combination sum_i (alpha_i/N_i) phi_i and the
@@ -481,8 +487,7 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
          result after the residual terms are dropped, is <= rhs.
     """
     n = spec.n
-    if n > MAX_MINIMIZED_N:
-        raise DomainError(f"assistant-state check is capped at n = {MAX_MINIMIZED_N}")
+    _check_n(n, VARIANT_ASSISTANT)
     if n * spec.dim_a * spec.dim_b > MAX_ASSISTANT_ELEMS:
         raise DomainError(
             f"assistant state would exceed {MAX_ASSISTANT_ELEMS} amplitudes"
@@ -495,9 +500,10 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
     )
     upper_bound = float(rhs[0])
 
-    # Assistant state as a bipartite (register x A) : B amplitude matrix.
-    lam = (alphas[:, None, None] * spec._stack).reshape(n * spec.dim_a, spec.dim_b)
-    s_rho_b = von_neumann_entropy(partial_trace_a(BipartitePureState(lam)))
+    # The assistant state is pure, so S(rho_B) is its Schmidt entropy as a
+    # (register x A) : B amplitude matrix.
+    lam = (alphas[:, None, None] * spec._stack).reshape(1, n * spec.dim_a, spec.dim_b)
+    s_rho_b = float(schmidt_entropies(lam)[0])
 
     # Re-express the register in the auxiliary basis; block k of the new
     # decomposition is sum_i alpha_i M[i, k] phi_i, block 0 the leading one.

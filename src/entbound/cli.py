@@ -68,8 +68,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         config = config_from_json(_read_json(args.config, "config"))
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
-        if args.trials < 1:
-            raise SchemaError(f"need at least one trial, got {args.trials}")
         try:
             summary = run_campaign(
                 config, args.variant, args.trials, args.out, csv_path=args.csv

@@ -3,8 +3,13 @@
 A pure state of two systems A and B is stored as a complex amplitude
 matrix of shape (dim_a, dim_b): entry (i, j) is the amplitude of
 |i>_A |j>_B.  Unnormalized states are first class; every measuring
-operation normalizes internally.  All entropies are in bits (log base 2,
-no base parameter).
+operation normalizes internally.  The entropy of a pure state's reduced
+state, on either side, comes from its Schmidt spectrum through one
+batched kernel, `schmidt_entropies`; no reduced density matrix is
+formed.  `von_neumann_entropy` takes a Hermitian matrix as an array and
+has no caller in the package: it stays because the benchmark harness
+(`benchmarks/harness/layers.py`) counts its calls.  All entropies are in
+bits (log base 2, no base parameter).
 """
 
 from __future__ import annotations
@@ -80,43 +85,6 @@ class BipartitePureState:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian dim x dim matrix; positivity is enforced where eigenvalues
-    are actually consumed (entropy), with tiny negatives clipped."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex, copy=True)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ShapeMismatchError(f"density matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvariantViolationError("density matrix contains NaN or Inf")
-        dev = np.abs(m - m.conj().T).max()
-        if dev > HERMITIAN_TOL:
-            raise InvariantViolationError(
-                f"matrix deviates from hermiticity by {dev:.3e} (> {HERMITIAN_TOL})"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def partial_trace_a(s: BipartitePureState) -> DensityMatrix:
-    """Reduced state on B: (rho_B)_{j j'} = sum_i M_ij conj(M_ij').
-
-    Trace equals the squared norm of the input.
-    """
-    m = s.amplitudes
-    return DensityMatrix(m.T @ m.conj())
-
-
-def partial_trace_b(s: BipartitePureState) -> DensityMatrix:
-    """Reduced state on A: (rho_A)_{i i'} = sum_j M_ij conj(M_i'j)."""
-    m = s.amplitudes
-    return DensityMatrix(m @ m.conj().T)
-
-
 def schmidt_entropies(stack: np.ndarray) -> np.ndarray:
     """Entanglement in bits of every amplitude matrix in a (k, dim_a, dim_b)
     stack, from one batched singular value pass.
@@ -135,14 +103,26 @@ def schmidt_entropies(stack: np.ndarray) -> np.ndarray:
     return -xlog2x(probs).sum(axis=1)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -Tr(rho log2 rho), normalized internally by the trace.
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """S(rho) = -Tr(rho log2 rho) of a Hermitian matrix, normalized
+    internally by the trace.
 
-    Eigenvalues in [-EIG_CLIP, 0) are clipped to zero; anything below
-    -EIG_CLIP raises, as does a numerically zero trace.  Result lies in
-    [0, log2(dim)].
+    rho must be a square, finite matrix, Hermitian within HERMITIAN_TOL
+    elementwise.  Eigenvalues in [-EIG_CLIP, 0) are clipped to zero;
+    anything below -EIG_CLIP raises, as does a numerically zero trace.
+    Result lies in [0, log2(dim)].
     """
-    evals = np.linalg.eigvalsh(rho.matrix)
+    m = np.asarray(rho, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ShapeMismatchError(f"density matrix must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvariantViolationError("density matrix contains NaN or Inf")
+    dev = np.abs(m - m.conj().T).max()
+    if dev > HERMITIAN_TOL:
+        raise InvariantViolationError(
+            f"matrix deviates from hermiticity by {dev:.3e} (> {HERMITIAN_TOL})"
+        )
+    evals = np.linalg.eigvalsh(m)
     lowest = float(evals[0])
     if lowest < -EIG_CLIP:
         raise InvariantViolationError(

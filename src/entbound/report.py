@@ -22,6 +22,7 @@ from .bounds import (
     VARIANT_MINIMIZED,
     VARIANT_UNCONSTRAINED,
     BoundReport,
+    _check_n,
     assistant_state_check,
     bound_constrained,
     bound_minimized,
@@ -90,14 +91,16 @@ def run_trial(config: EnsembleConfig, variant: str, trial_id: int) -> TrialRecor
 def iter_trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[TrialRecord]:
     """Lazily evaluate trial_id = 0 .. trials-1 in order.
 
-    The arguments are checked here, when the iterator is made, not at its
-    first step.  A trial that trips a numeric invariant is recorded as a
-    violation rather than aborting the campaign.
+    The arguments, the variant's cap on n included, are checked here, when
+    the iterator is made, not at its first step.  A trial that trips a
+    numeric invariant is recorded as a violation rather than aborting the
+    campaign.
     """
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    _check_n(config.n, variant)
     return _trials(config, variant, trials)
 
 

@@ -30,6 +30,13 @@ def two_bell_blocks() -> tuple[BipartitePureState, BipartitePureState]:
     return BipartitePureState(a), BipartitePureState(b)
 
 
+def reduced_states(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_A, rho_B) of an amplitude matrix M in plain numpy: rho_A = M M^+
+    and rho_B = M^T conj(M), each of trace ||M||^2."""
+    m = np.asarray(amp)
+    return m @ m.conj().T, m.T @ m.conj()
+
+
 def as_states(stack: np.ndarray) -> tuple[BipartitePureState, ...]:
     """The rows of an (n, dim_a, dim_b) amplitude stack as states."""
     return tuple(BipartitePureState(amp) for amp in stack)

@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 from entbound import (
     BipartitePureState,
     DegenerateStateError,
-    DensityMatrix,
     DomainError,
     EnsembleConfig,
     InvariantViolationError,
@@ -32,8 +31,6 @@ from entbound import (
     haar_state,
     is_biorthogonal,
     normalization_coeffs,
-    partial_trace_a,
-    partial_trace_b,
     shannon_entropy,
     simplex_coefficients,
     superposition_entanglement,
@@ -41,6 +38,7 @@ from entbound import (
 )
 from entbound import bounds
 from entbound.bounds import TIE_REL, _exact_n_squared, _minimized, _rhs
+from entbound.ensembles import FAMILIES, FAMILY_SHARED_SUPPORT
 from entbound.ensembles import FAMILY_BIORTHOGONAL as BIORTHOGONAL
 from entbound.report import trial_stream
 from conftest import (
@@ -49,6 +47,7 @@ from conftest import (
     bell_state,
     drawn_components,
     random_state,
+    reduced_states,
     two_bell_blocks,
 )
 
@@ -472,6 +471,17 @@ class TestBoundMinimized:
         a2, ents = np.array(a2), np.array(ents)
         assert _minimized(a2, ents) == brute_force_minimized(a2, ents, tie=1e-2)
 
+    def test_exact_window_is_the_full_enumeration(self, monkeypatch):
+        # With no tie window, only the _ROUNDING margins keep the bounds of a
+        # node on the safe side of the rows beneath it; a bound that reads a
+        # few ulp inside them prunes or settles the least row.
+        monkeypatch.setattr(bounds, "TIE_REL", 0.0)
+        for n in range(3, 8):
+            for trial in range(30):
+                spec = haar_spec(RandomStream(61).child(f"n{n}-t{trial}"), n, 3, 3, "simplex")
+                a2, ents = spec_arrays(spec)
+                assert _minimized(a2, ents) == brute_force_minimized(a2, ents, tie=0.0)
+
     def test_exact_ties_keep_lexicographically_smallest(self):
         # Zero weight on the last two identical components makes the rows
         # of (0,1,2,3), (0,1,3,2), (1,0,2,3) and (1,0,3,2) bit-equal minima.
@@ -587,8 +597,7 @@ class TestDecimalOracle:
 def reference_is_biorthogonal(components) -> bool:
     """The pairwise definition: one reduced-state pair per component pair
     and side, each overlap Tr[rho_i rho_j] taken on its own."""
-    red_a = [partial_trace_b(c).matrix for c in components]
-    red_b = [partial_trace_a(c).matrix for c in components]
+    red_a, red_b = zip(*(reduced_states(c.amplitudes) for c in components))
     for i in range(len(components)):
         for j in range(i + 1, len(components)):
             if abs(np.einsum("ij,ji->", red_a[i], red_a[j])) >= 1e-10:
@@ -666,10 +675,8 @@ class TestBiorthogonality:
             for j in range(3):
                 if i == j:
                     continue
-                ra_i = partial_trace_a(comps[i]).matrix
-                ra_j = partial_trace_a(comps[j]).matrix
-                rb_i = partial_trace_b(comps[i]).matrix
-                rb_j = partial_trace_b(comps[j]).matrix
+                ra_i, rb_i = reduced_states(comps[i].amplitudes)
+                ra_j, rb_j = reduced_states(comps[j].amplitudes)
                 assert abs(np.trace(ra_i @ ra_j)) < 1e-12
                 assert abs(np.trace(rb_i @ rb_j)) < 1e-12
         assert is_biorthogonal(comps)
@@ -749,20 +756,20 @@ def entropy_sandwich(p, rhos) -> tuple[float, float, float]:
     lower <= mid <= upper."""
     p = np.asarray(p, dtype=float)
     lower = float(sum(pi * von_neumann_entropy(r) for pi, r in zip(p, rhos)))
-    mid = von_neumann_entropy(DensityMatrix(sum(pi * r.matrix for pi, r in zip(p, rhos))))
+    mid = von_neumann_entropy(sum(pi * r for pi, r in zip(p, rhos)))
     return lower, mid, lower + shannon_entropy(p)
 
 
 class TestMixingEntropyBounds:
     def test_orthogonal_pure_states(self):
-        rhos = [DensityMatrix(np.diag([1.0, 0.0])), DensityMatrix(np.diag([0.0, 1.0]))]
+        rhos = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
         lower, mid, upper = entropy_sandwich([0.5, 0.5], rhos)
         assert lower == pytest.approx(0.0, abs=1e-12)
         assert mid == pytest.approx(1.0, abs=1e-12)
         assert upper == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass(self, rng):
-        rho = partial_trace_a(random_state(rng, 3, 3))
+        rho = reduced_states(random_state(rng, 3, 3).amplitudes)[1]
         lower, mid, upper = entropy_sandwich([1.0, 0.0], [rho, rho])
         s = von_neumann_entropy(rho)
         assert lower == pytest.approx(s, abs=1e-12)
@@ -776,7 +783,7 @@ class TestMixingEntropyBounds:
             for _ in range(4):
                 amp = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
                 amp /= np.linalg.norm(amp)
-                rhos.append(partial_trace_a(BipartitePureState(amp)))
+                rhos.append(reduced_states(amp)[1])
             p = g.exponential(size=4)
             p /= p.sum()
             lower, mid, upper = entropy_sandwich(p, rhos)
@@ -818,10 +825,42 @@ class TestAssistantStateCheck:
             assistant_state_check(spec)
 
     def test_component_cap(self):
-        comps = [basis_state(3, 9, 0, k) for k in range(9)]
-        spec = make_spec(np.ones(9) / 3, comps)
-        with pytest.raises(DomainError):
-            assistant_state_check(spec)
+        def uniform_products(n):  # S(rho_B) = H(|alpha|^2) = log2 n = rhs
+            comps = [basis_state(1, n, 0, k) for k in range(n)]
+            return make_spec(np.ones(n) / math.sqrt(n), comps)
+
+        rep = assistant_state_check(uniform_products(16))
+        assert rep.checks == dict.fromkeys(CHAIN_CHECKS, True)
+        assert rep.lhs == pytest.approx(4.0, abs=1e-12)
+        with pytest.raises(DomainError, match="16"):
+            assistant_state_check(uniform_products(17))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        n=st.integers(min_value=2, max_value=16),
+        dim_a=st.integers(min_value=1, max_value=5),
+        dim_b=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_chain_holds_up_to_max_n(self, family, n, dim_a, dim_b, seed):
+        if family == BIORTHOGONAL:
+            dim_a, dim_b = max(dim_a, n), max(dim_b, n)
+        elif family == FAMILY_SHARED_SUPPORT:
+            dim_b = max(dim_b, -(-n // dim_a))
+        cfg = EnsembleConfig(
+            n=n, dim_a=dim_a, dim_b=dim_b, family=family, seed=seed,
+            coefficient_mode="simplex_uniform",
+        )
+        spec = generate_spec(cfg, normalization_coeffs(n), trial_stream(cfg, 0))
+        rep = assistant_state_check(spec)
+        assert rep.checks == dict.fromkeys(CHAIN_CHECKS, True)
+        # S(rho_B) of sum_i alpha_i |i>|phi_i>, from the eigenvalues of rho_B
+        stack = np.stack([c.amplitudes for c in spec.components])
+        lam = (spec.coefficients[:, None, None] * stack).reshape(n * dim_a, dim_b)
+        evals = np.clip(np.linalg.eigvalsh(reduced_states(lam)[1]), 0.0, None)
+        p = evals[evals > 0] / evals.sum()
+        assert abs(rep.lhs - float(-(p * np.log2(p)).sum())) <= 1e-12
 
     def test_size_cap(self):
         comps = [basis_state(100, 100, 0, 0), basis_state(100, 100, 1, 1)]

@@ -8,17 +8,14 @@ from hypothesis.extra.numpy import arrays
 from entbound import (
     BipartitePureState,
     DegenerateStateError,
-    DensityMatrix,
     InvariantViolationError,
     ShapeMismatchError,
     SuperpositionSpec,
     entanglement,
-    partial_trace_a,
-    partial_trace_b,
     von_neumann_entropy,
 )
 from entbound.core import ZERO_NORM_TOL, schmidt_entropies
-from conftest import basis_state, bell_state, random_state, two_bell_blocks
+from conftest import basis_state, bell_state, random_state, reduced_states, two_bell_blocks
 
 # Direct evaluation of -sum p log2 p for p = (1/2, 1/3, 1/6).
 ENTROPY_HALF_THIRD_SIXTH = -(
@@ -99,34 +96,34 @@ def _brute_force_trace_out_b(s: BipartitePureState) -> np.ndarray:
 
 
 class TestPartialTrace:
+    """The package forms no reduced density matrix; these check the plain
+    numpy one, `conftest.reduced_states`, that the entropy tests take as
+    their reference."""
+
     def test_product_state(self):
-        rho = partial_trace_a(basis_state(2, 2, 0, 0))
-        np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-15)
+        rho_b = reduced_states(basis_state(2, 2, 0, 0).amplitudes)[1]
+        np.testing.assert_allclose(rho_b, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_bell_state(self):
-        rho = partial_trace_a(bell_state())
-        np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-15)
+        rho_b = reduced_states(bell_state().amplitudes)[1]
+        np.testing.assert_allclose(rho_b, np.eye(2) / 2, atol=1e-15)
 
     def test_matches_brute_force_oracle(self, rng):
         s = random_state(rng, 2, 3)
-        np.testing.assert_allclose(
-            partial_trace_a(s).matrix, _brute_force_trace_out_a(s), atol=1e-13
-        )
-        np.testing.assert_allclose(
-            partial_trace_b(s).matrix, _brute_force_trace_out_b(s), atol=1e-13
-        )
+        rho_a, rho_b = reduced_states(s.amplitudes)
+        np.testing.assert_allclose(rho_b, _brute_force_trace_out_a(s), atol=1e-13)
+        np.testing.assert_allclose(rho_a, _brute_force_trace_out_b(s), atol=1e-13)
 
     def test_trace_equals_squared_norm(self, rng):
         amp = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         s = BipartitePureState(amp)  # deliberately unnormalized
-        for rho in (partial_trace_a(s), partial_trace_b(s)):
-            assert np.trace(rho.matrix).real == pytest.approx(s.squared_norm, abs=1e-10)
+        for rho in reduced_states(s.amplitudes):
+            assert np.trace(rho).real == pytest.approx(s.squared_norm, abs=1e-10)
 
     def test_results_hermitian_psd(self, rng):
         for _ in range(20):
             s = random_state(rng, 3, 5)
-            for rho in (partial_trace_a(s), partial_trace_b(s)):
-                m = rho.matrix
+            for m in reduced_states(s.amplitudes):
                 assert np.abs(m - m.conj().T).max() < 1e-12
                 assert np.linalg.eigvalsh(m).min() > -1e-10
 
@@ -165,44 +162,62 @@ class TestSchmidtEntropies:
                     entanglement(s)
                 continue
             assert e == entanglement(s)  # bit-equal, not just close
-            assert abs(e - von_neumann_entropy(partial_trace_b(s))) <= 1e-9
+            assert abs(e - von_neumann_entropy(reduced_states(row)[0])) <= 1e-9
             assert 0.0 <= e <= cap + 1e-12
 
 
 class TestVonNeumannEntropy:
     def test_pure_state(self):
-        assert von_neumann_entropy(DensityMatrix(np.diag([1.0, 0.0]))) == 0.0
+        assert von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
 
     def test_maximally_mixed_qubit(self):
-        assert von_neumann_entropy(DensityMatrix(np.eye(2) / 2)) == pytest.approx(1.0)
+        assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0)
 
     def test_known_spectrum(self):
-        rho = DensityMatrix(np.diag([0.5, 1 / 3, 1 / 6]))
+        rho = np.diag([0.5, 1 / 3, 1 / 6])
         assert von_neumann_entropy(rho) == pytest.approx(
             ENTROPY_HALF_THIRD_SIXTH, abs=1e-6
         )
         assert ENTROPY_HALF_THIRD_SIXTH == pytest.approx(1.459148, abs=1e-6)
 
     def test_normalizes_by_trace(self):
-        assert von_neumann_entropy(DensityMatrix(np.eye(2))) == pytest.approx(1.0)
+        assert von_neumann_entropy(np.eye(2)) == pytest.approx(1.0)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(InvariantViolationError):
-            von_neumann_entropy(DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]])))
+            von_neumann_entropy(np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+    def test_hermitian_within_tolerance_accepted(self):
+        rho = np.array([[0.5, 1e-13], [0.0, 0.5]])
+        assert von_neumann_entropy(rho) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "rho, error",
+        [
+            (np.ones((2, 3)), ShapeMismatchError),
+            (np.ones((2, 2, 2)), ShapeMismatchError),
+            (np.zeros((0, 0)), ShapeMismatchError),
+            (np.diag([1.0, np.nan]), InvariantViolationError),
+            (np.diag([np.inf, 0.0]), InvariantViolationError),
+            (np.zeros((2, 2)), DegenerateStateError),
+        ],
+        ids=["non-square", "three-d", "empty", "nan", "inf", "zero-trace"],
+    )
+    def test_malformed_rejected(self, rho, error):
+        with pytest.raises(error):
+            von_neumann_entropy(rho)
 
     def test_negative_eigenvalue_beyond_clip_rejected(self):
         with pytest.raises(InvariantViolationError):
-            von_neumann_entropy(DensityMatrix(np.diag([1.0, -1e-6])))
+            von_neumann_entropy(np.diag([1.0, -1e-6]))
 
     def test_tiny_negative_clipped(self):
-        assert von_neumann_entropy(DensityMatrix(np.diag([1.0, -1e-11]))) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        assert von_neumann_entropy(np.diag([1.0, -1e-11])) == pytest.approx(0.0, abs=1e-9)
 
     def test_range(self, rng):
         for _ in range(25):
-            rho = partial_trace_a(random_state(rng, 4, 4))
-            s = von_neumann_entropy(rho)
+            rho_b = reduced_states(random_state(rng, 4, 4).amplitudes)[1]
+            s = von_neumann_entropy(rho_b)
             assert -1e-12 <= s <= math.log2(4) + 1e-9
 
 
@@ -234,8 +249,7 @@ class TestCoreInvariants:
         for _ in range(50):
             da, db = rng.integers(2, 6), rng.integers(2, 6)
             s = random_state(rng, da, db)
-            sa = von_neumann_entropy(partial_trace_a(s))
-            sb = von_neumann_entropy(partial_trace_b(s))
+            sa, sb = (von_neumann_entropy(rho) for rho in reduced_states(s.amplitudes))
             assert abs(sa - sb) < 1e-9
 
     def test_entanglement_range(self, rng):

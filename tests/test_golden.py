@@ -56,7 +56,7 @@ DIGESTS = {
     "eval minimized": "b7d6b56d984e413f3f57e5499eff719d1a78786283319f71ba8f97845249d1cc",
     "campaign exact": "18e95341c37c0ac287a54343185444529d71d121bd48050941fc2e806f0bb282",
     "eval exact": "dd53ae5b32dd092dedc70086345118b51dbd36f6d05e159b3d29f234110511cc",
-    "campaign assistant": "aaa0a7e3548d79246ad8c607164a6ad908566cea432dd756149a8fc942aa78ae",
+    "campaign assistant": "2114820c5aba5e50a7be578ce78c8032190891d1617f730958913903352bf6f4",
     "eval assistant": "1033f4b0bff11118a00131cb7844d3d17d23e91981ac8391c853a014df919485",
     "coeffs 16": "1b6d24fc5316ce7c9414efc73f7ae817ccdef3bd0684a9753a1e3a8e8df98cae",
     "verify": "505d1597e869ed597acf65d92d91c57cad40cd8bd97150fbd8704c76c1ecfa26",

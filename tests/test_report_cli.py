@@ -19,6 +19,7 @@ from entbound import (
 from entbound import report
 from entbound.cli import main
 from entbound.report import (
+    VARIANTS,
     bound_report_to_json,
     evaluate_variant,
     record_line,
@@ -402,13 +403,14 @@ class TestCli:
         assert main(["verify", "--config", str(bad), "--trials", "1",
                      "--out", str(tmp_path / "o.jsonl")]) == 2
 
-    def test_verify_zero_trials(self, tmp_path):
+    def test_verify_zero_trials(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         from entbound.serialize import config_to_json
 
         cfg_path.write_text(dumps(config_to_json(haar_config())))
         assert main(["verify", "--config", str(cfg_path), "--trials", "0",
                      "--out", str(tmp_path / "o.jsonl")]) == 2
+        assert capsys.readouterr().err == "entbound: need at least one trial, got 0\n"
 
     def test_verify_state_size_cap(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -464,6 +466,20 @@ class TestCli:
         assert main(["verify", "--config", str(cfg_path), "--trials", "2",
                      "--out", str(out)]) == 2
         assert out.read_bytes() == b"records of an earlier run\n"
+
+    @pytest.mark.parametrize(
+        "variant, n", [(v, 17) for v in VARIANTS] + [("minimized", 9)]
+    )
+    def test_verify_rejected_variant_keeps_existing_output(self, tmp_path, capsys, variant, n):
+        # EnsembleConfig takes these n; the variant's cap refuses them
+        cfg_path = write_config(tmp_path, haar_config(n=n, dim_a=n, dim_b=n))
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"records of an earlier run\n")
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2",
+                     "--variant", variant, "--out", str(out)]) == 2
+        assert out.read_bytes() == b"records of an earlier run\n"
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "capped at n" in err
 
     @pytest.mark.parametrize(
         "fixed",
