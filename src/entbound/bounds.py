@@ -34,7 +34,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -126,8 +125,8 @@ def basis_matrix(n: int) -> np.ndarray:
     Expanding the recursive construction, the unnormalized row i is
     (1, -(N_1^2 - 1), ..., -(N_{i-1}^2 - 1), 1, 0, ...) with the trailing
     1 dropped on the last row, and its squared norm is exactly N_i^2.
-    Entries are formed from exact integer ratios so the matrix stays
-    orthonormal to machine precision for every supported n.
+    Entries are square roots of correctly rounded exact integer ratios, so
+    the matrix stays orthonormal to machine precision for every supported n.
     """
     nsq = _exact_n_squared(n)
     m = np.zeros((n, n))
@@ -140,7 +139,7 @@ def basis_matrix(n: int) -> np.ndarray:
             row[i + 1] = 1
         for j, u in enumerate(row):
             if u != 0:
-                mag = math.sqrt(float(Fraction(u * u, nsq[i])))
+                mag = math.sqrt(u * u / nsq[i])
                 m[i, j] = -mag if u < 0 else mag
     m.setflags(write=False)
     return m
@@ -346,9 +345,9 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
 
 
 def _check_n(n: int, variant: str) -> None:
-    """Raise DomainError unless `variant` takes n components: a campaign of
-    any variant draws with the normalization table, which ends at MAX_N,
-    and the minimized bound is capped at MAX_MINIMIZED_N."""
+    """Raise DomainError unless `variant` takes n components: the
+    documented domain, and the normalization table a campaign draws with,
+    end at MAX_N, and the minimized bound is capped at MAX_MINIMIZED_N."""
     cap = MAX_MINIMIZED_N if variant == VARIANT_MINIMIZED else MAX_N
     if n > cap:
         raise DomainError(f"the {variant} variant is capped at n = {cap}, got {n}")
@@ -450,6 +449,7 @@ def exact_biorthogonal_entanglement(spec: SuperpositionSpec) -> BoundReport:
     entropy; the check biorth_equality holds when the two sides agree
     within EQUALITY_TOL.
     """
+    _check_n(spec.n, VARIANT_EXACT)
     _, direct, ents = _entanglements(spec, "entanglement of the normalized version is undefined")
     if not is_biorthogonal(spec.components):
         raise PreconditionError("components are not mutually biorthogonal")

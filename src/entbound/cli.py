@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .bounds import _exact_n_squared
@@ -102,7 +101,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_coeffs(args: argparse.Namespace) -> int:
     nsq = _exact_n_squared(args.n)  # an n out of range goes to main as EXIT_INPUT
     # sum_i 1/N_i^2 is identically 1 by the telescoping product
-    residual = abs(math.fsum(float(Fraction(1, v)) for v in nsq) - 1.0)
+    residual = abs(math.fsum(1 / v for v in nsq) - 1.0)
     print(dumps({"n": args.n, "n_squared": nsq, "sum_inverse_residual": residual}))
     return EXIT_OK
 

@@ -7,6 +7,7 @@ rendered with 17 significant digits so round trips are bit exact.
 
 from __future__ import annotations
 
+import dataclasses
 import decimal
 import json
 import math
@@ -16,7 +17,7 @@ import numpy as np
 
 from .core import BipartitePureState
 from .ensembles import EnsembleConfig
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 from .superposition import SuperpositionSpec
 
 
@@ -76,7 +77,10 @@ def pair_to_complex(obj: Any, where: str) -> complex:
         and isinstance(im, (int, float)) and not isinstance(im, bool),
         f"{where}: complex parts must be numbers",
     )
-    return complex(float(re), float(im))
+    try:
+        return complex(float(re), float(im))
+    except OverflowError as exc:  # an int beyond the float range
+        raise SchemaError(f"{where}: complex parts must fit a float") from exc
 
 
 def state_to_json(state: BipartitePureState) -> dict:
@@ -124,7 +128,6 @@ def spec_from_json(obj: Any) -> SuperpositionSpec:
     _require(isinstance(comps, list), "spec: missing components array")
     alphas = [pair_to_complex(a, f"spec.coefficients[{k}]") for k, a in enumerate(coeffs)]
     states = [state_from_json(c, f"spec.components[{k}]") for k, c in enumerate(comps)]
-    _require(len(alphas) == len(states), "spec: coefficient/component count mismatch")
     try:
         return SuperpositionSpec(
             coefficients=np.array(alphas, dtype=complex), components=tuple(states)
@@ -134,53 +137,31 @@ def spec_from_json(obj: Any) -> SuperpositionSpec:
 
 
 def config_to_json(config: EnsembleConfig) -> dict:
-    out = {
-        "n": config.n,
-        "dim_a": config.dim_a,
-        "dim_b": config.dim_b,
-        "family": config.family,
-        "seed": config.seed,
-        "coefficient_mode": config.coefficient_mode,
-        "block_a": config.block_a,
-        "block_b": config.block_b,
-    }
-    if config.fixed_coefficients is not None:
-        out["fixed_coefficients"] = [complex_to_pair(c) for c in config.fixed_coefficients]
+    out = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    fixed = out.pop("fixed_coefficients")
+    if fixed is not None:
+        out["fixed_coefficients"] = [complex_to_pair(c) for c in fixed]
     return out
 
 
 def config_from_json(obj: Any) -> EnsembleConfig:
+    """Decode a config; `EnsembleConfig` checks its fields.  Unknown keys are ignored."""
     _require(isinstance(obj, dict), "config: expected an object")
-    n = _expect_int(obj, "n", "config")
-    dim_a = _expect_int(obj, "dim_a", "config")
-    dim_b = _expect_int(obj, "dim_b", "config")
-    seed = _expect_int(obj, "seed", "config")
-    family = obj.get("family")
-    mode = obj.get("coefficient_mode")
-    _require(isinstance(family, str), "config: family must be a string")
-    _require(isinstance(mode, str), "config: coefficient_mode must be a string")
-    block_a = _expect_int(obj, "block_a", "config") if "block_a" in obj else 1
-    block_b = _expect_int(obj, "block_b", "config") if "block_b" in obj else 1
-    fixed = None
-    if obj.get("fixed_coefficients") is not None:
-        raw = obj["fixed_coefficients"]
+    kwargs = {}
+    for f in dataclasses.fields(EnsembleConfig):
+        if f.name in obj:
+            kwargs[f.name] = obj[f.name]
+        else:
+            _require(f.default is not dataclasses.MISSING, f"config: missing field {f.name!r}")
+    raw = kwargs.get("fixed_coefficients")
+    if raw is not None:
         _require(isinstance(raw, list), "config: fixed_coefficients must be an array")
-        fixed = tuple(
+        kwargs["fixed_coefficients"] = tuple(
             pair_to_complex(c, f"config.fixed_coefficients[{k}]") for k, c in enumerate(raw)
         )
     try:
-        return EnsembleConfig(
-            n=n,
-            dim_a=dim_a,
-            dim_b=dim_b,
-            family=family,
-            seed=seed,
-            coefficient_mode=mode,
-            block_a=block_a,
-            block_b=block_b,
-            fixed_coefficients=fixed,
-        )
-    except Exception as exc:
+        return EnsembleConfig(**kwargs)
+    except DomainError as exc:
         raise SchemaError(f"config: {exc}") from exc
 
 

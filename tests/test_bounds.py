@@ -161,6 +161,19 @@ class TestBasisMatrix:
         )
 
     @pytest.mark.parametrize("n", range(2, 17))
+    def test_entries_are_square_roots_of_rounded_exact_ratios(self, n):
+        # row i is u / N_i for the integer row u; u^2 / N_i^2 is rounded once,
+        # as float(Fraction) rounds it, before the square root
+        nsq = _exact_n_squared(n)
+        m = basis_matrix(n)
+        for i in range(n):
+            row = [1] + [-(v - 1) for v in nsq[:i]] + ([1] if i < n - 1 else [])
+            mags = [math.sqrt(float(Fraction(u * u, nsq[i]))) for u in row]
+            want = [-x if u < 0 else x for u, x in zip(row, mags)]
+            assert m[i, : len(row)].tolist() == want
+            assert not m[i, len(row):].any()
+
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_orthonormal(self, n):
         m = basis_matrix(n)
         assert np.abs(m @ m.T - np.eye(n)).max() < 1e-10

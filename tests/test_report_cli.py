@@ -31,6 +31,9 @@ from entbound.serialize import config_to_json, dumps, state_to_json
 from conftest import basis_state, bell_state, two_bell_blocks
 
 
+MISSING = object()  # a config field left out of the JSON
+
+
 def haar_config(**overrides) -> EnsembleConfig:
     base = dict(
         n=3, dim_a=3, dim_b=3, family="haar", seed=42, coefficient_mode="constrained"
@@ -335,6 +338,20 @@ class TestCli:
         assert out["rhs"] == pytest.approx(2.0, abs=1e-9)
         assert out["checks"]["biorth_equality"] is True
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_eval_refuses_n_over_the_variant_cap(self, tmp_path, capsys, variant):
+        # 17 orthogonal product blocks |k>|k>: biorthogonal, so the exact
+        # formula's precondition holds and only its cap refuses the spec
+        n = 17
+        path = write_spec_file(
+            tmp_path, [n**-0.5] * n, [basis_state(n, n, k, k) for k in range(n)]
+        )
+        assert main(["eval", str(path), "--variant", variant]) == 2
+        cap = 8 if variant == "minimized" else 16
+        assert capsys.readouterr().err == (
+            f"entbound: the {variant} variant is capped at n = {cap}, got {n}\n"
+        )
+
     def test_eval_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{oops")
@@ -468,6 +485,51 @@ class TestCli:
         assert out.read_bytes() == b"records of an earlier run\n"
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param(
+                field, value, f"config: {field} must be an integer, got {value!r}",
+                id=f"{field}-{kind}",
+            )
+            for field in ("n", "dim_a", "dim_b", "block_a", "block_b", "seed")
+            for kind, value in (("bool", True), ("float", 1.5), ("str", "3"), ("null", None))
+        ]
+        + [
+            pytest.param("family", 3, "config: unknown family 3", id="family-number"),
+            pytest.param("family", ["haar"], "config: unknown family ['haar']", id="family-list"),
+            pytest.param(
+                "coefficient_mode", 0, "config: unknown coefficient mode 0", id="mode-number"
+            ),
+            pytest.param(
+                "coefficient_mode", ["constrained"],
+                "config: unknown coefficient mode ['constrained']", id="mode-list",
+            ),
+        ]
+        + [
+            pytest.param(field, MISSING, f"config: missing field {field!r}", id=f"missing-{field}")
+            for field in ("n", "dim_a", "dim_b", "family", "seed", "coefficient_mode")
+        ],
+    )
+    def test_verify_rejects_a_bad_config_field(self, tmp_path, capsys, field, value, message):
+        # one JSON value per case; EnsembleConfig makes every check but the
+        # missing-field one, which decoding makes
+        cfg = {"n": 3, "dim_a": 3, "dim_b": 3, "family": "haar", "seed": 1,
+               "coefficient_mode": "constrained", "block_a": 1, "block_b": 1}
+        if value is MISSING:
+            del cfg[field]
+        else:
+            cfg[field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"records of an earlier run\n")
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2",
+                     "--out", str(out)]) == 2
+        assert out.read_bytes() == b"records of an earlier run\n"
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"entbound: {message}")
+
+    @pytest.mark.parametrize(
         "variant, n", [(v, 17) for v in VARIANTS] + [("minimized", 9)]
     )
     def test_verify_rejected_variant_keeps_existing_output(self, tmp_path, capsys, variant, n):
@@ -502,6 +564,33 @@ class TestCli:
                      "--out", str(out)]) == 2
         assert out.read_bytes() == b"records of an earlier run\n"
         assert "fixed_coefficients must" in capsys.readouterr().err
+
+    def test_integer_beyond_the_float_range_is_an_input_error(self, tmp_path, capsys):
+        # json.loads reads a 401-digit literal as an int that float() refuses
+        big = "1" + "0" * 400
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            '{"n": 2, "dim_a": 2, "dim_b": 2, "family": "haar", "seed": 1,'
+            f' "coefficient_mode": "fixed", "fixed_coefficients": [[{big}, 0], [1, 0]]}}'
+        )
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"records of an earlier run\n")
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2",
+                     "--out", str(out)]) == 2
+        assert out.read_bytes() == b"records of an earlier run\n"
+        assert capsys.readouterr().err == (
+            "entbound: config.fixed_coefficients[0]: complex parts must fit a float\n"
+        )
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            '{"coefficients": [[1, 0], [1, 0]], "components": ['
+            '{"dim_a": 1, "dim_b": 1, "amplitudes": [[1, 0]]},'
+            f' {{"dim_a": 1, "dim_b": 1, "amplitudes": [[0, {big}]]}}]}}'
+        )
+        assert main(["eval", str(spec_path)]) == 2
+        assert capsys.readouterr().err == (
+            "entbound: spec.components[1].amplitudes[0]: complex parts must fit a float\n"
+        )
 
     def test_verify_precondition_mismatch(self, tmp_path):
         # exact variant needs biorthogonal components; haar family fails per trial

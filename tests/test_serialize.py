@@ -3,9 +3,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from entbound import EnsembleConfig, SchemaError
 from entbound.bounds import _exact_n_squared
+from entbound.ensembles import (
+    COEFFICIENT_MODES,
+    FAMILIES,
+    FAMILY_BIORTHOGONAL,
+    FAMILY_SHARED_SUPPORT,
+    MAX_STATE_ELEMS,
+    MODE_FIXED,
+)
 from entbound.serialize import (
     complex_to_pair,
     config_from_json,
@@ -134,7 +143,49 @@ class TestSpecRoundTrip:
             loads("{not json", "x")
 
 
+@st.composite
+def accepted_configs(draw) -> EnsembleConfig:
+    """Any config EnsembleConfig accepts: every family and mode, block sizes,
+    fixed coefficients, and integer fields as numpy integers or plain ints."""
+    family = draw(st.sampled_from(FAMILIES))
+    mode = draw(st.sampled_from(COEFFICIENT_MODES))
+    n = draw(st.integers(min_value=2, max_value=16))
+    block_a = draw(st.integers(min_value=1, max_value=3))
+    block_b = draw(st.integers(min_value=1, max_value=3))
+    biorthogonal = family == FAMILY_BIORTHOGONAL
+    low_a = n * block_a if biorthogonal else 1
+    dim_a = draw(st.integers(min_value=low_a, max_value=low_a + 8))
+    low_b = n * block_b if biorthogonal else 1
+    if family == FAMILY_SHARED_SUPPORT:
+        low_b = -(-n // dim_a)  # dim_a * dim_b >= n
+    dim_b = draw(st.integers(min_value=low_b, max_value=min(low_b + 8, MAX_STATE_ELEMS // dim_a)))
+    seed = draw(st.integers(min_value=0, max_value=2**64 - 1))
+    fixed = None
+    if mode == MODE_FIXED:
+        part = st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False)
+        fixed = tuple(draw(st.lists(part, min_size=n, max_size=n)))
+        assume(any(fixed))
+    ints = dict(n=n, dim_a=dim_a, dim_b=dim_b, block_a=block_a, block_b=block_b)
+    if draw(st.booleans()):
+        ints = {k: np.int64(v) for k, v in ints.items()}
+        seed = np.uint64(seed)
+    return EnsembleConfig(
+        **ints, family=family, seed=seed, coefficient_mode=mode, fixed_coefficients=fixed
+    )
+
+
 class TestConfigRoundTrip:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(accepted_configs())
+    def test_every_accepted_config_round_trips(self, cfg):
+        assert config_from_json(loads(dumps(config_to_json(cfg)))) == cfg
+
+    def test_unknown_keys_are_ignored(self):
+        obj = {"n": 3, "dim_a": 3, "dim_b": 4, "family": "haar", "seed": 99,
+               "coefficient_mode": "constrained"}
+        annotated = {"comment": "a note", **obj, "gram": [1, 2]}
+        assert config_from_json(annotated) == config_from_json(obj)
+
     def test_plain(self):
         cfg = EnsembleConfig(
             n=3, dim_a=3, dim_b=4, family="haar", seed=99, coefficient_mode="constrained"
