@@ -18,14 +18,17 @@ minimized rows take the cancellation-free form sum_j P_j log1p(S_j / P_j)
 exponentially, so one weight can dominate T so far that -sum p_i log2 p_i
 + T log2 T cancels to nothing.  The minimized variant finds its row by an
 exact branch and bound over the assignments (`_minimized`), not by
-evaluating all n! rows; rows within TIE_REL of the least rhs tie, and the
-lexicographically smallest permutation of them wins.  Also here: the
-exact formula for biorthogonal components and the assistant-state
-verifier that traces the proof chain numerically.  The right-hand side
-of both, sum |alpha_i|^2 E(phi_i) + H(|alpha|^2), is the unit-weight
-case of the bound's (every N_i^2 = 1, so T = 1), which `_rhs` evaluates
-with the constrained one as -sum p_i log2 p_i and P @ E: on its single
-row that rounds exactly like the dot product p @ E.
+evaluating all n! rows: one row-kernel pass over a cached opening, which
+places the two largest N_i^2 and usually settles the search, then, while
+nodes survive, passes that place two more entries each (one when that
+pass would weigh more nodes than the opening).  Rows within TIE_REL of
+the least rhs tie, and the lexicographically smallest permutation of
+them wins.  Also here: the exact formula for biorthogonal components and
+the assistant-state verifier that traces the proof chain numerically.
+The right-hand side of both, sum |alpha_i|^2 E(phi_i) + H(|alpha|^2), is
+the unit-weight case of the bound's (every N_i^2 = 1, so T = 1), which
+`_rhs` evaluates with the constrained one as -sum p_i log2 p_i and P @ E:
+on its single row that rounds exactly like the dot product p @ E.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ from .superposition import SuperpositionSpec, combine, component_entanglements, 
 MAX_N = 16              # recursion values overflow even float64 shortly beyond
 # Caps the minimized bound only.  Its search builds no n! table, but the
 # cap stays where the full enumeration set it until larger n is tested:
-# the settled-subtree fallback of `_minimized` can still weigh n! rows.
+# the settled-subtree fallback of `_minimized` still weighs up to (n - 2)!
+# rows per settled node.
 MAX_MINIMIZED_N = 8
 MAX_ASSISTANT_ELEMS = 65536
 BIORTHOGONALITY_TOL = 1e-10
@@ -246,6 +250,23 @@ def _rhs(
     return p @ ents + corrections, corrections
 
 
+def _place(nodes: np.ndarray, entry: int) -> np.ndarray:
+    """The children of `nodes` (table index per component, -1 while free):
+    each free component of a node in turn takes `entry`."""
+    node, comp = np.nonzero(nodes < 0)
+    children = nodes[node]
+    children[np.arange(node.size), comp] = entry
+    return children
+
+
+def _bounding_entries(nodes: np.ndarray, nsq: np.ndarray, entry: int) -> np.ndarray:
+    """The table entries of the lower and then the upper bounding rows of
+    `nodes`, `entry` being the last one placed: every free component at
+    the smallest, then the largest, remaining entry."""
+    ends = nsq[[0, entry - 1]][:, None, None]
+    return np.where(nodes < 0, ends, nsq[nodes]).reshape(-1, nodes.shape[1])
+
+
 def _completions(nodes: np.ndarray, every: bool = False) -> np.ndarray:
     """The rows of the subtrees of `nodes` (table index per component, -1
     while free): the k free components of a node take the remaining
@@ -264,32 +285,68 @@ def _completions(nodes: np.ndarray, every: bool = False) -> np.ndarray:
     return np.concatenate(rows)
 
 
+@functools.lru_cache(maxsize=None)
+def _opening(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The top of the minimized search over n components, built once per n
+    and shared read-only: the n(n - 1) nodes that place entries n - 1 and
+    n - 2, their lexicographically smallest completions, and the table
+    entries of their lower, upper and completion rows, in that order."""
+    nodes = _place(_place(np.full((1, n), -1, dtype=np.intp), n - 1), n - 2)
+    completions = _completions(nodes)
+    nsq = normalization_coeffs(n)
+    entries = np.concatenate((_bounding_entries(nodes, nsq, n - 2), nsq[completions]))
+    for table in (nodes, completions, entries):
+        table.setflags(write=False)
+    return nodes, completions, entries
+
+
+def _least_tied(rhs: np.ndarray, perms: np.ndarray) -> int:
+    """The index of the lexicographically smallest row of `perms` whose rhs
+    is within TIE_REL of the least."""
+    least = rhs.min()
+    tied = np.flatnonzero(rhs - least <= TIE_REL * least)
+    if tied.size > 1:
+        tied = tied[np.lexsort(perms[tied].T[::-1])]
+    return int(tied[0])
+
+
 def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[int, ...]]:
     """rhs, correction and permutation of the minimized bound's row: of the
     rows whose rhs is within TIE_REL of the least, the one whose
     permutation (perm[j] = the index into the sorted normalization table
     that component j takes) is lexicographically smallest.
 
-    An exact branch and bound over the n! assignments, level by level,
-    placing the largest N_i^2 first.  The rhs is nondecreasing in every
-    weight (its derivative in P_j is E_j + log2(T / P_j) >= 0), so the
-    rows that put every free component at the smallest, then the largest,
-    remaining entry bound the rows of a node's subtree from below and
-    above.  A node is pruned once its lower bound is beyond the tie window
-    of the least upper bound, so none of its rows ties.  It settles once
-    its whole subtree lies inside the tie window of the least lower bound:
-    every row of it ties, and its lexicographically smallest completion
-    stands for it.  The surviving rows and the completions go through
-    `_rhs` once.
+    An exact branch and bound over the n! assignments, placing the largest
+    N_i^2 first.  The rhs is nondecreasing in every weight (its derivative
+    in P_j is E_j + log2(T / P_j) >= 0), so the rows that put every free
+    component at the smallest, then the largest, remaining entry bound the
+    rows of a node's subtree from below and above.  A node is pruned once
+    its lower bound is beyond the tie window of the least upper bound, so
+    none of its rows ties.  It settles once its whole subtree lies inside
+    the tie window of the least lower bound: every row of it ties, and its
+    lexicographically smallest completion stands for it.
+
+    One `_row_values` pass over the cached opening (`_opening`) bounds the
+    n(n - 1) nodes that place the two largest entries and reads their
+    completions too.  When the opening settles, as it usually does, the
+    winner comes from that one pass.  Below it, each pass places two more
+    entries while it weighs no more nodes than the opening, else one (and
+    only entry 1 when it is the last, entry 0 being the completion); the
+    completions of the nodes settled there and of the last survivors go
+    through `_rhs` once at the end.  Two entries at once cost more rows
+    than the pass they save wherever the first would prune most nodes: on
+    product components with constrained coefficients, a pass of two
+    entries below the opening weighed about 600 nodes where two passes of
+    one weighed about 320.
 
     A settled subtree may still hold a row below the least rhs read,
     which would narrow the window.  When that could untie the winning
     row, every row of the settled subtrees whose lower bound is below
-    the least rhs read is weighed as well (at most n! rows, and rare: none
-    of 800 n = 8 specs drawn from four families).  The margins of
-    _ROUNDING cover the rounding of bounds and rows, so the result is
-    the full enumeration's: the same row, rhs and correction, bit for
-    bit.
+    the least rhs read is weighed as well (at most (n - 2)! rows per
+    subtree, and rare: 4 of 1 600 n = 8 specs drawn from four families).
+    The margins of _ROUNDING cover the rounding of bounds and rows, so the
+    result is the full enumeration's: the same row, rhs and correction,
+    bit for bit.
     """
     n = a2.size
     nsq = normalization_coeffs(n)
@@ -297,18 +354,12 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
     # the largest entries to the smallest weights.
     if nsq[::-1] @ np.sort(a2) <= ZERO_NORM_TOL:
         raise DegenerateStateError("all coefficients vanish")
-    frontier = np.full((1, n), -1, dtype=np.intp)  # table index per component, -1 while free
-    settled, floors = [], []  # the settled nodes and their lower bounds
     least_upper = settled_lower = math.inf
-    for entry in range(n - 1, 0, -1):
-        node, comp = np.nonzero(frontier < 0)
-        frontier = frontier[node]
-        frontier[np.arange(node.size), comp] = entry
-        # The bounding rows: every free component at the smallest, then the
-        # largest, remaining entry.
-        ends = nsq[[0, entry - 1]][:, None, None]
-        weights = np.where(frontier < 0, ends, nsq[frontier]) * a2
-        values = _row_values(weights.reshape(-1, n), ents)[0].reshape(2, -1)
+
+    def sift(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The lower bounds of the nodes whose bounding rows read `values`,
+        the nodes kept and the nodes settled."""
+        nonlocal least_upper, settled_lower
         lower = values[0] * (1 - _ROUNDING) - _ROUNDING_FLOOR
         upper = values[1] * (1 + _ROUNDING) + _ROUNDING_FLOOR
         least_upper = min(least_upper, float(upper.min()))
@@ -317,31 +368,53 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
         done = keep & (upper <= least_lower * (1 + TIE_REL))
         if done.any():
             settled_lower = min(settled_lower, float(lower[done].min()))
-            settled.append(frontier[done])
-            floors.append(lower[done])
+        return lower, keep, done
+
+    def weigh(
+        perms: np.ndarray, rows: np.ndarray, more: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows `perms` and their rhs and corrections `rows`, followed
+        by the rows `more`, through `_rhs`."""
+        extra = np.stack(_rhs(nsq[more] * a2, ents))
+        return np.concatenate((perms, more)), np.concatenate((rows, extra), axis=1)
+
+    frontier, completions, entries = _opening(n)
+    m = len(frontier)
+    opening = np.stack(_row_values(entries * a2, ents))  # rhs, then correction
+    lower, keep, done = sift(opening[0, : 2 * m].reshape(2, m))
+    # The opening's completions stand for the nodes it settles.
+    perms, rows = completions[done], opening[:, 2 * m:][:, done]
+    nodes, floors = [frontier[done]], [lower[done]]
+    frontier = frontier[keep & ~done]
+    entry = n - 2  # the last entry placed
+    while frontier.size and entry > 1:
+        # Two entries per pass while the pass weighs no more nodes than the
+        # opening; the free components of a node take entries 0..entry - 1.
+        steps = 2 if entry > 2 and len(frontier) * entry * (entry - 1) <= m else 1
+        for entry in range(entry - 1, entry - 1 - steps, -1):
+            frontier = _place(frontier, entry)
+        values = _row_values(_bounding_entries(frontier, nsq, entry) * a2, ents)[0]
+        lower, keep, done = sift(values.reshape(2, -1))
+        nodes.append(frontier[done])
+        floors.append(lower[done])
         frontier = frontier[keep & ~done]
-        if not frontier.size:
-            break
-    nodes = np.concatenate(settled + [frontier])  # a survivor's one free component takes entry 0
-    floors = np.concatenate(floors + [np.full(len(frontier), math.inf)])
-
-    def least_tied(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        rhs, corrections = _rhs(nsq[perms] * a2, ents)
-        least = rhs.min()
-        tied = np.flatnonzero(rhs - least <= TIE_REL * least)
-        return rhs, corrections, int(tied[np.lexsort(perms[tied].T[::-1])[0]])
-
-    perms = _completions(nodes)
-    rhs, corrections, k = least_tied(perms)
+    nodes.append(frontier)  # a survivor's one free component takes entry 0
+    floors.append(np.full(len(frontier), math.inf))
+    nodes, floors = np.concatenate(nodes), np.concatenate(floors)
+    if len(nodes) > len(perms):  # the completions not read in the opening
+        perms, rows = weigh(perms, rows, _completions(nodes[len(perms):]))
+    k = _least_tied(rows[0], perms)
     # Row k ties with the true least row if it lies below this edge, and
     # then it wins: the true window holds fewer rows, none lexicographically
     # smaller.  Else the settled subtrees that may hold a row below the
     # least rhs read are weighed row by row.
-    below = floors < rhs.min()
-    if below.any() and rhs[k] > floors[below].min() * (1 + TIE_REL) * (1 - _ROUNDING):
-        perms = np.concatenate((perms[~below], _completions(nodes[below], every=True)))
-        rhs, corrections, k = least_tied(perms)
-    return float(rhs[k]), float(corrections[k]), tuple(int(j) for j in perms[k])
+    under = floors < rows[0].min()
+    if under.any() and rows[0, k] > floors[under].min() * (1 + TIE_REL) * (1 - _ROUNDING):
+        perms, rows = weigh(
+            perms[~under], rows[:, ~under], _completions(nodes[under], every=True)
+        )
+        k = _least_tied(rows[0], perms)
+    return float(rows[0, k]), float(rows[1, k]), tuple(int(j) for j in perms[k])
 
 
 def _check_n(n: int, variant: str) -> None:
@@ -402,9 +475,12 @@ def bound_minimized(spec: SuperpositionSpec) -> BoundReport:
     normalization table to components (capped at n = MAX_MINIMIZED_N).
 
     An exact branch and bound finds it without an n! table (see
-    `_minimized`).  Rows whose rhs is within TIE_REL relative of the least
-    one tie, and the lexicographically smallest permutation of them wins,
-    so rows that differ only in rounding no longer pick the reported
+    `_minimized`): one row-kernel pass over a cached opening, which places
+    the two largest entries of the table, settles a typical Haar search,
+    and further passes place up to two entries each.  Rows whose rhs is
+    within TIE_REL relative of the least one tie, and the lexicographically
+    smallest permutation of them wins, so rows that differ only in rounding
+    no longer pick the reported
     permutation.  The reported rhs and correction are that row's, equal
     to `_rhs` at the reported permutation bit for bit."""
     return _bound(spec, VARIANT_MINIMIZED)

@@ -364,6 +364,36 @@ def assert_decimal_close(value: float, exact: Decimal) -> None:
     assert abs(Decimal(value) - exact) <= Decimal("1e-12") * abs(exact)
 
 
+def assert_search_is_the_full_enumeration(pairs, exponent: float) -> None:
+    """`_minimized` on the (|alpha|^2, E) pairs, the weights scaled by
+    10^exponent, against the full enumeration: the same row, or the same
+    DegenerateStateError."""
+    a2 = np.array([a for a, _ in pairs]) * 10.0**exponent
+    ents = np.array([e for _, e in pairs])
+    assume(a2.any())
+    try:
+        want = brute_force_minimized(a2, ents)
+    except DegenerateStateError:
+        with pytest.raises(DegenerateStateError):
+            _minimized(a2, ents)
+        return
+    assert _minimized(a2, ents) == want
+
+
+def record_calls(monkeypatch, name: str) -> list[tuple[tuple, dict]]:
+    """Wrap `bounds.<name>` so that every call appends its arguments to the
+    returned list."""
+    calls = []
+    inner = getattr(bounds, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append((args, kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, name, wrapped)
+    return calls
+
+
 class TestBoundMinimized:
     def test_n2_table_is_symmetric(self):
         spec = make_spec([0.5, 0.5], [basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)])
@@ -376,13 +406,17 @@ class TestBoundMinimized:
             spec = haar_spec(RandomStream(13).child(f"t{trial}"), 4, 4, 4, "simplex")
             assert bound_minimized(spec).rhs <= bound_unconstrained(spec).rhs + 1e-12
 
-    def test_matches_brute_force_oracle(self):
+    def test_matches_brute_force_oracle(self, monkeypatch):
+        passes = record_calls(monkeypatch, "_row_values")
         for n in range(2, 9):
             for mode in ("simplex", "constrained"):
                 for trial in range(12 if n < 7 else 3):
                     stream = RandomStream(17).child(f"n{n}-{mode}-t{trial}")
                     spec = haar_spec(stream, n, 3, 5, mode)
+                    passes.clear()
                     rep = bound_minimized(spec)
+                    if n <= 3:  # the tree ends inside the opening: one pass reads every row
+                        assert len(passes) == 1
                     want = brute_force_minimized(*spec_arrays(spec))
                     assert (rep.rhs, rep.correction, rep.permutation) == want
 
@@ -393,10 +427,14 @@ class TestBoundMinimized:
             "near-identical", "zero-weights-n8", "repeated-pairs-n8", "bell_like-n8",
         ],
     )
-    def test_bit_identical_to_row_by_row_reference(self, case):
+    def test_bit_identical_to_row_by_row_reference(self, monkeypatch, case):
         # No tolerance: the search must reproduce every bit of the full
         # enumeration, including which of several tied rows wins, and a row
-        # must read the same alone as among all n! rows.
+        # must read the same alone as among all n! rows.  On the Haar specs
+        # the opening settles every simplex search in its one pass; the
+        # constrained searches go on below it, two entries per pass, and end
+        # in five passes (opening and completions included) where one entry
+        # per pass would take seven.
         if case.startswith("haar-n8"):
             mode = case.rsplit("-", 1)[1]
             specs = [haar_spec(RandomStream(41).child(f"t{t}"), 8, 4, 4, mode) for t in range(4)]
@@ -429,9 +467,15 @@ class TestBoundMinimized:
             specs = [make_spec(np.full(4, 0.5), [bell_state()] * 4)]
         else:  # product components whose weights differ in their last bits
             specs = [product_spec(8**-0.5 * (1 + 1e-15 * np.arange(8)))]
+        passes = record_calls(monkeypatch, "_row_values")
         for spec in specs:
             a2, ents = spec_arrays(spec)
+            passes.clear()
             rep = bound_minimized(spec)
+            if case == "haar-n8-simplex":
+                assert len(passes) == 1
+            elif case == "haar-n8-constrained":
+                assert 1 < len(passes) <= 5
             rhs, correction, perm = brute_force_minimized(a2, ents)
             assert rep.rhs == rhs
             assert rep.gap == rhs - rep.lhs
@@ -456,17 +500,23 @@ class TestBoundMinimized:
     def test_search_is_the_full_enumeration(self, n, pool, picks, exponent):
         # Zero and repeated (|alpha|^2, E) pairs give exact ties;
         # the scale runs from below the degenerate threshold to 1e100.
-        pairs = [pool[k % len(pool)] for k in picks[:n]]
-        a2 = np.array([a for a, _ in pairs]) * 10.0**exponent
-        ents = np.array([e for _, e in pairs])
-        assume(a2.any())
-        try:
-            want = brute_force_minimized(a2, ents)
-        except DegenerateStateError:
-            with pytest.raises(DegenerateStateError):
-                _minimized(a2, ents)
-            return
-        assert _minimized(a2, ents) == want
+        assert_search_is_the_full_enumeration([pool[k % len(pool)] for k in picks[:n]], exponent)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        pool=st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+            ),
+            min_size=1, max_size=8,
+        ),
+        picks=st.lists(st.integers(min_value=0, max_value=7), min_size=8, max_size=8),
+        exponent=st.floats(-100.0, 100.0),
+    )
+    def test_search_is_the_full_enumeration_at_n8(self, pool, picks, exponent):
+        # The n of the minimized campaigns, on the same kinds of specs.
+        assert_search_is_the_full_enumeration([pool[k % len(pool)] for k in picks], exponent)
 
     @pytest.mark.parametrize(
         "a2, ents",
@@ -481,8 +531,10 @@ class TestBoundMinimized:
         # above it.  A window read from that completion would also admit a
         # lexicographically smaller row beyond the true window's edge.
         monkeypatch.setattr(bounds, "TIE_REL", 1e-2)
+        weighed = record_calls(monkeypatch, "_completions")
         a2, ents = np.array(a2), np.array(ents)
         assert _minimized(a2, ents) == brute_force_minimized(a2, ents, tie=1e-2)
+        assert any(kwargs.get("every") for _, kwargs in weighed)
 
     def test_exact_window_is_the_full_enumeration(self, monkeypatch):
         # With no tie window, only the _ROUNDING margins keep the bounds of a
@@ -505,11 +557,16 @@ class TestBoundMinimized:
     def test_cached_permutation_tables_are_read_only(self):
         # The search builds no n! table (the full n = 8 enumeration takes
         # 40320 rows of 8 floats, 2.6 MB): it reads only the shared
-        # normalization table, which stays read-only and unchanged.
+        # normalization table and the cached opening of the search, both
+        # read-only, shared per n and unchanged by a search.
         spec = haar_spec(RandomStream(47).child("t"), 8, 4, 4, "simplex")
         a2, ents = spec_arrays(spec)
         table = normalization_coeffs(8)
         before = table.copy()
+        opening = bounds._opening(8)
+        opening_before = [a.copy() for a in opening]
+        assert bounds._opening(8) is opening and bounds._opening(7) is not opening
+        assert all(not a.flags.writeable for a in opening)
         tracemalloc.start()
         try:
             found = _minimized(a2, ents)
@@ -520,6 +577,9 @@ class TestBoundMinimized:
         assert found == brute_force_minimized(a2, ents)
         assert normalization_coeffs(8) is table and not table.flags.writeable
         np.testing.assert_array_equal(table, before)
+        assert bounds._opening(8) is opening
+        for a, b in zip(opening, opening_before):
+            np.testing.assert_array_equal(a, b)
 
     def test_prefers_small_weights_on_entangled_components(self):
         # E = (0, 0, 1): the minimum cannot exceed the identity assignment
