@@ -20,8 +20,7 @@ exponentially, so one weight can dominate T so far that -sum p_i log2 p_i
 exact branch and bound over the assignments (`_minimized`), not by
 evaluating all n! rows: one row-kernel pass over a cached opening, which
 places the two largest N_i^2 and usually settles the search, then, while
-nodes survive, passes that place two more entries each (one when that
-pass would weigh more nodes than the opening).  Rows within TIE_REL of
+nodes survive, one pass per further entry.  Rows within TIE_REL of
 the least rhs tie, and the lexicographically smallest permutation of
 them wins.  Also here: the exact formula for biorthogonal components and
 the assistant-state verifier that traces the proof chain numerically.
@@ -329,15 +328,10 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
     One `_row_values` pass over the cached opening (`_opening`) bounds the
     n(n - 1) nodes that place the two largest entries and reads their
     completions too.  When the opening settles, as it usually does, the
-    winner comes from that one pass.  Below it, each pass places two more
-    entries while it weighs no more nodes than the opening, else one (and
-    only entry 1 when it is the last, entry 0 being the completion); the
+    winner comes from that one pass.  Below it, each pass places one more
+    entry, down to entry 1 (entry 0 is the completion), and the
     completions of the nodes settled there and of the last survivors go
-    through `_rhs` once at the end.  Two entries at once cost more rows
-    than the pass they save wherever the first would prune most nodes: on
-    product components with constrained coefficients, a pass of two
-    entries below the opening weighed about 600 nodes where two passes of
-    one weighed about 320.
+    through `_rhs` once at the end.
 
     A settled subtree may still hold a row below the least rhs read,
     which would narrow the window.  When that could untie the winning
@@ -386,13 +380,10 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
     perms, rows = completions[done], opening[:, 2 * m:][:, done]
     nodes, floors = [frontier[done]], [lower[done]]
     frontier = frontier[keep & ~done]
-    entry = n - 2  # the last entry placed
-    while frontier.size and entry > 1:
-        # Two entries per pass while the pass weighs no more nodes than the
-        # opening; the free components of a node take entries 0..entry - 1.
-        steps = 2 if entry > 2 and len(frontier) * entry * (entry - 1) <= m else 1
-        for entry in range(entry - 1, entry - 1 - steps, -1):
-            frontier = _place(frontier, entry)
+    for entry in range(n - 3, 0, -1):  # one entry per pass below the opening
+        if not frontier.size:
+            break
+        frontier = _place(frontier, entry)
         values = _row_values(_bounding_entries(frontier, nsq, entry) * a2, ents)[0]
         lower, keep, done = sift(values.reshape(2, -1))
         nodes.append(frontier[done])
@@ -477,12 +468,12 @@ def bound_minimized(spec: SuperpositionSpec) -> BoundReport:
     An exact branch and bound finds it without an n! table (see
     `_minimized`): one row-kernel pass over a cached opening, which places
     the two largest entries of the table, settles a typical Haar search,
-    and further passes place up to two entries each.  Rows whose rhs is
-    within TIE_REL relative of the least one tie, and the lexicographically
+    and each further pass places one more entry.  Rows whose rhs is within
+    TIE_REL relative of the least one tie, and the lexicographically
     smallest permutation of them wins, so rows that differ only in rounding
-    no longer pick the reported
-    permutation.  The reported rhs and correction are that row's, equal
-    to `_rhs` at the reported permutation bit for bit."""
+    no longer pick the reported permutation.  The reported rhs and
+    correction are that row's, equal to `_rhs` at the reported permutation
+    bit for bit."""
     return _bound(spec, VARIANT_MINIMIZED)
 
 
