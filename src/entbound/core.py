@@ -55,8 +55,11 @@ def shannon_entropy(p: np.ndarray) -> float:
 class BipartitePureState:
     """Pure state of an A x B system as a dim_a x dim_b amplitude matrix.
 
-    The matrix may be unnormalized (even zero); constructors only enforce
-    shape and finiteness.  Instances are immutable and safe to share.
+    The matrix may be unnormalized (even zero); the constructor copies it
+    and only enforces shape and finiteness.  A `SuperpositionSpec`'s
+    components are states of this type too, built by `_view` as read-only
+    views of the rows of the spec's checked amplitude stack, without a copy
+    or a second check.  Instances are immutable and safe to share.
     """
 
     amplitudes: np.ndarray
@@ -71,6 +74,14 @@ class BipartitePureState:
             raise InvariantViolationError("state amplitudes contain NaN or Inf")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
+
+    @classmethod
+    def _view(cls, amplitudes: np.ndarray) -> "BipartitePureState":
+        """The state on `amplitudes` as given: a read-only, finite, complex
+        (dim_a, dim_b) array that the caller has already checked."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
 
     @property
     def dim_a(self) -> int:

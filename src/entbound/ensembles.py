@@ -16,7 +16,9 @@ checks the formula itself.
 Each component family is a private `(config, stream)` draw that returns
 one (n, dim_a, dim_b) amplitude stack and trusts its config: a family's
 preconditions are checked once, by `EnsembleConfig`.  `generate_spec`
-wraps each row in a `BipartitePureState` once.  tests/test_golden.py
+hands the drawn stack to `SuperpositionSpec` as it is: the spec copies
+and checks it in one pass, and its components are views of the stack's
+rows.  tests/test_golden.py
 pins every family's substream labels, draw order and drawn amplitudes.
 """
 
@@ -100,8 +102,9 @@ def _haar(shape: tuple[int, ...], stream: RandomStream) -> np.ndarray:
     """Unit-norm array of i.i.d. standard complex Gaussian amplitudes."""
     if min(shape) < 1:
         raise DomainError("dimensions must be >= 1")
-    g = stream.generator()
-    amp = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    # one draw of both parts reads the same numbers as a draw of each in turn
+    re, im = stream.generator().standard_normal((2, *shape))
+    amp = re + 1j * im
     return amp / math.sqrt(float(np.vdot(amp, amp).real))
 
 
@@ -283,6 +286,4 @@ def generate_spec(
     alphas = _COEFFICIENT_DRAWS[config.coefficient_mode](
         config, coeffs, trial_stream.child("coefficients")
     )
-    return SuperpositionSpec(
-        coefficients=alphas, components=tuple(BipartitePureState(amp) for amp in stack)
-    )
+    return SuperpositionSpec(coefficients=alphas, components=stack)

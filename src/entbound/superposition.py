@@ -1,9 +1,10 @@
 """Superpositions of bipartite pure states.
 
 A superposition is an ordered list of complex coefficients paired with
-normalized component states on a shared (dim_a, dim_b).  The combined
-state is generally unnormalized and can even vanish; the Gram matrix of
-the components is computed once and cached on the spec.
+normalized component states on a shared (dim_a, dim_b), held as one
+(n, dim_a, dim_b) amplitude stack.  The combined state is generally
+unnormalized and can even vanish; the Gram matrix of the components is
+computed once and cached on the spec.
 """
 
 from __future__ import annotations
@@ -63,8 +64,16 @@ class GramMatrix:
 class SuperpositionSpec:
     """Coefficients alpha_i and normalized components phi_i, n >= 2.
 
-    The stacked component tensor and the Gram matrix are built at
-    construction and reused by every downstream consumer.
+    `components` is given in one of two forms: a sequence of
+    `BipartitePureState`s on one (dim_a, dim_b), whose amplitudes are
+    stacked once, or an (n, dim_a, dim_b) amplitude array, such as a
+    family's draw, which is copied.  Either way the spec holds one
+    read-only stack, and one check covers both forms: the stack's shape,
+    that it is finite, and unit norms read from the diagonal of the Gram
+    matrix.  A dims or norm failure names the first bad component.  After
+    construction `components` is the tuple of states that are read-only
+    views of the stack's rows.  The stack and the Gram matrix are reused
+    by every downstream consumer.
     """
 
     coefficients: np.ndarray
@@ -74,50 +83,71 @@ class SuperpositionSpec:
 
     def __post_init__(self) -> None:
         alphas = np.array(self.coefficients, dtype=complex, copy=True).reshape(-1)
-        comps = tuple(self.components)
-        if len(comps) < 2:
+        stack = _component_stack(self.components)
+        n = len(stack)
+        if n < 2:
             raise PreconditionError("a superposition needs at least 2 components")
-        if alphas.size != len(comps):
-            raise ShapeMismatchError(
-                f"{alphas.size} coefficients for {len(comps)} components"
-            )
-        if not np.all(np.isfinite(alphas)):
+        if alphas.size != n:
+            raise ShapeMismatchError(f"{alphas.size} coefficients for {n} components")
+        if not np.isfinite(alphas).all():
             raise InvariantViolationError("coefficients contain NaN or Inf")
         largest = float(np.abs(alphas).max())
         if largest == 0.0:
             raise PreconditionError("coefficients must not all be zero")
-        check_coefficient_scale(len(comps), largest, "coefficients", InvariantViolationError)
-        dims = (comps[0].dim_a, comps[0].dim_b)
-        for k, c in enumerate(comps):
-            if (c.dim_a, c.dim_b) != dims:
-                raise ShapeMismatchError(
-                    f"component {k} has dims {c.dim_a}x{c.dim_b}, expected {dims[0]}x{dims[1]}"
-                )
-            if abs(c.squared_norm - 1.0) > COMPONENT_NORM_TOL:
-                raise PreconditionError(
-                    f"component {k} is not normalized (squared norm {c.squared_norm!r})"
-                )
-        alphas.setflags(write=False)
-        stack = np.stack([c.amplitudes for c in comps])
-        stack.setflags(write=False)
+        check_coefficient_scale(n, largest, "coefficients", InvariantViolationError)
+        if not np.isfinite(stack).all():
+            raise InvariantViolationError("state amplitudes contain NaN or Inf")
         gram = np.einsum("iab,jab->ij", stack.conj(), stack)
-        gram.setflags(write=False)
+        norms = gram.diagonal().real
+        deviations = np.abs(norms - 1.0)
+        if not deviations.max() <= COMPONENT_NORM_TOL:  # a NaN deviation fails too
+            k = int((~(deviations <= COMPONENT_NORM_TOL)).argmax())
+            raise PreconditionError(
+                f"component {k} is not normalized (squared norm {float(norms[k])!r})"
+            )
+        for array in (alphas, stack, gram):
+            array.setflags(write=False)
         object.__setattr__(self, "coefficients", alphas)
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(
+            self, "components", tuple(BipartitePureState._view(amp) for amp in stack)
+        )
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "gram", GramMatrix(gram))
 
     @property
     def n(self) -> int:
-        return len(self.components)
+        return self._stack.shape[0]
 
     @property
     def dim_a(self) -> int:
-        return self.components[0].dim_a
+        return self._stack.shape[1]
 
     @property
     def dim_b(self) -> int:
-        return self.components[0].dim_b
+        return self._stack.shape[2]
+
+
+def _component_stack(components) -> np.ndarray:
+    """A fresh complex (n, dim_a, dim_b) stack of a spec's components: the
+    array as given, or the amplitudes of states on one (dim_a, dim_b).  No
+    components give an empty stack, which the spec refuses."""
+    if isinstance(components, np.ndarray):
+        stack = components.astype(complex)
+        if stack.ndim != 3 or min(stack.shape[1:]) < 1:
+            raise ShapeMismatchError(
+                f"a component stack must have shape (n, dim_a, dim_b), got {stack.shape}"
+            )
+        return stack
+    comps = tuple(components)
+    if not comps:
+        return np.empty((0, 1, 1), dtype=complex)
+    dims = (comps[0].dim_a, comps[0].dim_b)
+    for k, c in enumerate(comps):
+        if (c.dim_a, c.dim_b) != dims:
+            raise ShapeMismatchError(
+                f"component {k} has dims {c.dim_a}x{c.dim_b}, expected {dims[0]}x{dims[1]}"
+            )
+    return np.stack([c.amplitudes for c in comps])
 
 
 def combine(spec: SuperpositionSpec) -> BipartitePureState:

@@ -364,6 +364,15 @@ def assert_decimal_close(value: float, exact: Decimal) -> None:
     assert abs(Decimal(value) - exact) <= Decimal("1e-12") * abs(exact)
 
 
+# The scale 10^exponent of the weights in the enumeration tests: normal
+# scales, where repeated (|alpha|^2, E) pairs tie exactly; a band around the
+# degenerate threshold ZERO_NORM_TOL = 1e-12, from 1e-13, where the least row
+# total of weights up to 1 falls below it, to 1e-9, where one weight of 1e-3
+# clears it; and scales up to 1e100.  Further below the band every example
+# would recheck the same DegenerateStateError.
+EXPONENTS = st.one_of(st.floats(-2.0, 2.0), st.floats(-13.0, -9.0), st.floats(-9.0, 100.0))
+
+
 def assert_search_is_the_full_enumeration(pairs, exponent: float) -> None:
     """`_minimized` on the (|alpha|^2, E) pairs, the weights scaled by
     10^exponent, against the full enumeration: the same row, or the same
@@ -494,7 +503,7 @@ class TestBoundMinimized:
             min_size=1, max_size=7,
         ),
         picks=st.lists(st.integers(min_value=0, max_value=6), min_size=7, max_size=7),
-        exponent=st.floats(-100.0, 100.0),
+        exponent=EXPONENTS,
     )
     def test_search_is_the_full_enumeration(self, n, pool, picks, exponent):
         # Zero and repeated (|alpha|^2, E) pairs give exact ties;
@@ -511,7 +520,7 @@ class TestBoundMinimized:
             min_size=1, max_size=8,
         ),
         picks=st.lists(st.integers(min_value=0, max_value=7), min_size=8, max_size=8),
-        exponent=st.floats(-100.0, 100.0),
+        exponent=EXPONENTS,
     )
     def test_search_is_the_full_enumeration_at_n8(self, pool, picks, exponent):
         # The n of the minimized campaigns, on the same kinds of specs.

@@ -21,6 +21,7 @@ from entbound import (
     squared_norm,
     BipartitePureState,
     SuperpositionSpec,
+    combine,
 )
 from entbound.ensembles import (
     COEFFICIENT_MODES,
@@ -30,7 +31,7 @@ from entbound.ensembles import (
     MAX_STATE_ELEMS,
     _seed_words,
 )
-from entbound.report import trial_stream
+from entbound.report import run_trial, trial_stream
 from entbound.serialize import config_from_json
 from conftest import drawn_components
 
@@ -376,6 +377,33 @@ class TestEnsembleConfig:
         spec = generate_spec(cfg, normalization_coeffs(2), RandomStream(3).child("t"))
         assert spec.n == 2
         assert spec.dim_a == 4 and spec.dim_b == 4
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_trial_constructs_only_its_combined_state(self, monkeypatch, family):
+        # The drawn stack goes into the spec as it is, and every component is
+        # a read-only view of one of its rows, not a state built on a copy.
+        built = []
+        check = BipartitePureState.__post_init__
+
+        def counted(state):
+            built.append(state)
+            check(state)
+
+        monkeypatch.setattr(BipartitePureState, "__post_init__", counted)
+        cfg = EnsembleConfig(
+            n=3, dim_a=3, dim_b=3, family=family, seed=9, coefficient_mode="simplex_uniform"
+        )
+        run_trial(cfg, "unconstrained", 0)
+        assert len(built) == 1
+        spec = generate_spec(cfg, normalization_coeffs(3), trial_stream(cfg, 0))
+        assert len(built) == 1
+        np.testing.assert_array_equal(built[0].amplitudes, combine(spec).amplitudes)
+        for k, c in enumerate(spec.components):
+            assert c.amplitudes.base is spec._stack
+            assert c.amplitudes.tobytes() == spec._stack[k].tobytes()
+            assert not c.amplitudes.flags.writeable
+            with pytest.raises(ValueError):
+                c.amplitudes.setflags(write=True)
 
     def test_family_postconditions(self):
         cfg_bio = EnsembleConfig(

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entbound import (
     BipartitePureState,
     DegenerateStateError,
+    EntboundError,
     InvariantViolationError,
     PreconditionError,
     ShapeMismatchError,
@@ -58,6 +60,86 @@ class TestSpecValidation:
         np.testing.assert_allclose(np.diag(g).real, 1.0, atol=1e-10)
         assert np.abs(g - g.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(g).min() > -1e-10
+
+
+FAULTS = (
+    None, "one component", "coefficient count", "nan coefficient", "zero coefficients",
+    "overflowing coefficient", "nan amplitude", "inf amplitude", "unnormalized component",
+)
+
+
+def built(coeffs, stack, as_states: bool):
+    """The spec on the stack, or on its rows as states, or the type and
+    message of the error that building it raised."""
+    try:
+        components = tuple(BipartitePureState(amp) for amp in stack) if as_states else stack
+        return SuperpositionSpec(coeffs, components)
+    except EntboundError as exc:
+        return type(exc), str(exc)
+
+
+class TestSpecFromStack:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        n=st.integers(min_value=2, max_value=6),
+        dim_a=st.integers(min_value=1, max_value=4),
+        dim_b=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        fault=st.sampled_from(FAULTS),
+        k=st.integers(min_value=0, max_value=5),
+        scale=st.sampled_from([0.0, 0.5, 1 - 1e-9, 1 + 1e-9, 3.0]),
+    )
+    def test_stack_and_states_build_the_same_spec(self, n, dim_a, dim_b, seed, fault, k, scale):
+        # Both forms go through one check, so each input with one fault
+        # fails the same way in both, and a valid one gives the same bits.
+        g = np.random.default_rng(seed)
+        stack = g.standard_normal((n, dim_a, dim_b)) + 1j * g.standard_normal((n, dim_a, dim_b))
+        stack /= np.linalg.norm(stack, axis=(1, 2), keepdims=True)
+        coeffs = g.standard_normal(n) + 1j * g.standard_normal(n)
+        k %= n
+        if fault == "one component":
+            stack, coeffs = stack[:1], coeffs[:1]
+        elif fault == "coefficient count":
+            coeffs = coeffs[:-1]
+        elif fault == "nan coefficient":
+            coeffs[k] = np.nan
+        elif fault == "zero coefficients":
+            coeffs[:] = 0.0
+        elif fault == "overflowing coefficient":
+            coeffs[k] = 1e160
+        elif fault in ("nan amplitude", "inf amplitude"):
+            stack[k, -1, 0] = np.nan if fault == "nan amplitude" else complex(0, np.inf)
+        elif fault == "unnormalized component":
+            stack[k] *= scale
+        from_stack = built(coeffs, stack, as_states=False)
+        from_states = built(coeffs, stack, as_states=True)
+        if fault is None:
+            for spec in (from_stack, from_states):
+                assert isinstance(spec, SuperpositionSpec)
+            for a, b in [
+                (from_stack.coefficients, from_states.coefficients),
+                (from_stack._stack, from_states._stack),
+                (from_stack.gram.matrix, from_states.gram.matrix),
+            ] + [(x.amplitudes, y.amplitudes)
+                 for x, y in zip(from_stack.components, from_states.components)]:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert from_stack._stack.tobytes() == stack.tobytes()
+        else:
+            assert isinstance(from_stack, tuple) and from_stack == from_states
+        if fault == "unnormalized component":
+            assert from_stack[1].startswith(f"component {k} is not normalized")
+
+    def test_holds_a_copy(self):
+        stack = np.stack([bell_state(+1).amplitudes, bell_state(-1).amplitudes])
+        spec = SuperpositionSpec(np.ones(2), stack)
+        stack[0] = 0.0
+        assert spec.components[0].amplitudes.tobytes() == bell_state(+1).amplitudes.tobytes()
+        assert spec.n == 2 and spec.dim_a == 2 and spec.dim_b == 2
+
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 4), (2, 2, 2, 1), (2, 0, 2), (2, 2, 0)])
+    def test_rejects_a_stack_of_the_wrong_shape(self, shape):
+        with pytest.raises(ShapeMismatchError, match="shape"):
+            SuperpositionSpec(np.ones(2), np.ones(shape, dtype=complex))
 
 
 class TestCombine:
