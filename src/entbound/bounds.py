@@ -36,7 +36,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -44,21 +43,17 @@ from .core import (
     CONSTRAINT_TOL,
     GAP_SLACK,
     ZERO_NORM_TOL,
-    BipartitePureState,
     schmidt_entropies,
     xlog2x,
 )
-from .errors import (
-    DegenerateStateError,
-    DomainError,
-    InvariantViolationError,
-    PreconditionError,
-    ShapeMismatchError,
-)
+from .errors import DegenerateStateError, DomainError, PreconditionError
 from .superposition import SuperpositionSpec, combine, component_entanglements, squared_norm
 
 MAX_N = 16              # recursion values overflow even float64 shortly beyond
-# Caps the minimized bound only.  Its search builds no n! table, but the
+# Caps the N_i^2-weighted bound variants: N_11^2 (about 2.7e208) is the last
+# entry of the float table, and normalization_coeffs(12) holds +inf.
+MAX_WEIGHTED_N = 11
+# Caps the minimized bound further.  Its search builds no n! table, but the
 # cap stays where the full enumeration set it until larger n is tested:
 # the settled-subtree fallback of `_minimized` still weighs up to (n - 2)!
 # rows per settled node.
@@ -112,8 +107,9 @@ def normalization_coeffs(n: int) -> np.ndarray:
     """The vector (N_1^2, ..., N_n^2) for 2 <= n <= 16, as floats.
 
     Values grow doubly exponentially (the interior terms follow
-    Sylvester's sequence), so the float view saturates to +inf around
-    n = 12; `_exact_n_squared(n)` gives the exact integers.  The table is
+    Sylvester's sequence), so the float view holds +inf from n = 12 on,
+    where the weighted variants stop (MAX_WEIGHTED_N);
+    `_exact_n_squared(n)` gives the exact integers.  The table is
     built once per n and shared read-only.  This stays a plain function
     over the cached builder so that per-function profilers still see
     every call.
@@ -411,10 +407,34 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
 def _check_n(n: int, variant: str) -> None:
     """Raise DomainError unless `variant` takes n components: the
     documented domain, and the normalization table a campaign draws with,
-    end at MAX_N, and the minimized bound is capped at MAX_MINIMIZED_N."""
-    cap = MAX_MINIMIZED_N if variant == VARIANT_MINIMIZED else MAX_N
+    end at MAX_N, the N_i^2-weighted bound variants at MAX_WEIGHTED_N, and
+    the minimized bound at MAX_MINIMIZED_N."""
+    if variant == VARIANT_MINIMIZED:
+        cap = MAX_MINIMIZED_N
+    elif variant in (VARIANT_CONSTRAINED, VARIANT_UNCONSTRAINED):
+        cap = MAX_WEIGHTED_N
+    else:
+        cap = MAX_N
     if n > cap:
         raise DomainError(f"the {variant} variant is capped at n = {cap}, got {n}")
+
+
+def _check_weights(variant: str, n: int, top: float, dim_a: int, dim_b: int) -> None:
+    """Raise DomainError unless an N_i^2-weighted variant keeps every row it
+    weighs a float, for n coefficients of largest |alpha_i|^2 = top on
+    dim_a x dim_b components; the exact and assistant variants weigh by
+    |alpha_i|^2 alone.  A row's total is at most n N_n^2 top, its rhs that
+    times log2 min(dim_a, dim_b) + log2 n (the entropies and the
+    correction), and the lhs at most n^2 top log2 min(dim_a, dim_b); one
+    more factor of the total covers the search's rounding margins."""
+    weighted = (VARIANT_CONSTRAINED, VARIANT_UNCONSTRAINED, VARIANT_MINIMIZED)
+    if variant in weighted and not math.isfinite(
+        n * float(normalization_coeffs(n)[-1]) * top * math.log2(2 * n * min(dim_a, dim_b))
+    ):
+        raise DomainError(
+            f"the {variant} variant needs n N_n^2 max|alpha_i|^2 log2(2 n min(dim_a, dim_b))"
+            f" finite (got max|alpha_i| = {math.sqrt(top):.3e})"
+        )
 
 
 def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
@@ -423,13 +443,15 @@ def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
     The weights are products N_i^2 |alpha_j|^2: the single row of the
     identity assignment, p_j = N_j^2 |alpha_j|^2, for the constrained and
     unconstrained variants, and the row `_minimized` finds for the
-    minimized one.
+    minimized one.  A spec beyond the variant's cap on n, or whose weighted
+    rows could leave the float range (`_check_weights`), is a DomainError.
     """
     n = spec.n
     _check_n(n, variant)
+    a2 = np.abs(spec.coefficients) ** 2
+    _check_weights(variant, n, float(a2.max()), spec.dim_a, spec.dim_b)
     minimized = variant == VARIANT_MINIMIZED
     n2, e_psi, ents = _entanglements(spec, "the bound is vacuous")
-    a2 = np.abs(spec.coefficients) ** 2
     permutation = None
     if minimized:
         rhs, correction, permutation = _minimized(a2, ents)
@@ -477,28 +499,20 @@ def bound_minimized(spec: SuperpositionSpec) -> BoundReport:
     return _bound(spec, VARIANT_MINIMIZED)
 
 
-def is_biorthogonal(components: Sequence[BipartitePureState]) -> bool:
-    """True iff every pair of components has zero overlap between reduced
-    states on both sides: Tr[rho_i^A rho_j^A] and Tr[rho_i^B rho_j^B]
-    below BIORTHOGONALITY_TOL in magnitude for all i != j.  The reduced
-    states of each side come from one batched contraction of the
-    amplitude stack, and all their pairwise overlaps from one more."""
-    comps = list(components)
-    if len(comps) < 2:
-        raise PreconditionError("biorthogonality needs at least 2 components")
-    dims = (comps[0].dim_a, comps[0].dim_b)
-    for k, c in enumerate(comps):
-        if (c.dim_a, c.dim_b) != dims:
-            raise ShapeMismatchError(f"component {k} has mismatched dimensions")
-    stack = np.stack([c.amplitudes for c in comps])
-    off_diagonal = ~np.eye(len(comps), dtype=bool)
+def is_biorthogonal(spec: SuperpositionSpec) -> bool:
+    """True iff every pair of the spec's components has zero overlap
+    between reduced states on both sides: Tr[rho_i^A rho_j^A] and
+    Tr[rho_i^B rho_j^B] below BIORTHOGONALITY_TOL in magnitude for all
+    i != j.  The reduced states of each side come from one batched
+    contraction of the spec's checked stack (unit norms keep every overlap
+    in [0, 1]), and all their pairwise overlaps from one more."""
+    stack = spec._stack
+    off_diagonal = ~np.eye(spec.n, dtype=bool)
     for reduced in (
         np.einsum("kab,kcb->kac", stack, stack.conj()),  # rho^A of every component
         np.einsum("kab,kac->kbc", stack, stack.conj()),  # rho^B of every component
     ):
         overlaps = np.abs(np.einsum("iac,jca->ij", reduced, reduced)[off_diagonal])
-        if not np.isfinite(overlaps).all():
-            raise InvariantViolationError("reduced-state overlaps are not finite")
         if (overlaps >= BIORTHOGONALITY_TOL).any():
             return False
     return True
@@ -518,7 +532,7 @@ def exact_biorthogonal_entanglement(spec: SuperpositionSpec) -> BoundReport:
     """
     _check_n(spec.n, VARIANT_EXACT)
     _, direct, ents = _entanglements(spec, "entanglement of the normalized version is undefined")
-    if not is_biorthogonal(spec.components):
+    if not is_biorthogonal(spec):
         raise PreconditionError("components are not mutually biorthogonal")
     a2 = np.abs(spec.coefficients)[None, :] ** 2
     rhs, mixing = _rhs(

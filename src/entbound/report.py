@@ -23,6 +23,7 @@ from .bounds import (
     VARIANT_UNCONSTRAINED,
     BoundReport,
     _check_n,
+    _check_weights,
     assistant_state_check,
     bound_constrained,
     bound_minimized,
@@ -91,16 +92,19 @@ def run_trial(config: EnsembleConfig, variant: str, trial_id: int) -> TrialRecor
 def iter_trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[TrialRecord]:
     """Lazily evaluate trial_id = 0 .. trials-1 in order.
 
-    The arguments, the variant's cap on n included, are checked here, when
-    the iterator is made, not at its first step.  A trial that trips a
-    numeric invariant is recorded as a violation rather than aborting the
-    campaign.
+    The arguments, the variant's cap on n and the scale of fixed
+    coefficients included, are checked here, when the iterator is made, not
+    at its first step.  A trial that trips a numeric invariant is recorded
+    as a violation rather than aborting the campaign.
     """
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     _check_n(config.n, variant)
+    if config.fixed_coefficients is not None:
+        largest = max(abs(c) for c in config.fixed_coefficients)
+        _check_weights(variant, config.n, largest * largest, config.dim_a, config.dim_b)
     return _trials(config, variant, trials)
 
 

@@ -37,11 +37,6 @@ def reduced_states(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m @ m.conj().T, m.T @ m.conj()
 
 
-def as_states(stack: np.ndarray) -> tuple[BipartitePureState, ...]:
-    """The rows of an (n, dim_a, dim_b) amplitude stack as states."""
-    return tuple(BipartitePureState(amp) for amp in stack)
-
-
 def drawn_components(
     family: str, n: int, dim_a: int, dim_b: int, stream, block_a: int = 1, block_b: int = 1
 ) -> tuple[BipartitePureState, ...]:

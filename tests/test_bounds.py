@@ -9,14 +9,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from entbound import (
-    BipartitePureState,
     DegenerateStateError,
     DomainError,
     EnsembleConfig,
-    InvariantViolationError,
     PreconditionError,
     RandomStream,
-    ShapeMismatchError,
     SuperpositionSpec,
     assistant_state_check,
     basis_matrix,
@@ -40,9 +37,8 @@ from entbound import bounds
 from entbound.bounds import TIE_REL, _exact_n_squared, _minimized, _rhs
 from entbound.ensembles import FAMILIES, FAMILY_SHARED_SUPPORT
 from entbound.ensembles import FAMILY_BIORTHOGONAL as BIORTHOGONAL
-from entbound.report import trial_stream
+from entbound.report import evaluate_variant, trial_stream
 from conftest import (
-    as_states,
     basis_state,
     bell_state,
     drawn_components,
@@ -50,6 +46,9 @@ from conftest import (
     reduced_states,
     two_bell_blocks,
 )
+
+
+FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def make_spec(coeffs, components) -> SuperpositionSpec:
@@ -121,6 +120,12 @@ class TestNormalizationCoeffs:
         coeffs = normalization_coeffs(6)
         assert normalization_coeffs(6) is coeffs
         assert not coeffs.flags.writeable
+
+    def test_weighted_cap_is_the_last_finite_table(self):
+        # The N_i^2-weighted variants stop where the float table does.
+        assert bounds.MAX_WEIGHTED_N == 11
+        assert np.isfinite(normalization_coeffs(11)).all()
+        assert np.isinf(normalization_coeffs(12)[-1])
 
 
 def oracle_basis_by_recursion(n: int) -> np.ndarray:
@@ -307,6 +312,22 @@ class TestBoundUnconstrained:
         assert r1.lhs == pytest.approx(9.0 * r0.lhs, rel=1e-10)
         assert r1.rhs == pytest.approx(9.0 * r0.rhs, rel=1e-10)
 
+    def test_weight_scale_covers_the_entropies(self):
+        # Two orthogonal maximally entangled 64x64 states (E = 6 bits) at
+        # |alpha_i|^2 = top, which the spec admits below FLOAT_MAX / 16.  The
+        # rhs reaches T (6 + 1), T = 4 top, so the weights alone would pass
+        # FLOAT_MAX / 20; n N_n^2 top log2(2 n 64) = 32 top must be finite.
+        stack = np.stack([np.eye(64), np.roll(np.eye(64), 1, axis=1)]) / 8
+        refused = SuperpositionSpec(np.full(2, math.sqrt(FLOAT_MAX / 20)), stack)
+        for bound in (bound_constrained, bound_unconstrained, bound_minimized):
+            with pytest.raises(DomainError, match="finite"):
+                bound(refused)
+        admitted = SuperpositionSpec(np.full(2, math.sqrt(FLOAT_MAX / 40)), stack)
+        with np.errstate(all="raise"):
+            for bound in (bound_unconstrained, bound_minimized):
+                rep = bound(admitted)
+                assert math.isfinite(rep.gap) and rep.rhs > 0.5 * FLOAT_MAX and rep.gap > 0
+
 
 def oracle_minimized_rhs(spec: SuperpositionSpec) -> tuple[float, tuple[int, ...]]:
     """Scalar brute force over every permutation, no shared code paths."""
@@ -344,9 +365,10 @@ def spec_arrays(spec: SuperpositionSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(spec.coefficients) ** 2, component_entanglements(spec)
 
 
-def decimal_rhs(a2, ents, perm) -> tuple[Decimal, Decimal]:
+def decimal_rhs(a2, ents, perm, unit_total: bool = False) -> tuple[Decimal, Decimal]:
     """rhs and correction of one row, sum p_j E_j + sum p_j log2(T / p_j),
-    from the exact N_i^2 and the exact values of the float inputs.  The
+    from the exact N_i^2 and the exact values of the float inputs, with
+    T = 1 if unit_total (the constrained variant's form).  The
     precision covers the square of the largest N_i^2 (a weight and the
     sum it is divided by can differ by that factor) plus 40 digits: at 80
     digits, n = 11 read 0.4% off."""
@@ -354,7 +376,7 @@ def decimal_rhs(a2, ents, perm) -> tuple[Decimal, Decimal]:
     with localcontext() as ctx:
         ctx.prec = 2 * len(str(nsq[-1])) + 40
         p = [nsq[t] * Decimal(float(x)) for t, x in zip(perm, a2)]
-        total = sum(p, Decimal(0))
+        total = Decimal(1) if unit_total else sum(p, Decimal(0))
         correction = sum((x * (total / x).ln() for x in p if x), Decimal(0)) / Decimal(2).ln()
         rhs = sum((x * Decimal(float(e)) for x, e in zip(p, ents)), Decimal(0)) + correction
     return rhs, correction
@@ -544,6 +566,22 @@ class TestBoundMinimized:
         assert _minimized(a2, ents) == brute_force_minimized(a2, ents, tie=1e-2)
         assert any(kwargs.get("every") for _, kwargs in weighed)
 
+    @pytest.mark.parametrize("trial", [145, 155])
+    def test_settled_subtree_fallback_at_the_default_window(self, monkeypatch, trial):
+        # The two of the first 200 Haar simplex draws of minimized-n8's
+        # config shape whose settled subtrees are weighed row by row under
+        # the default TIE_REL (720 rows each).
+        cfg = EnsembleConfig(
+            n=8, dim_a=4, dim_b=4, family="haar", seed=7, coefficient_mode="simplex_uniform"
+        )
+        spec = generate_spec(cfg, normalization_coeffs(8), trial_stream(cfg, trial))
+        weighed = record_calls(monkeypatch, "_completions")
+        rep = bound_minimized(spec)
+        assert any(kwargs.get("every") for _, kwargs in weighed)
+        assert (rep.rhs, rep.correction, rep.permutation) == brute_force_minimized(
+            *spec_arrays(spec)
+        )
+
     def test_exact_window_is_the_full_enumeration(self, monkeypatch):
         # With no tie window, only the _ROUNDING margins keep the bounds of a
         # node on the safe side of the rows beneath it; a bound that reads a
@@ -641,8 +679,31 @@ class TestBoundMinimized:
 
 
 class TestDecimalOracle:
-    """The unconstrained and minimized rhs and correction against exact
-    decimal arithmetic, within 1e-12 relative."""
+    """The constrained, unconstrained and minimized rhs and correction
+    against exact decimal arithmetic, within 1e-12 relative."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        variant=st.sampled_from(["constrained", "unconstrained", "minimized"]),
+        family=st.sampled_from(FAMILIES),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    def test_every_family(self, variant, family, seed, data):
+        # n up to the variant's cap, on n x (n + 1) dims, which host every family
+        cap = bounds.MAX_MINIMIZED_N if variant == "minimized" else bounds.MAX_WEIGHTED_N
+        n = data.draw(st.integers(min_value=2, max_value=cap), label="n")
+        modes = ["constrained"] if variant == "constrained" else ["constrained", "simplex_uniform"]
+        mode = data.draw(st.sampled_from(modes), label="mode")
+        cfg = EnsembleConfig(
+            n=n, dim_a=n, dim_b=n + 1, family=family, seed=seed, coefficient_mode=mode
+        )
+        spec = generate_spec(cfg, normalization_coeffs(n), trial_stream(cfg, 0))
+        rep = evaluate_variant(spec, variant)
+        perm = range(n) if rep.permutation is None else rep.permutation
+        rhs, correction = decimal_rhs(*spec_arrays(spec), perm, variant == "constrained")
+        assert_decimal_close(rep.rhs, rhs)
+        assert_decimal_close(rep.correction, correction)
 
     @pytest.mark.parametrize("family", ["haar", "product_states", "bell_like"])
     @pytest.mark.parametrize("n", range(2, 12))
@@ -673,6 +734,12 @@ class TestDecimalOracle:
             if n <= 5:  # the least exact rhs is the reported row's, up to the tie window
                 least = min(decimal_rhs(a2, ents, perm)[0] for perm in itertools.permutations(range(n)))
                 assert rhs - least <= Decimal("1e-12") * least
+
+
+def unit_spec(components) -> SuperpositionSpec:
+    """A spec of the components (states, or an amplitude stack) with every
+    coefficient 1: biorthogonality reads only the components."""
+    return SuperpositionSpec(np.ones(len(components)), components)
 
 
 def reference_is_biorthogonal(components) -> bool:
@@ -710,9 +777,8 @@ class TestBiorthogonality:
             stack = noise
         elif kind == "perturbed":
             stack = stack + 10.0**log_eps * noise
-        stack = stack / np.linalg.norm(stack, axis=(1, 2), keepdims=True)
-        comps = as_states(stack)
-        assert is_biorthogonal(comps) == reference_is_biorthogonal(comps)
+        spec = unit_spec(stack / np.linalg.norm(stack, axis=(1, 2), keepdims=True))
+        assert is_biorthogonal(spec) == reference_is_biorthogonal(spec.components)
 
     def test_pairwise_definition_sees_both_outcomes_of_perturbed_blocks(self):
         # overlaps of blocks perturbed by eps grow like eps^2 and cross the
@@ -721,33 +787,21 @@ class TestBiorthogonality:
         stack = np.stack([c.amplitudes for c in comps])
         noise = np.random.default_rng(4).standard_normal(stack.shape)
         for eps, expected in ((1e-8, True), (1e-3, False)):
-            comps = as_states(stack + eps * noise)
-            assert reference_is_biorthogonal(comps) is expected
-            assert is_biorthogonal(comps) is expected
+            perturbed = stack + eps * noise
+            spec = unit_spec(perturbed / np.linalg.norm(perturbed, axis=(1, 2), keepdims=True))
+            assert reference_is_biorthogonal(spec.components) is expected
+            assert is_biorthogonal(spec) is expected
 
     def test_bell_blocks_true(self):
-        assert is_biorthogonal(two_bell_blocks())
+        assert is_biorthogonal(unit_spec(two_bell_blocks()))
 
     def test_orthogonal_is_not_enough(self):
         # |00> and |01> are orthogonal but share the A-side reduced state
-        assert not is_biorthogonal([basis_state(2, 2, 0, 0), basis_state(2, 2, 0, 1)])
+        assert not is_biorthogonal(unit_spec([basis_state(2, 2, 0, 0), basis_state(2, 2, 0, 1)]))
 
     def test_repeated_component_false(self):
         phi = bell_state()
-        assert not is_biorthogonal([phi, phi])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            is_biorthogonal([basis_state(2, 2, 0, 0), basis_state(3, 2, 0, 0)])
-
-    def test_overflowing_overlaps_raise(self):
-        # rho_0 overflows to inf where rho_1 underflows to 0: a NaN overlap is no verdict
-        big = np.zeros((2, 2))
-        big[0, 0] = 1e200
-        other = np.zeros((2, 2))
-        other[0, 0], other[1, 1] = 1e-200, 1e200
-        with pytest.raises(InvariantViolationError, match="not finite"):
-            is_biorthogonal([BipartitePureState(big), BipartitePureState(other)])
+        assert not is_biorthogonal(unit_spec([phi, phi]))
 
     def test_reduced_overlap_oracle(self):
         # direct evaluation of both trace overlaps for the family
@@ -760,7 +814,7 @@ class TestBiorthogonality:
                 ra_j, rb_j = reduced_states(comps[j].amplitudes)
                 assert abs(np.trace(ra_i @ ra_j)) < 1e-12
                 assert abs(np.trace(rb_i @ rb_j)) < 1e-12
-        assert is_biorthogonal(comps)
+        assert is_biorthogonal(unit_spec(comps))
 
 
 class TestExactBiorthogonal:

@@ -186,7 +186,7 @@ class TestBiorthogonalFamily:
         for trial in range(50):
             stream = RandomStream(1).child(f"t{trial}")
             comps = drawn_components(BIORTHOGONAL, 3, 6, 6, stream, 2, 2)
-            assert is_biorthogonal(comps)
+            assert is_biorthogonal(SuperpositionSpec(np.ones(3), comps))
 
     def test_rank_one_blocks_are_basis_kets(self):
         comps = drawn_components(BIORTHOGONAL, 3, 3, 3, RandomStream(2).child("x"))
@@ -213,14 +213,14 @@ class TestOrthogonalNotBiorthogonal:
         spec = SuperpositionSpec(np.array([1.0, 1.0]), tuple(comps))
         off = spec.gram.matrix[0, 1]
         assert abs(off) < 1e-10
-        assert not is_biorthogonal(comps)
+        assert not is_biorthogonal(spec)
 
     def test_gram_is_identity(self):
         for trial in range(30):
             comps = drawn_components(SHARED_SUPPORT, 4, 3, 3, RandomStream(6).child(f"t{trial}"))
             spec = SuperpositionSpec(np.ones(4), tuple(comps))
             np.testing.assert_allclose(spec.gram.matrix, np.eye(4), atol=1e-10)
-            assert not is_biorthogonal(comps)
+            assert not is_biorthogonal(spec)
 
     def test_unit_coefficient_norm_is_weight_sum(self):
         comps = drawn_components(SHARED_SUPPORT, 3, 2, 3, RandomStream(7).child("x"))
@@ -232,7 +232,7 @@ class TestOrthogonalNotBiorthogonal:
         comps = drawn_components(SHARED_SUPPORT, 2, 3, 1, RandomStream(8).child("x"))
         spec = SuperpositionSpec(np.array([1.0, 1.0]), tuple(comps))
         assert abs(spec.gram.matrix[0, 1]) < 1e-10
-        assert not is_biorthogonal(comps)
+        assert not is_biorthogonal(spec)
 
     def test_insufficient_dimension(self):
         with pytest.raises(DomainError):
@@ -418,9 +418,9 @@ class TestEnsembleConfig:
         for trial in range(200):
             stream = RandomStream(5).child(f"trial-{trial}")
             bio = generate_spec(cfg_bio, coeffs, stream)
-            assert is_biorthogonal(bio.components)
+            assert is_biorthogonal(bio)
             orth = generate_spec(cfg_orth, coeffs, stream)
-            assert not is_biorthogonal(orth.components)
+            assert not is_biorthogonal(orth)
             assert abs(orth.gram.matrix[0, 1]) < 1e-10
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -452,10 +452,10 @@ class TestEnsembleConfig:
             assert c.amplitudes.shape == (dim_a, dim_b)
             assert abs(c.squared_norm - 1.0) < 1e-10
         if family == BIORTHOGONAL:
-            assert is_biorthogonal(spec.components)
+            assert is_biorthogonal(spec)
         if family == SHARED_SUPPORT:
             np.testing.assert_allclose(spec.gram.matrix, np.eye(n), atol=1e-10)
-            assert not is_biorthogonal(spec.components)
+            assert not is_biorthogonal(spec)
 
     def test_product_states_unentangled(self):
         cfg = EnsembleConfig(

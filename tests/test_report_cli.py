@@ -193,21 +193,7 @@ class TestNonFiniteRecords:
 
 # Large-n campaigns of the float bound kernel.  At n = 9..11 the
 # unconstrained correction, with every E(phi_i) = 0, used to cancel to
-# rhs = 0; it is now a sum of nonnegative terms.  The known defect left
-# (ROADMAP item 1a) is pinned so that its fix has to turn it into a pass:
-# at n = 12 the normalization table holds +inf, so the gap is NaN.
-LARGE_N_DEFECTS = [
-    pytest.param(
-        "constrained", dict(n=12, family="haar", coefficient_mode="constrained"),
-        id="constrained-haar-n12",
-        marks=[
-            pytest.mark.xfail(strict=True, reason="ROADMAP item 1a: the table overflows at n >= 12"),
-            pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning"),
-        ],
-    )
-]
-
-
+# rhs = 0; it is now a sum of nonnegative terms.
 @pytest.mark.parametrize(
     "variant, overrides",
     [
@@ -217,12 +203,21 @@ LARGE_N_DEFECTS = [
             id=f"unconstrained-product-n{n}",
         )
         for n in (9, 10, 11)
-    ]
-    + LARGE_N_DEFECTS,
+    ],
 )
 def test_large_n_campaign_has_no_violation(variant, overrides):
     cfg = haar_config(dim_a=4, dim_b=4, seed=9, **overrides)
     assert not any(rec.report.is_violation for rec in iter_trials(cfg, variant, 10))
+
+
+@pytest.mark.parametrize("variant", ("constrained", "unconstrained"))
+def test_weighted_campaign_beyond_n11_is_refused(variant):
+    # N_12^2 overflows the float normalization table, so the N_i^2-weighted
+    # variants stop at n = 11, refused when the iterator is made, though
+    # EnsembleConfig still takes n = 12.
+    cfg = haar_config(n=12, dim_a=4, dim_b=4, seed=9)
+    with pytest.raises(DomainError, match=f"the {variant} variant is capped at n = 11, got 12"):
+        iter_trials(cfg, variant, 10)
 
 
 class TestCampaign:
@@ -347,7 +342,7 @@ class TestCli:
             tmp_path, [n**-0.5] * n, [basis_state(n, n, k, k) for k in range(n)]
         )
         assert main(["eval", str(path), "--variant", variant]) == 2
-        cap = 8 if variant == "minimized" else 16
+        cap = {"minimized": 8, "constrained": 11, "unconstrained": 11}.get(variant, 16)
         assert capsys.readouterr().err == (
             f"entbound: the {variant} variant is capped at n = {cap}, got {n}\n"
         )
@@ -564,6 +559,35 @@ class TestCli:
                      "--out", str(out)]) == 2
         assert out.read_bytes() == b"records of an earlier run\n"
         assert "fixed_coefficients must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["constrained", "unconstrained", "minimized"])
+    def test_overflowing_weights_are_an_input_error(self, tmp_path, capsys, variant):
+        # Six orthonormal product states on 2x3 at alpha_i = 1e152: the spec
+        # admits the scale (4 n^2 max|alpha_i|^2 is about 1.4e306), the
+        # N_i^2 weights do not (N_6^2 |alpha_i|^2 is about 3.3e310).  Numpy
+        # RuntimeWarnings are errors under pytest, so one on the way fails here.
+        comps = [basis_state(2, 3, k // 3, k % 3) for k in range(6)]
+        path = write_spec_file(tmp_path, [1e152] * 6, comps)
+        assert main(["eval", str(path), "--variant", variant]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"entbound: the {variant} variant needs n N_n^2 max|alpha_i|^2")
+
+    @pytest.mark.parametrize("variant", ["constrained", "unconstrained", "minimized"])
+    def test_verify_refuses_overflowing_fixed_weights(self, tmp_path, capsys, variant):
+        # The same scale as fixed coefficients, which EnsembleConfig admits:
+        # the campaign refuses it before --out is opened.
+        config = haar_config(
+            n=6, dim_a=2, dim_b=3, coefficient_mode="fixed", fixed_coefficients=(1e152,) * 6
+        )
+        cfg_path = write_config(tmp_path, config)
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"records of an earlier run\n")
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2",
+                     "--variant", variant, "--out", str(out)]) == 2
+        assert out.read_bytes() == b"records of an earlier run\n"
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"the {variant} variant needs" in err
 
     def test_integer_beyond_the_float_range_is_an_input_error(self, tmp_path, capsys):
         # json.loads reads a 401-digit literal as an int that float() refuses

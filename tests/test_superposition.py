@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from entbound.serialize import dumps, state_to_json
 from conftest import basis_state, bell_state, random_state, two_bell_blocks
 
 
+FLOAT_MAX = float(np.finfo(np.float64).max)
 # finite coefficients whose squared norm overflows float64
 OVERFLOWING_COEFFICIENTS = ([1, 1e300 + 1e300j], [1e154, 1e154])
 
@@ -184,6 +187,24 @@ class TestSquaredNorm:
             assert squared_norm(spec) == pytest.approx(
                 combine(spec).squared_norm, abs=1e-10
             )
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_largest_admitted_scale_stays_finite(self, n):
+        # Identical components at equal coefficients give the largest form,
+        # |sum alpha_i|^2 = n^2 alpha^2.  At the largest alpha whose
+        # 4 n^2 alpha^2 is finite it reads a quarter of the float range,
+        # so neither the form nor the combined state overflows.
+        alpha = math.sqrt(FLOAT_MAX / (4 * n * n))
+        while math.isfinite(4.0 * n**2 * alpha * alpha):
+            alpha = math.nextafter(alpha, math.inf)
+        while not math.isfinite(4.0 * n**2 * alpha * alpha):
+            alpha = math.nextafter(alpha, 0.0)
+        with np.errstate(all="raise"):
+            spec = make_spec([alpha] * n, [bell_state()] * n)
+            assert squared_norm(spec) == pytest.approx(0.25 * FLOAT_MAX, rel=1e-14)
+            assert squared_norm(spec) <= 0.25 * FLOAT_MAX
+            psi = combine(spec)
+            assert np.isfinite(psi.amplitudes).all() and math.isfinite(psi.squared_norm)
 
 
 class TestSuperpositionEntanglement:
