@@ -222,25 +222,53 @@ def _row_values(p: np.ndarray, ents: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (p * ents).sum(axis=1) + corrections, corrections
 
 
+# The message of the PreconditionError each variant with a unit-total
+# precondition raises when its weight row misses T = 1.
+_CONSTRAINTS = {
+    VARIANT_CONSTRAINED: "constraint sum N_i^2|alpha_i|^2 = 1 violated (got {!r})",
+    VARIANT_EXACT: "sum |alpha_i|^2 = 1 required for the exact formula (got {!r})",
+    VARIANT_ASSISTANT: "assistant state requires sum |alpha_i|^2 = 1 (got {!r})",
+}
+
+
+def _weight_row(variant: str, a2: np.ndarray) -> np.ndarray:
+    """The (1, n) weight row of the identity assignment, for |alpha_i|^2 =
+    a2: N_i^2 |alpha_i|^2 under the N_i^2-weighted variants and |alpha_i|^2
+    under the exact formula and the assistant check."""
+    if variant in (VARIANT_EXACT, VARIANT_ASSISTANT):
+        return a2[None]
+    return (normalization_coeffs(len(a2)) * a2)[None]
+
+
+def _check_unit_total(variant: str, p: np.ndarray) -> None:
+    """Raise the variant's PreconditionError unless the total T of its single
+    weight row p is 1 within CONSTRAINT_TOL; a variant without a unit-total
+    precondition passes.  `_rhs` applies it to the row it weighs, and
+    `report.iter_trials` to the row of fixed coefficients, so both agree."""
+    if variant in _CONSTRAINTS:
+        total = p.sum(axis=1)[0]
+        if abs(total - 1.0) > CONSTRAINT_TOL:
+            raise PreconditionError(_CONSTRAINTS[variant].format(float(total)))
+
+
 def _rhs(
-    p: np.ndarray, ents: np.ndarray, constraint: str | None = None
+    p: np.ndarray, ents: np.ndarray, variant: str | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """rhs and correction of every row P of weights, T = sum_j P_j.
 
-    Without a constraint the rows take the cancellation-free form of
-    `_row_values`, each row reduced on its own.  Given a constraint message,
-    the single row needs |T - 1| <= CONSTRAINT_TOL (else PreconditionError,
-    the message formatted with T) and is the T = 1 case written directly:
+    Without a unit-total precondition (no variant, or one outside
+    `_CONSTRAINTS`) the rows take the cancellation-free form of
+    `_row_values`, each row reduced on its own.  With one, the single row
+    must pass `_check_unit_total` and is the T = 1 case written directly:
 
         correction = -sum_j P_j log2 P_j,   rhs = P @ E + correction.
     """
     totals = p.sum(axis=1)
     if totals.min() <= ZERO_NORM_TOL:
         raise DegenerateStateError("all coefficients vanish")
-    if constraint is None:
+    if variant not in _CONSTRAINTS:
         return _row_values(p, ents)
-    if abs(totals[0] - 1.0) > CONSTRAINT_TOL:
-        raise PreconditionError(constraint.format(float(totals[0])))
+    _check_unit_total(variant, p)
     corrections = -xlog2x(p).sum(axis=1)
     return p @ ents + corrections, corrections
 
@@ -456,12 +484,7 @@ def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
     if minimized:
         rhs, correction, permutation = _minimized(a2, ents)
     else:
-        constraint = "constraint sum N_i^2|alpha_i|^2 = 1 violated (got {!r})"
-        rows = _rhs(
-            (normalization_coeffs(n) * a2)[None], ents,
-            constraint if variant == VARIANT_CONSTRAINED else None,
-        )
-        rhs, correction = (float(v[0]) for v in rows)
+        rhs, correction = (float(v[0]) for v in _rhs(_weight_row(variant, a2), ents, variant))
     return BoundReport(
         variant=variant,
         lhs=n2 * e_psi,
@@ -534,10 +557,8 @@ def exact_biorthogonal_entanglement(spec: SuperpositionSpec) -> BoundReport:
     _, direct, ents = _entanglements(spec, "entanglement of the normalized version is undefined")
     if not is_biorthogonal(spec):
         raise PreconditionError("components are not mutually biorthogonal")
-    a2 = np.abs(spec.coefficients)[None, :] ** 2
-    rhs, mixing = _rhs(
-        a2, ents, "sum |alpha_i|^2 = 1 required for the exact formula (got {!r})"
-    )
+    a2 = np.abs(spec.coefficients) ** 2
+    rhs, mixing = _rhs(_weight_row(VARIANT_EXACT, a2), ents, VARIANT_EXACT)
     formula = float(rhs[0])
     return BoundReport(
         variant=VARIANT_EXACT,
@@ -574,11 +595,9 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
             f"assistant state would exceed {MAX_ASSISTANT_ELEMS} amplitudes"
         )
     alphas = spec.coefficients
-    a2 = np.abs(alphas)[None, :] ** 2
+    a2 = np.abs(alphas) ** 2
     comp_ents = component_entanglements(spec)
-    rhs, mixing = _rhs(
-        a2, comp_ents, "assistant state requires sum |alpha_i|^2 = 1 (got {!r})"
-    )
+    rhs, mixing = _rhs(_weight_row(VARIANT_ASSISTANT, a2), comp_ents, VARIANT_ASSISTANT)
     upper_bound = float(rhs[0])
 
     # The assistant state is pure, so S(rho_B) is its Schmidt entropy as a

@@ -15,11 +15,19 @@ checks the formula itself.
 
 Each component family is a private `(config, stream)` draw that returns
 one (n, dim_a, dim_b) amplitude stack and trusts its config: a family's
-preconditions are checked once, by `EnsembleConfig`.  `generate_spec`
+preconditions are checked once, by `EnsembleConfig`.  The draws are built
+on two private batched samplers, `_haar_stack` and `_unitary_stack`, which
+take one substream per row: each substream's generator draws into one
+shared buffer, with the labels and the draw order within the stream that
+one draw per row would have, and the whole stack is then assembled,
+normalized or decomposed at once (one batched QR for the unitaries).
+`haar_state` and `haar_unitary` are their one-stream case.  Every row
+is bit for bit the row a per-component draw gives, which
+tests/test_ensembles.py checks against such a draw.  `generate_spec`
 hands the drawn stack to `SuperpositionSpec` as it is: the spec copies
 and checks it in one pass, and its components are views of the stack's
-rows.  tests/test_golden.py
-pins every family's substream labels, draw order and drawn amplitudes.
+rows.  tests/test_golden.py pins every family's substream labels, draw
+order and drawn amplitudes.
 """
 
 from __future__ import annotations
@@ -98,28 +106,59 @@ def _seed_words(digest: bytes) -> np.ndarray:
     return np.frombuffer(digest[::-1], dtype="<u4", count=count)
 
 
-def _haar(shape: tuple[int, ...], stream: RandomStream) -> np.ndarray:
-    """Unit-norm array of i.i.d. standard complex Gaussian amplitudes."""
+def _gaussian_stack(shape: tuple[int, ...], streams: list[RandomStream]) -> np.ndarray:
+    """The complex (len(streams), *shape) stack whose row k is re + 1j*im, for
+    re, im = streams[k].generator().standard_normal((2, *shape)).
+
+    Every stream draws into one real buffer (one draw of both parts reads the
+    same numbers as a draw of each in turn), and the parts are written
+    through the float views of the stack: re + 0.0*im and 0.0 + im are what
+    re + 1j*im rounds to, signed zeros included, and unlike it they need no
+    full-size complex temporary."""
+    parts = np.empty((len(streams), 2, *shape))
+    for row, stream in zip(parts, streams):
+        stream.generator().standard_normal(out=row)
+    re, im = parts[:, 0], parts[:, 1]
+    stack = np.empty((len(streams), *shape), dtype=complex)
+    real = stack.real
+    np.multiply(im, 0.0, out=real)
+    real += re
+    np.add(im, 0.0, out=stack.imag)
+    return stack
+
+
+def _haar_stack(shape: tuple[int, ...], streams: list[RandomStream]) -> np.ndarray:
+    """Unit-norm arrays of i.i.d. standard complex Gaussian amplitudes, one
+    row per stream.  Each row's norm comes from its own np.vdot, so a row
+    does not depend on the rows beside it."""
     if min(shape) < 1:
         raise DomainError("dimensions must be >= 1")
-    # one draw of both parts reads the same numbers as a draw of each in turn
-    re, im = stream.generator().standard_normal((2, *shape))
-    amp = re + 1j * im
-    return amp / math.sqrt(float(np.vdot(amp, amp).real))
+    stack = _gaussian_stack(shape, streams)
+    norms = [math.sqrt(float(np.vdot(row, row).real)) for row in stack]
+    stack /= np.array(norms).reshape(-1, *(1,) * len(shape))
+    return stack
+
+
+def _unitary_stack(dim: int, streams: list[RandomStream]) -> np.ndarray:
+    """Haar-distributed dim x dim unitaries, one per stream: one batched QR of
+    the complex Gaussian stack with the phase fix of Mezzadri, Notices AMS
+    54, 592 (2007)."""
+    z = _gaussian_stack((dim, dim), streams)
+    z /= math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q *= (d / np.abs(d))[:, None, :]
+    return q
 
 
 def haar_state(dim_a: int, dim_b: int, stream: RandomStream) -> BipartitePureState:
     """Normalized state with i.i.d. standard complex Gaussian amplitudes."""
-    return BipartitePureState(_haar((dim_a, dim_b), stream))
+    return BipartitePureState(_haar_stack((dim_a, dim_b), [stream])[0])
 
 
 def haar_unitary(dim: int, stream: RandomStream) -> np.ndarray:
     """Haar-distributed unitary via QR with the phase fix of Mezzadri."""
-    g = stream.generator()
-    z = (g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _unitary_stack(dim, [stream])[0]
 
 
 def constrained_coefficients(n: int, coeffs: np.ndarray, stream: RandomStream) -> np.ndarray:
@@ -206,8 +245,8 @@ class EnsembleConfig:
 
 
 def _haar_draw(config: EnsembleConfig, stream: RandomStream) -> np.ndarray:
-    shape = (config.dim_a, config.dim_b)
-    return np.stack([_haar(shape, stream.child(f"component-{k}")) for k in range(config.n)])
+    streams = [stream.child(f"component-{k}") for k in range(config.n)]
+    return _haar_stack((config.dim_a, config.dim_b), streams)
 
 
 def _biorthogonal_blocks_draw(config: EnsembleConfig, stream: RandomStream) -> np.ndarray:
@@ -216,11 +255,10 @@ def _biorthogonal_blocks_draw(config: EnsembleConfig, stream: RandomStream) -> n
     zero elsewhere, so the reduced states have disjoint supports on both
     sides and biorthogonality holds by construction."""
     ba, bb = config.block_a, config.block_b
+    blocks = _haar_stack((ba, bb), [stream.child(f"block-{i}") for i in range(config.n)])
     out = np.zeros((config.n, config.dim_a, config.dim_b), dtype=complex)
-    for i in range(config.n):
-        out[i, i * ba : (i + 1) * ba, i * bb : (i + 1) * bb] = _haar(
-            (ba, bb), stream.child(f"block-{i}")
-        )
+    for i, block in enumerate(blocks):
+        out[i, i * ba : (i + 1) * ba, i * bb : (i + 1) * bb] = block
     return out
 
 
@@ -230,15 +268,15 @@ def _orthogonal_shared_support_draw(config: EnsembleConfig, stream: RandomStream
     rotation, so the Gram matrix is exactly the identity while the first two
     components share their A-side reduced state (their B-side one if dim_b = 1)."""
     k = np.arange(config.n)
-    a = haar_unitary(config.dim_a, stream.child("unitary-a"))[:, k // config.dim_b].T
-    b = haar_unitary(config.dim_b, stream.child("unitary-b"))[:, k % config.dim_b].T
+    a = _unitary_stack(config.dim_a, [stream.child("unitary-a")])[0][:, k // config.dim_b].T
+    b = _unitary_stack(config.dim_b, [stream.child("unitary-b")])[0][:, k % config.dim_b].T
     return a[:, :, None] * b[:, None, :]
 
 
 def _product_states_draw(config: EnsembleConfig, stream: RandomStream) -> np.ndarray:
     """Independent Haar-random product states (zero entanglement each)."""
-    a = np.stack([_haar((config.dim_a,), stream.child(f"a-{k}")) for k in range(config.n)])
-    b = np.stack([_haar((config.dim_b,), stream.child(f"b-{k}")) for k in range(config.n)])
+    a = _haar_stack((config.dim_a,), [stream.child(f"a-{k}") for k in range(config.n)])
+    b = _haar_stack((config.dim_b,), [stream.child(f"b-{k}") for k in range(config.n)])
     return a[:, :, None] * b[:, None, :]
 
 
@@ -247,19 +285,15 @@ def _bell_like_draw(config: EnsembleConfig, stream: RandomStream) -> np.ndarray:
     d = min(config.dim_a, config.dim_b)
     base = np.zeros((config.dim_a, config.dim_b), dtype=complex)
     base[np.arange(d), np.arange(d)] = 1.0 / math.sqrt(d)
-    return np.stack(
-        [
-            haar_unitary(config.dim_a, stream.child(f"ua-{k}"))
-            @ base
-            @ haar_unitary(config.dim_b, stream.child(f"ub-{k}")).T
-            for k in range(config.n)
-        ]
-    )
+    ua = _unitary_stack(config.dim_a, [stream.child(f"ua-{k}") for k in range(config.n)])
+    ub = _unitary_stack(config.dim_b, [stream.child(f"ub-{k}") for k in range(config.n)])
+    return ua @ base @ ub.transpose(0, 2, 1)
 
 
 # Every family and coefficient mode, by the name an EnsembleConfig gives it.
-# The draws and the lambdas look the public samplers up when they run, so
-# a rebound sampler (a profiler's wrapper, a test double) is the one called.
+# The family draws call the private batched samplers.  The coefficient
+# lambdas look the public coefficient samplers up when they run, so a
+# rebound sampler (a profiler's wrapper, a test double) is the one called.
 _FAMILY_DRAWS = {
     "haar": _haar_draw,
     FAMILY_BIORTHOGONAL: _biorthogonal_blocks_draw,

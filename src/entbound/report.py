@@ -15,6 +15,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from .bounds import (
     VARIANT_ASSISTANT,
     VARIANT_CONSTRAINED,
@@ -23,7 +25,9 @@ from .bounds import (
     VARIANT_UNCONSTRAINED,
     BoundReport,
     _check_n,
+    _check_unit_total,
     _check_weights,
+    _weight_row,
     assistant_state_check,
     bound_constrained,
     bound_minimized,
@@ -92,10 +96,10 @@ def run_trial(config: EnsembleConfig, variant: str, trial_id: int) -> TrialRecor
 def iter_trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[TrialRecord]:
     """Lazily evaluate trial_id = 0 .. trials-1 in order.
 
-    The arguments, the variant's cap on n and the scale of fixed
-    coefficients included, are checked here, when the iterator is made, not
-    at its first step.  A trial that trips a numeric invariant is recorded
-    as a violation rather than aborting the campaign.
+    The arguments, the variant's cap on n and the scale and unit total of
+    fixed coefficients included, are checked here, when the iterator is
+    made, not at its first step.  A trial that trips a numeric invariant is
+    recorded as a violation rather than aborting the campaign.
     """
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
@@ -105,6 +109,8 @@ def iter_trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[T
     if config.fixed_coefficients is not None:
         largest = max(abs(c) for c in config.fixed_coefficients)
         _check_weights(variant, config.n, largest * largest, config.dim_a, config.dim_b)
+        a2 = np.abs(np.array(config.fixed_coefficients, dtype=complex)) ** 2
+        _check_unit_total(variant, _weight_row(variant, a2))
     return _trials(config, variant, trials)
 
 

@@ -129,8 +129,7 @@ class SuperpositionSpec:
 
 def _component_stack(components) -> np.ndarray:
     """A fresh complex (n, dim_a, dim_b) stack of a spec's components: the
-    array as given, or the amplitudes of states on one (dim_a, dim_b).  No
-    components give an empty stack, which the spec refuses."""
+    array as given, or the amplitudes of states on one (dim_a, dim_b)."""
     if isinstance(components, np.ndarray):
         stack = components.astype(complex)
         if stack.ndim != 3 or min(stack.shape[1:]) < 1:
@@ -138,16 +137,23 @@ def _component_stack(components) -> np.ndarray:
                 f"a component stack must have shape (n, dim_a, dim_b), got {stack.shape}"
             )
         return stack
-    comps = tuple(components)
-    if not comps:
+    return _stack_rows([c.amplitudes for c in components])
+
+
+def _stack_rows(rows: list[np.ndarray]) -> np.ndarray:
+    """The stack of 2-d amplitude arrays on one (dim_a, dim_b); a row of
+    other dims is named.  No rows give an empty stack, which the spec
+    refuses."""
+    if not rows:
         return np.empty((0, 1, 1), dtype=complex)
-    dims = (comps[0].dim_a, comps[0].dim_b)
-    for k, c in enumerate(comps):
-        if (c.dim_a, c.dim_b) != dims:
+    dims = rows[0].shape
+    for k, row in enumerate(rows):
+        if row.shape != dims:
             raise ShapeMismatchError(
-                f"component {k} has dims {c.dim_a}x{c.dim_b}, expected {dims[0]}x{dims[1]}"
+                f"component {k} has dims {row.shape[0]}x{row.shape[1]},"
+                f" expected {dims[0]}x{dims[1]}"
             )
-    return np.stack([c.amplitudes for c in comps])
+    return np.stack(rows)
 
 
 def combine(spec: SuperpositionSpec) -> BipartitePureState:

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from entbound import (
     combine,
 )
 from entbound.ensembles import (
+    _FAMILY_DRAWS,
     COEFFICIENT_MODES,
     FAMILIES,
     FAMILY_BIORTHOGONAL as BIORTHOGONAL,
@@ -52,6 +55,158 @@ def int_words(value: int) -> list[int]:
         words.append(value & 0xFFFFFFFF)
         value >>= 32
     return words
+
+
+def reference_haar(shape: tuple[int, ...], stream: RandomStream) -> np.ndarray:
+    """One Haar row drawn on its own, as the samplers drew it before they
+    were batched."""
+    re, im = stream.generator().standard_normal((2, *shape))
+    amp = re + 1j * im
+    return amp / math.sqrt(float(np.vdot(amp, amp).real))
+
+
+def reference_unitary(dim: int, stream: RandomStream) -> np.ndarray:
+    """One Haar unitary drawn on its own: QR with the phase fix of Mezzadri."""
+    g = stream.generator()
+    z = (g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def reference_draw(config: EnsembleConfig, stream: RandomStream) -> np.ndarray:
+    """A family's component stack drawn component by component."""
+    n, da, db = config.n, config.dim_a, config.dim_b
+    if config.family == "haar":
+        rows = [reference_haar((da, db), stream.child(f"component-{k}")) for k in range(n)]
+        return np.stack(rows)
+    if config.family == BIORTHOGONAL:
+        ba, bb = config.block_a, config.block_b
+        out = np.zeros((n, da, db), dtype=complex)
+        for i in range(n):
+            out[i, i * ba : (i + 1) * ba, i * bb : (i + 1) * bb] = reference_haar(
+                (ba, bb), stream.child(f"block-{i}")
+            )
+        return out
+    if config.family == SHARED_SUPPORT:
+        k = np.arange(n)
+        a = reference_unitary(da, stream.child("unitary-a"))[:, k // db].T
+        b = reference_unitary(db, stream.child("unitary-b"))[:, k % db].T
+        return a[:, :, None] * b[:, None, :]
+    if config.family == "product_states":
+        a = np.stack([reference_haar((da,), stream.child(f"a-{k}")) for k in range(n)])
+        b = np.stack([reference_haar((db,), stream.child(f"b-{k}")) for k in range(n)])
+        return a[:, :, None] * b[:, None, :]
+    assert config.family == "bell_like"
+    d = min(da, db)
+    base = np.zeros((da, db), dtype=complex)
+    base[np.arange(d), np.arange(d)] = 1.0 / math.sqrt(d)
+    return np.stack(
+        [
+            reference_unitary(da, stream.child(f"ua-{k}"))
+            @ base
+            @ reference_unitary(db, stream.child(f"ub-{k}")).T
+            for k in range(n)
+        ]
+    )
+
+
+def unpinned_configs(family: str) -> list[EnsembleConfig]:
+    """Configs of shapes the golden digests do not pin: n = 2..11 at 1x1,
+    1x5, 5x1, 3x5 and 8x8, and n = 4 at 64x64 (for the biorthogonal blocks
+    these are the block shapes), less those EnsembleConfig refuses."""
+    small = [(1, 1), (1, 5), (5, 1), (3, 5), (8, 8)]
+    shapes = [(n, da, db) for n in range(2, 12) for da, db in small]
+    if family == BIORTHOGONAL:
+        shapes.append((4, 16, 16))
+    else:
+        shapes.append((4, 64, 64))
+    configs = []
+    for n, da, db in shapes:
+        blocks = (da, db) if family == BIORTHOGONAL else (1, 1)
+        dims = (n * da, n * db) if family == BIORTHOGONAL else (da, db)
+        try:
+            configs.append(
+                EnsembleConfig(
+                    n=n, dim_a=dims[0], dim_b=dims[1], family=family, seed=100 + n,
+                    coefficient_mode="simplex_uniform", block_a=blocks[0], block_b=blocks[1],
+                )
+            )
+        except DomainError:
+            continue
+    return configs
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_row_is_the_per_component_draw(self, family):
+        configs = unpinned_configs(family)
+        assert len(configs) >= 20
+        for cfg in configs:
+            stream = trial_stream(cfg, 3).child("components")
+            got = _FAMILY_DRAWS[family](cfg, stream)
+            want = reference_draw(cfg, stream)
+            assert got.shape == want.shape == (cfg.n, cfg.dim_a, cfg.dim_b)
+            assert got.tobytes() == want.tobytes(), (cfg.n, cfg.dim_a, cfg.dim_b)
+
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 5), (5, 1), (3, 5), (8, 8), (64, 64)])
+    def test_public_samplers_are_the_one_stream_case(self, dims):
+        stream = RandomStream(8).child("x")
+        state = haar_state(*dims, stream)
+        assert state.amplitudes.tobytes() == reference_haar(dims, stream).tobytes()
+        for dim in dims:
+            assert haar_unitary(dim, stream).tobytes() == reference_unitary(dim, stream).tobytes()
+
+    @pytest.mark.parametrize(
+        "family, per_trial",
+        [
+            ("haar", lambda n: n + 1),
+            (BIORTHOGONAL, lambda n: n + 1),
+            ("product_states", lambda n: 2 * n + 1),
+            ("bell_like", lambda n: 2 * n + 1),
+            (SHARED_SUPPORT, lambda n: 3),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["simplex_uniform", "fixed"])
+    def test_one_generator_per_substream(self, monkeypatch, family, per_trial, mode):
+        # A fixed coefficient vector draws nothing, so its trial derives one
+        # stream fewer.
+        calls = []
+        generator = RandomStream.generator
+
+        def counted(stream):
+            calls.append(stream.path)
+            return generator(stream)
+
+        monkeypatch.setattr(RandomStream, "generator", counted)
+        n = 4
+        cfg = EnsembleConfig(
+            n=n, dim_a=8, dim_b=8, family=family, seed=2, coefficient_mode=mode,
+            block_a=2, block_b=2,
+            fixed_coefficients=(0.5,) * n if mode == "fixed" else None,
+        )
+        for trial in range(2):
+            calls.clear()
+            run_trial(cfg, "unconstrained", trial)
+            assert len(calls) == per_trial(n) - (mode == "fixed")
+            assert len(set(calls)) == len(calls)
+
+    def test_haar_draw_memory_at_the_state_cap(self):
+        # The draw holds the stack and one real buffer of the same size; a
+        # full-size complex temporary on top would break the bound.
+        cfg = EnsembleConfig(
+            n=4, dim_a=64, dim_b=64, family="haar", seed=1, coefficient_mode="simplex_uniform"
+        )
+        stream = trial_stream(cfg, 0).child("components")
+        draw = _FAMILY_DRAWS["haar"]
+        stack_bytes = draw(cfg, stream).nbytes
+        tracemalloc.start()
+        try:
+            draw(cfg, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * stack_bytes + 128 * 1024
 
 
 class TestRandomStream:

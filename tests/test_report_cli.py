@@ -589,6 +589,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"the {variant} variant needs" in err
 
+    @pytest.mark.parametrize(
+        "variant, message",
+        [
+            ("constrained", "constraint sum N_i^2|alpha_i|^2 = 1 violated (got 4.0)"),
+            ("exact", "sum |alpha_i|^2 = 1 required for the exact formula (got 2.0)"),
+            ("assistant", "assistant state requires sum |alpha_i|^2 = 1 (got 2.0)"),
+        ],
+    )
+    def test_verify_refuses_fixed_coefficients_off_the_unit_total(
+        self, tmp_path, capsys, variant, message
+    ):
+        # alpha = (1, 1) misses T = 1 on every trial, so the campaign refuses
+        # it before --out is opened (exact: before the per-trial
+        # biorthogonality check, which haar components would fail)
+        config = haar_config(
+            n=2, dim_a=2, dim_b=2, coefficient_mode="fixed", fixed_coefficients=(1, 1)
+        )
+        cfg_path = write_config(tmp_path, config)
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"records of an earlier run\n")
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2",
+                     "--variant", variant, "--out", str(out)]) == 3
+        assert out.read_bytes() == b"records of an earlier run\n"
+        assert capsys.readouterr().err == f"entbound: precondition failed: {message}\n"
+
+    def test_fixed_coefficients_on_the_unit_total_run(self, tmp_path):
+        # (1/2, 1/2j, -1/sqrt(2)) has sum |alpha_i|^2 = 1, but at n = 3
+        # sum N_i^2 |alpha_i|^2 = (2 + 3)/4 + 7/2: the assistant check and the
+        # unconstrained bound run, the constrained one is refused up front
+        fixed = (0.5, 0.5j, -(0.5**0.5))
+        config = haar_config(coefficient_mode="fixed", fixed_coefficients=fixed)
+        cfg_path = write_config(tmp_path, config)
+        for variant, code in [("assistant", 0), ("unconstrained", 0), ("constrained", 3)]:
+            out = tmp_path / f"{variant}.jsonl"
+            assert main(["verify", "--config", str(cfg_path), "--trials", "2",
+                         "--variant", variant, "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+
     def test_integer_beyond_the_float_range_is_an_input_error(self, tmp_path, capsys):
         # json.loads reads a 401-digit literal as an int that float() refuses
         big = "1" + "0" * 400

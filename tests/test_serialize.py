@@ -1,11 +1,19 @@
+import copy
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from entbound import EnsembleConfig, SchemaError
+from entbound import (
+    BipartitePureState,
+    EnsembleConfig,
+    InvariantViolationError,
+    SchemaError,
+    SuperpositionSpec,
+)
 from entbound.bounds import _exact_n_squared
 from entbound.ensembles import (
     COEFFICIENT_MODES,
@@ -141,6 +149,219 @@ class TestSpecRoundTrip:
     def test_not_json(self):
         with pytest.raises(SchemaError):
             loads("{not json", "x")
+
+
+def reference_pair(obj, where):
+    """`pair_to_complex` as the pair-by-pair decoder had it."""
+    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
+        raise SchemaError(f"{where}: complex values must be [re, im] pairs")
+    re, im = obj
+    if not (
+        isinstance(re, (int, float)) and not isinstance(re, bool)
+        and isinstance(im, (int, float)) and not isinstance(im, bool)
+    ):
+        raise SchemaError(f"{where}: complex parts must be numbers")
+    try:
+        return complex(float(re), float(im))
+    except OverflowError as exc:
+        raise SchemaError(f"{where}: complex parts must fit a float") from exc
+
+
+def reference_int(obj, key, where):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object")
+    if key not in obj:
+        raise SchemaError(f"{where}: missing field {key!r}")
+    v = obj[key]
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise SchemaError(f"{where}.{key}: expected an integer")
+    return v
+
+
+def reference_state_from_json(obj, where="state"):
+    """The pair-by-pair state decoder: one call per pair, one state built."""
+    dim_a = reference_int(obj, "dim_a", where)
+    dim_b = reference_int(obj, "dim_b", where)
+    if not (dim_a >= 1 and dim_b >= 1):
+        raise SchemaError(f"{where}: dimensions must be >= 1")
+    amps = obj.get("amplitudes")
+    if not isinstance(amps, list):
+        raise SchemaError(f"{where}: missing amplitudes array")
+    if len(amps) != dim_a * dim_b:
+        raise SchemaError(f"{where}: expected {dim_a * dim_b} amplitudes, got {len(amps)}")
+    flat = [reference_pair(a, f"{where}.amplitudes[{k}]") for k, a in enumerate(amps)]
+    return BipartitePureState(np.array(flat, dtype=complex).reshape(dim_a, dim_b))
+
+
+def reference_spec_from_json(obj):
+    """The pair-by-pair spec decoder, which built one state per component."""
+    if not isinstance(obj, dict):
+        raise SchemaError("spec: expected an object")
+    coeffs = obj.get("coefficients")
+    comps = obj.get("components")
+    if not isinstance(coeffs, list):
+        raise SchemaError("spec: missing coefficients array")
+    if not isinstance(comps, list):
+        raise SchemaError("spec: missing components array")
+    alphas = [reference_pair(a, f"spec.coefficients[{k}]") for k, a in enumerate(coeffs)]
+    states = [reference_state_from_json(c, f"spec.components[{k}]") for k, c in enumerate(comps)]
+    try:
+        return SuperpositionSpec(
+            coefficients=np.array(alphas, dtype=complex), components=tuple(states)
+        )
+    except Exception as exc:
+        raise SchemaError(f"spec: {exc}") from exc
+
+
+ZERO_PARTS = st.sampled_from([0, 0.0, -0.0])
+UNIT_PARTS = st.sampled_from([1, -1, 1.0, -1.0])
+COEFFICIENT_PARTS = st.one_of(
+    ZERO_PARTS, st.integers(min_value=-3, max_value=3), st.floats(min_value=-4, max_value=4)
+)
+
+
+@st.composite
+def json_specs(draw) -> dict:
+    """A spec as `json.loads` gives it: unit-norm components, each a basis
+    ket with int, float and signed-zero parts or normalized random floats,
+    and coefficients with int, float and signed-zero parts."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    dim_a = draw(st.integers(min_value=1, max_value=3))
+    dim_b = draw(st.integers(min_value=1, max_value=3))
+    m = dim_a * dim_b
+    comps = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            pairs = [[draw(ZERO_PARTS), draw(ZERO_PARTS)] for _ in range(m)]
+            pairs[draw(st.integers(0, m - 1))][draw(st.integers(0, 1))] = draw(UNIT_PARTS)
+        else:
+            parts = draw(st.lists(st.floats(-1, 1), min_size=2 * m, max_size=2 * m))
+            norm = math.sqrt(math.fsum(x * x for x in parts))
+            assume(norm > 0.1)
+            pairs = [[parts[2 * j] / norm, parts[2 * j + 1] / norm] for j in range(m)]
+        comps.append({"dim_a": dim_a, "dim_b": dim_b, "amplitudes": pairs})
+    coeffs = [[draw(COEFFICIENT_PARTS), draw(COEFFICIENT_PARTS)] for _ in range(n)]
+    return {"coefficients": coeffs, "components": comps}
+
+
+# "other dims" is listed twice: the spec names mismatched dims only after
+# every other check has passed, so it needs the extra draws to show.
+MUTATIONS = (
+    "true part", "string part", "short pair", "long pair", "huge int", "nan part",
+    "inf part", "drop amplitude", "extra amplitude", "bool dim", "float dim", "zero dim",
+    "not an object", "missing field", "missing array", "other dims", "other dims",
+)
+
+
+def mutate(draw, obj: dict) -> None:
+    """Apply one mutation, where it still applies, at a drawn place."""
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "missing array":
+        obj.pop(draw(st.sampled_from(["coefficients", "components"])), None)
+        return
+    comps = obj.get("components") or [None]
+    k = draw(st.integers(0, len(comps) - 1))
+    comp = comps[k] if isinstance(comps[k], dict) else {}
+    if kind in ("bool dim", "float dim", "zero dim", "missing field", "other dims"):
+        key = draw(st.sampled_from(["dim_a", "dim_b"]))
+        if kind == "bool dim" and key in comp:
+            comp[key] = True
+        elif kind == "float dim" and key in comp:
+            comp[key] = float(comp[key])
+        elif kind == "zero dim" and key in comp:
+            comp[key] = 0
+        elif kind == "missing field":
+            comp.pop(draw(st.sampled_from(["dim_a", "dim_b", "amplitudes"])), None)
+        elif kind == "other dims" and isinstance(comp.get("amplitudes"), list):
+            # dims unlike the other components', with the right amplitude count
+            amps = comp["amplitudes"]
+            if len(amps) == 1:
+                amps.append([0, 0])
+            column = (len(amps), 1)
+            other = column if (comp.get("dim_a"), comp.get("dim_b")) != column else column[::-1]
+            comp["dim_a"], comp["dim_b"] = other
+        return
+    if kind == "not an object":
+        if obj.get("components"):
+            obj["components"][k] = draw(st.sampled_from([[], 7, "state", None]))
+        return
+    lists = [obj.get("coefficients"), comp.get("amplitudes")]
+    pairs = draw(st.sampled_from(lists))
+    if not isinstance(pairs, list) or not pairs:
+        return
+    if kind == "drop amplitude":
+        pairs.pop()
+        return
+    if kind == "extra amplitude":
+        pairs.append([0.0, 0.0])
+        return
+    j = draw(st.integers(0, len(pairs) - 1))
+    if kind == "short pair" and isinstance(pairs[j], list):
+        pairs[j] = pairs[j][:1]
+    elif kind == "long pair" and isinstance(pairs[j], list):
+        pairs[j] = pairs[j] + [0]
+    elif isinstance(pairs[j], list) and pairs[j]:
+        part = {
+            "true part": True, "string part": "0.5", "huge int": -(10**400),
+            "nan part": float("nan"), "inf part": draw(st.sampled_from([math.inf, -math.inf])),
+        }[kind]
+        pairs[j][draw(st.integers(0, len(pairs[j]) - 1))] = part
+
+
+@st.composite
+def mutated_specs(draw) -> dict:
+    obj = copy.deepcopy(draw(json_specs()))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        mutate(draw, obj)
+    return obj
+
+
+def decoded(decode, obj):
+    """What a decoder makes of obj: the bytes of a state's amplitudes or a
+    spec's coefficients and stack, or the type and text of its error."""
+    try:
+        out = decode(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(out, BipartitePureState):
+        return out.amplitudes.shape, out.amplitudes.tobytes()
+    return out.coefficients.tobytes(), out._stack.shape, out._stack.tobytes()
+
+
+class TestStackDecoder:
+    """The stack decoder against the pair-by-pair decoder it replaced."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(json_specs())
+    def test_valid_specs_decode_bit_for_bit(self, obj):
+        want = decoded(reference_spec_from_json, obj)
+        assert decoded(spec_from_json, obj) == want
+        for k, comp in enumerate(obj["components"]):
+            where = f"spec.components[{k}]"
+            assert decoded(lambda c: state_from_json(c, where), comp) == decoded(
+                lambda c: reference_state_from_json(c, where), comp
+            )
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(mutated_specs())
+    def test_malformed_specs_raise_the_same_error(self, obj):
+        assert decoded(spec_from_json, obj) == decoded(reference_spec_from_json, obj)
+        for comp in obj.get("components") or []:
+            assert decoded(state_from_json, comp) == decoded(reference_state_from_json, comp)
+
+    def test_nan_amplitude_is_a_bare_invariant_error(self):
+        # A component's non-finite amplitude is refused when that component
+        # is decoded, before a later component's bad part and outside the
+        # "spec: " wrapper of the spec's own checks.
+        obj = json.loads(
+            '{"coefficients": [[1, 0], [0, 0]], "components": ['
+            '{"dim_a": 1, "dim_b": 1, "amplitudes": [[NaN, 0]]},'
+            ' {"dim_a": 1, "dim_b": 1, "amplitudes": [[true, 0]]}]}'
+        )
+        with pytest.raises(InvariantViolationError) as info:
+            spec_from_json(obj)
+        assert type(info.value) is InvariantViolationError
+        assert str(info.value) == "state amplitudes contain NaN or Inf"
 
 
 @st.composite
