@@ -222,8 +222,7 @@ def _row_values(p: np.ndarray, ents: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (p * ents).sum(axis=1) + corrections, corrections
 
 
-# The message of the PreconditionError each variant with a unit-total
-# precondition raises when its weight row misses T = 1.
+# The PreconditionError message of each variant whose weight row must total 1.
 _CONSTRAINTS = {
     VARIANT_CONSTRAINED: "constraint sum N_i^2|alpha_i|^2 = 1 violated (got {!r})",
     VARIANT_EXACT: "sum |alpha_i|^2 = 1 required for the exact formula (got {!r})",
@@ -232,19 +231,17 @@ _CONSTRAINTS = {
 
 
 def _weight_row(variant: str, a2: np.ndarray) -> np.ndarray:
-    """The (1, n) weight row of the identity assignment, for |alpha_i|^2 =
-    a2: N_i^2 |alpha_i|^2 under the N_i^2-weighted variants and |alpha_i|^2
-    under the exact formula and the assistant check."""
+    """The (1, n) weight row of the identity assignment: N_i^2 a2_i, or a2_i
+    for the exact formula and the assistant check, where a2 = |alpha|^2."""
     if variant in (VARIANT_EXACT, VARIANT_ASSISTANT):
         return a2[None]
     return (normalization_coeffs(len(a2)) * a2)[None]
 
 
 def _check_unit_total(variant: str, p: np.ndarray) -> None:
-    """Raise the variant's PreconditionError unless the total T of its single
-    weight row p is 1 within CONSTRAINT_TOL; a variant without a unit-total
-    precondition passes.  `_rhs` applies it to the row it weighs, and
-    `report.iter_trials` to the row of fixed coefficients, so both agree."""
+    """Raise the variant's PreconditionError unless its single weight row p
+    totals 1 within CONSTRAINT_TOL; other variants pass.  `_rhs` and, for
+    fixed coefficients, `report.iter_trials` both apply it, so they agree."""
     if variant in _CONSTRAINTS:
         total = p.sum(axis=1)[0]
         if abs(total - 1.0) > CONSTRAINT_TOL:

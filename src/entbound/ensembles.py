@@ -15,15 +15,12 @@ checks the formula itself.
 
 Each component family is a private `(config, stream)` draw that returns
 one (n, dim_a, dim_b) amplitude stack and trusts its config: a family's
-preconditions are checked once, by `EnsembleConfig`.  The draws are built
-on two private batched samplers, `_haar_stack` and `_unitary_stack`, which
-take one substream per row: each substream's generator draws into one
-shared buffer, with the labels and the draw order within the stream that
-one draw per row would have, and the whole stack is then assembled,
-normalized or decomposed at once (one batched QR for the unitaries).
-`haar_state` and `haar_unitary` are their one-stream case.  Every row
-is bit for bit the row a per-component draw gives, which
-tests/test_ensembles.py checks against such a draw.  `generate_spec`
+preconditions are checked once, by `EnsembleConfig`.  The draws rest on
+two private batched samplers, `_haar_stack` and `_unitary_stack`, whose
+one-stream case `haar_state` and `haar_unitary` are: each row's substream,
+with its own label and draw order, draws into one shared buffer, and the
+stack is then assembled, normalized or decomposed at once.  Every row is
+bit for bit a per-component draw's (tests/test_ensembles.py).  `generate_spec`
 hands the drawn stack to `SuperpositionSpec` as it is: the spec copies
 and checks it in one pass, and its components are views of the stack's
 rows.  tests/test_golden.py pins every family's substream labels, draw
@@ -108,13 +105,10 @@ def _seed_words(digest: bytes) -> np.ndarray:
 
 def _gaussian_stack(shape: tuple[int, ...], streams: list[RandomStream]) -> np.ndarray:
     """The complex (len(streams), *shape) stack whose row k is re + 1j*im, for
-    re, im = streams[k].generator().standard_normal((2, *shape)).
-
-    Every stream draws into one real buffer (one draw of both parts reads the
-    same numbers as a draw of each in turn), and the parts are written
-    through the float views of the stack: re + 0.0*im and 0.0 + im are what
-    re + 1j*im rounds to, signed zeros included, and unlike it they need no
-    full-size complex temporary."""
+    re, im = streams[k].generator().standard_normal((2, *shape)), drawn into
+    one real buffer.  The parts go through the stack's float views as
+    re + 0.0*im and 0.0 + im: what re + 1j*im rounds to, signed zeros
+    included, without its full-size complex temporary."""
     parts = np.empty((len(streams), 2, *shape))
     for row, stream in zip(parts, streams):
         stream.generator().standard_normal(out=row)

@@ -32,6 +32,7 @@ from entbound.ensembles import (
     FAMILY_BIORTHOGONAL as BIORTHOGONAL,
     FAMILY_SHARED_SUPPORT as SHARED_SUPPORT,
     MAX_STATE_ELEMS,
+    _gaussian_stack,
     _seed_words,
 )
 from entbound.report import run_trial, trial_stream
@@ -148,6 +149,22 @@ class TestBatchedDraws:
             want = reference_draw(cfg, stream)
             assert got.shape == want.shape == (cfg.n, cfg.dim_a, cfg.dim_b)
             assert got.tobytes() == want.tobytes(), (cfg.n, cfg.dim_a, cfg.dim_b)
+
+    def test_assembly_rounds_as_the_complex_sum(self):
+        # Random draws never hit a signed zero, so feed every pairing of
+        # signed zeros and normal parts through a stand-in stream.
+        values = [0.0, -0.0, 1.5, -2.0]
+        re, im = np.array([[r, i] for r in values for i in values]).T.reshape(2, 4, 4)
+
+        class Drawn:
+            def generator(self):
+                return self
+
+            def standard_normal(self, out):
+                out[...] = (re, im)
+
+        got = _gaussian_stack((4, 4), [Drawn(), Drawn()])
+        assert got.tobytes() == np.stack([re + 1j * im] * 2).tobytes()
 
     @pytest.mark.parametrize("dims", [(1, 1), (1, 5), (5, 1), (3, 5), (8, 8), (64, 64)])
     def test_public_samplers_are_the_one_stream_case(self, dims):
