@@ -20,11 +20,11 @@ two private batched samplers, `_haar_stack` and `_unitary_stack`, whose
 one-stream case `haar_state` and `haar_unitary` are: each row's substream,
 with its own label and draw order, draws into one shared buffer, and the
 stack is then assembled, normalized or decomposed at once.  Every row is
-bit for bit a per-component draw's (tests/test_ensembles.py).  `generate_spec`
-hands the drawn stack to `SuperpositionSpec` as it is: the spec copies
-and checks it in one pass, and its components are views of the stack's
-rows.  tests/test_golden.py pins every family's substream labels, draw
-order and drawn amplitudes.
+bit for bit a per-component draw's (tests/test_ensembles.py).
+`generate_spec` hands the drawn stack to `SuperpositionSpec` as it is: the
+spec copies and checks it in one pass, and its components are views of the
+stack's rows.  tests/test_golden.py pins every family's substream labels,
+draw order and drawn amplitudes.
 """
 
 from __future__ import annotations

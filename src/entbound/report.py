@@ -107,9 +107,8 @@ def iter_trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[T
         raise DomainError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     _check_n(config.n, variant)
     if config.fixed_coefficients is not None:
-        largest = max(abs(c) for c in config.fixed_coefficients)
-        _check_weights(variant, config.n, largest * largest, config.dim_a, config.dim_b)
         a2 = np.abs(np.array(config.fixed_coefficients, dtype=complex)) ** 2
+        _check_weights(variant, config.n, float(a2.max()), config.dim_a, config.dim_b)
         _check_unit_total(variant, _weight_row(variant, a2))
     return _trials(config, variant, trials)
 

@@ -185,7 +185,8 @@ class TestBatchedDraws:
         ],
     )
     @pytest.mark.parametrize("mode", ["simplex_uniform", "fixed"])
-    def test_one_generator_per_substream(self, monkeypatch, family, per_trial, mode):
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_one_generator_per_substream(self, monkeypatch, family, per_trial, mode, n):
         # A fixed coefficient vector draws nothing, so its trial derives one
         # stream fewer.
         calls = []
@@ -196,7 +197,6 @@ class TestBatchedDraws:
             return generator(stream)
 
         monkeypatch.setattr(RandomStream, "generator", counted)
-        n = 4
         cfg = EnsembleConfig(
             n=n, dim_a=8, dim_b=8, family=family, seed=2, coefficient_mode=mode,
             block_a=2, block_b=2,
