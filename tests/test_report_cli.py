@@ -6,9 +6,12 @@ import pytest
 
 from entbound import (
     BoundReport,
+    DegenerateStateError,
     DomainError,
     EnsembleConfig,
+    PreconditionError,
     SchemaError,
+    SuperpositionSpec,
     TrialRecord,
     bound_constrained,
     iter_trials,
@@ -664,3 +667,216 @@ class TestCli:
         code = main(["verify", "--config", str(cfg_path), "--trials", "3",
                      "--variant", "exact", "--out", str(tmp_path / "o.jsonl")])
         assert code == 3
+
+
+# Refusal precedence.  Every variant-level refusal, single or among
+# several faults, is pinned through the library entry points and the CLI:
+# the exception type and full message, and the exit code and stderr line.
+UNKNOWN_VARIANT = (
+    "unknown variant {!r}, expected one of"
+    " ('constrained', 'unconstrained', 'minimized', 'exact', 'assistant')"
+)
+WEIGHTS_OVERFLOW = (
+    "the {} variant needs n N_n^2 max|alpha_i|^2 log2(2 n min(dim_a, dim_b))"
+    " finite (got max|alpha_i| = 1.000e+152)"
+)
+UNIT_TOTAL = {
+    "constrained": "constraint sum N_i^2|alpha_i|^2 = 1 violated (got {})",
+    "exact": "sum |alpha_i|^2 = 1 required for the exact formula (got {})",
+    "assistant": "assistant state requires sum |alpha_i|^2 = 1 (got {})",
+}
+VACUOUS = "superposition vanishes; the bound is vacuous"
+UNDEFINED = "superposition vanishes; entanglement of the normalized version is undefined"
+CAPS = {"constrained": 11, "unconstrained": 11, "minimized": 8, "exact": 16, "assistant": 16}
+WEIGHTED = ("constrained", "unconstrained", "minimized")
+
+
+def capped(variant: str, n: int) -> str:
+    return f"the {variant} variant is capped at n = {CAPS[variant]}, got {n}"
+
+
+def products(n: int, dim_a: int, dim_b: int, alpha: float):
+    """n orthonormal product kets |k // dim_b>|k % dim_b>, alpha_i = alpha."""
+    return [alpha] * n, [basis_state(dim_a, dim_b, k // dim_b, k % dim_b) for k in range(n)]
+
+
+def diagonal(n: int, dim: int, alpha: float):
+    """n biorthogonal product kets |k>|k> on dim x dim, alpha_i = alpha."""
+    return [alpha] * n, [basis_state(dim, dim, k, k) for k in range(n)]
+
+
+def bells(alphas):
+    return list(alphas), [bell_state()] * len(alphas)
+
+
+def refused(exc: type, message: str) -> tuple[int, str]:
+    """The exit code and stderr of a command that refuses with exc(message)."""
+    if exc is DomainError:
+        return 2, f"entbound: {message}\n"
+    return 3, f"entbound: precondition failed: {message}\n"
+
+
+SPEC_REFUSALS = (
+    # n over the cap beside overflowing N_i^2 weights and an off-unit total
+    [
+        pytest.param(v, products(12, 3, 4, 1e152), DomainError, capped(v, 12), id=f"{v}-n12-big")
+        for v in ("constrained", "unconstrained")
+    ]
+    + [pytest.param("minimized", products(9, 3, 3, 1e152), DomainError, capped("minimized", 9),
+                    id="minimized-n9-big")]
+    # a biorthogonal n = 17 spec off the unit total; the assistant's at 63x63
+    # also over its amplitude cap
+    + [
+        pytest.param(v, diagonal(17, dim, 1.0), DomainError, capped(v, 17), id=f"{v}-n17")
+        for v, dim in (("exact", 17), ("assistant", 63))
+    ]
+    # overflowing weights beside an off-unit total
+    + [
+        pytest.param(v, products(6, 2, 3, 1e152), DomainError, WEIGHTS_OVERFLOW.format(v),
+                     id=f"{v}-weights")
+        for v in WEIGHTED
+    ]
+    # the assistant's amplitude cap beside an off-unit total
+    + [pytest.param("assistant", diagonal(7, 100, 1.0), DomainError,
+                    "assistant state would exceed 65536 amplitudes", id="assistant-amplitudes")]
+    # a vanishing psi off the unit total: psi first, save for the assistant
+    # check, which never forms psi
+    + [
+        pytest.param(v, bells([1.0, -1.0]), exc, message, id=f"{v}-vanishing")
+        for v, exc, message in [
+            *((v, DegenerateStateError, VACUOUS) for v in WEIGHTED),
+            ("exact", DegenerateStateError, UNDEFINED),
+            ("assistant", PreconditionError, UNIT_TOTAL["assistant"].format("2.0")),
+        ]
+    ]
+    # alpha = (1e-7, 1e-7): psi vanishes, and so does the assistant's total
+    + [
+        pytest.param(v, diagonal(2, 2, 1e-7), DegenerateStateError, message, id=f"{v}-tiny")
+        for v, message in [
+            *((v, VACUOUS) for v in WEIGHTED),
+            ("exact", UNDEFINED),
+            ("assistant", "all coefficients vanish"),
+        ]
+    ]
+)
+
+CONFIG_REFUSALS = (
+    [pytest.param(v, {}, DomainError, UNKNOWN_VARIANT.format(v), id=f"unknown-{v!r}")
+     for v in ("bogus", [])]
+    # every variant's cap at n = 17, 64x64, where the assistant state would
+    # also exceed its amplitude cap
+    + [
+        pytest.param(v, dict(n=17, dim_a=64, dim_b=64), DomainError, capped(v, 17), id=f"{v}-n17")
+        for v in VARIANTS
+    ]
+    # n over the cap beside overflowing fixed weights
+    + [
+        pytest.param(
+            v, dict(n=n, dim_a=3, dim_b=n // 3, coefficient_mode="fixed",
+                    fixed_coefficients=(1e152,) * n),
+            DomainError, capped(v, n), id=f"{v}-n{n}-big",
+        )
+        for v, n in (("constrained", 12), ("unconstrained", 12), ("minimized", 9))
+    ]
+    # overflowing fixed weights beside an off-unit total: the weights
+    # first, and only the N_i^2-weighted variants check them
+    + [
+        pytest.param(
+            v, dict(n=6, dim_a=2, dim_b=3, coefficient_mode="fixed",
+                    fixed_coefficients=(1e152,) * 6),
+            DomainError, WEIGHTS_OVERFLOW.format(v), id=f"{v}-weights",
+        )
+        for v in WEIGHTED
+    ]
+    + [
+        pytest.param(
+            v, dict(n=6, dim_a=2, dim_b=3, coefficient_mode="fixed",
+                    fixed_coefficients=(1e152,) * 6),
+            PreconditionError, UNIT_TOTAL[v].format("6.000000000000001e+304"), id=f"{v}-weights",
+        )
+        for v in ("exact", "assistant")
+    ]
+    # fixed alpha = (1e-7, 1e-7): the unit total is refused up front
+    + [
+        pytest.param(
+            v, dict(coefficient_mode="fixed", fixed_coefficients=(1e-7, 1e-7)),
+            PreconditionError, UNIT_TOTAL[v].format(total), id=f"{v}-tiny",
+        )
+        for v, total in (
+            ("constrained", "3.9999999999999994e-14"),
+            ("exact", "1.9999999999999997e-14"),
+            ("assistant", "1.9999999999999997e-14"),
+        )
+    ]
+    # fixed alpha = (1, -1) off the unit total, refused before any trial is drawn
+    + [
+        pytest.param(
+            v, dict(coefficient_mode="fixed", fixed_coefficients=(1, -1)),
+            PreconditionError, UNIT_TOTAL[v].format(total), id=f"{v}-off-total",
+        )
+        for v, total in (("constrained", "4.0"), ("exact", "2.0"), ("assistant", "2.0"))
+    ]
+)
+
+
+class TestRefusalPrecedence:
+    @pytest.mark.parametrize("variant, parts, exc, message", SPEC_REFUSALS)
+    def test_spec(self, tmp_path, capsys, variant, parts, exc, message):
+        coeffs, components = parts
+        spec = SuperpositionSpec(tuple(coeffs), tuple(components))
+        with pytest.raises(exc) as caught:
+            evaluate_variant(spec, variant)
+        assert type(caught.value) is exc and str(caught.value) == message
+        path = write_spec_file(tmp_path, coeffs, components)
+        code, err = refused(exc, message)
+        assert main(["eval", str(path), "--variant", variant]) == code
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("variant, overrides, exc, message", CONFIG_REFUSALS)
+    def test_config(self, tmp_path, capsys, variant, overrides, exc, message):
+        config = haar_config(**{"n": 2, "dim_a": 2, "dim_b": 2, **overrides})
+        with pytest.raises(exc) as caught:
+            iter_trials(config, variant, 2)  # refused when the iterator is made
+        assert type(caught.value) is exc and str(caught.value) == message
+        if not isinstance(variant, str) or variant not in VARIANTS:
+            return  # the CLI's argument parser refuses these first
+        cfg_path = write_config(tmp_path, config)
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"records of an earlier run\n")
+        code, err = refused(exc, message)
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2",
+                     "--variant", variant, "--out", str(out)]) == code
+        assert capsys.readouterr().err == err
+        assert out.read_bytes() == b"records of an earlier run\n"
+
+    @pytest.mark.parametrize("variant", WEIGHTED[1:])
+    def test_tiny_fixed_coefficients_fail_the_first_trial(self, tmp_path, capsys, variant):
+        # no unit total to refuse up front: psi vanishes on trial 0
+        config = haar_config(n=2, dim_a=2, dim_b=2, coefficient_mode="fixed",
+                             fixed_coefficients=(1e-7, 1e-7))
+        records = iter_trials(config, variant, 2)
+        with pytest.raises(DegenerateStateError) as caught:
+            next(records)
+        assert str(caught.value) == VACUOUS
+        cfg_path = write_config(tmp_path, config)
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2",
+                     "--variant", variant, "--out", str(tmp_path / "r.jsonl")]) == 3
+        assert capsys.readouterr().err == refused(DegenerateStateError, VACUOUS)[1]
+
+    def test_unknown_variant_of_evaluate_variant(self):
+        spec = SuperpositionSpec((1.0, 0.0), tuple(bells([1.0, 0.0])[1]))
+        with pytest.raises(DomainError) as caught:
+            evaluate_variant(spec, "bogus")
+        assert str(caught.value) == UNKNOWN_VARIANT.format("bogus")
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            evaluate_variant(spec, [])
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    def test_unknown_variant_on_the_command_line(self, tmp_path, capsys, command):
+        path = write_spec_file(tmp_path, *bells([1.0, 0.0]))
+        args = [str(path)] if command == "eval" else ["--config", str(path), "--trials", "2",
+                                                       "--out", str(tmp_path / "r.jsonl")]
+        with pytest.raises(SystemExit) as caught:
+            main([command, *args, "--variant", "bogus"])
+        assert caught.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
