@@ -28,6 +28,12 @@ The right-hand side of both, sum |alpha_i|^2 E(phi_i) + H(|alpha|^2), is
 the unit-weight case of the bound's (every N_i^2 = 1, so T = 1), which
 `_rhs` evaluates with the constrained one as -sum p_i log2 p_i and P @ E:
 on its single row that rounds exactly like the dot product p @ E.
+
+The inputs each variant takes are one row of the table `_RULES`, whose
+keys are `VARIANTS`: its cap on n, whether it weights by N_i^2, and the
+text of its unit-total PreconditionError, if its weights must total 1.
+One check, `_variant_weights`, raises every variant-level DomainError
+and returns the weight row; every variant and the campaign runner call it.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +84,26 @@ VARIANT_UNCONSTRAINED = "unconstrained"
 VARIANT_MINIMIZED = "minimized"
 VARIANT_EXACT = "exact"
 VARIANT_ASSISTANT = "assistant"
+
+
+class _Rule(NamedTuple):
+    cap: int  # the largest n
+    weighted: bool  # its weights are N_i^2 |alpha_i|^2, else |alpha_i|^2
+    unit_total: str | None  # the PreconditionError text if its weights must total 1
+
+
+# MAX_N ends the documented domain and the table a campaign draws with; the
+# N_i^2-weighted bounds stop at MAX_WEIGHTED_N, the minimized at MAX_MINIMIZED_N.
+_RULES = {
+    VARIANT_CONSTRAINED: _Rule(
+        MAX_WEIGHTED_N, True, "constraint sum N_i^2|alpha_i|^2 = 1 violated"
+    ),
+    VARIANT_UNCONSTRAINED: _Rule(MAX_WEIGHTED_N, True, None),
+    VARIANT_MINIMIZED: _Rule(MAX_MINIMIZED_N, True, None),
+    VARIANT_EXACT: _Rule(MAX_N, False, "sum |alpha_i|^2 = 1 required for the exact formula"),
+    VARIANT_ASSISTANT: _Rule(MAX_N, False, "assistant state requires sum |alpha_i|^2 = 1"),
+}
+VARIANTS = tuple(_RULES)
 
 # builtin float: comparing arbitrary ints against it stays exact
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -222,30 +249,46 @@ def _row_values(p: np.ndarray, ents: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (p * ents).sum(axis=1) + corrections, corrections
 
 
-# The PreconditionError message of each variant whose weight row must total 1.
-_CONSTRAINTS = {
-    VARIANT_CONSTRAINED: "constraint sum N_i^2|alpha_i|^2 = 1 violated (got {!r})",
-    VARIANT_EXACT: "sum |alpha_i|^2 = 1 required for the exact formula (got {!r})",
-    VARIANT_ASSISTANT: "assistant state requires sum |alpha_i|^2 = 1 (got {!r})",
-}
+def _variant_weights(
+    variant: object, n: int, dim_a: int, dim_b: int, a2: np.ndarray | None = None
+) -> np.ndarray | None:
+    """Raise every variant-level DomainError of n components on dim_a x dim_b,
+    in this order: an unknown variant, of any type; n over its cap; given
+    a2 = |alpha|^2, N_i^2 weights that could leave the float range.  Return
+    the (1, n) weight row of the identity assignment (None without a2).
 
-
-def _weight_row(variant: str, a2: np.ndarray) -> np.ndarray:
-    """The (1, n) weight row of the identity assignment: N_i^2 a2_i, or a2_i
-    for the exact formula and the assistant check, where a2 = |alpha|^2."""
-    if variant in (VARIANT_EXACT, VARIANT_ASSISTANT):
+    A weighted row's total is at most n N_n^2 max a2, its rhs that times
+    log2 min(dim_a, dim_b) + log2 n (the entropies and the correction), and
+    the lhs at most n^2 max a2 log2 min(dim_a, dim_b); one more factor of
+    the total covers the minimized search's rounding margins."""
+    if not isinstance(variant, str) or variant not in _RULES:
+        raise DomainError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    rule = _RULES[variant]
+    if n > rule.cap:
+        raise DomainError(f"the {variant} variant is capped at n = {rule.cap}, got {n}")
+    if a2 is None:
+        return None
+    if not rule.weighted:
         return a2[None]
-    return (normalization_coeffs(len(a2)) * a2)[None]
+    nsq = normalization_coeffs(n)
+    top = float(a2.max())
+    if not math.isfinite(n * float(nsq[-1]) * top * math.log2(2 * n * min(dim_a, dim_b))):
+        raise DomainError(
+            f"the {variant} variant needs n N_n^2 max|alpha_i|^2 log2(2 n min(dim_a, dim_b))"
+            f" finite (got max|alpha_i| = {math.sqrt(top):.3e})"
+        )
+    return (nsq * a2)[None]
 
 
 def _check_unit_total(variant: str, p: np.ndarray) -> None:
     """Raise the variant's PreconditionError unless its single weight row p
-    totals 1 within CONSTRAINT_TOL; other variants pass.  `_rhs` and, for
-    fixed coefficients, `report.iter_trials` both apply it, so they agree."""
-    if variant in _CONSTRAINTS:
+    totals 1 within CONSTRAINT_TOL; a variant without a unit total passes.
+    `_rhs` and, for fixed coefficients, `report.iter_trials` both apply it."""
+    message = _RULES[variant].unit_total
+    if message is not None:
         total = p.sum(axis=1)[0]
         if abs(total - 1.0) > CONSTRAINT_TOL:
-            raise PreconditionError(_CONSTRAINTS[variant].format(float(total)))
+            raise PreconditionError(f"{message} (got {float(total)!r})")
 
 
 def _rhs(
@@ -253,17 +296,17 @@ def _rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """rhs and correction of every row P of weights, T = sum_j P_j.
 
-    Without a unit-total precondition (no variant, or one outside
-    `_CONSTRAINTS`) the rows take the cancellation-free form of
-    `_row_values`, each row reduced on its own.  With one, the single row
-    must pass `_check_unit_total` and is the T = 1 case written directly:
+    Without a unit-total precondition (no variant, or one whose rule has
+    none) the rows take the cancellation-free form of `_row_values`, each
+    row reduced on its own.  With one, the single row must pass
+    `_check_unit_total` and is the T = 1 case written directly:
 
         correction = -sum_j P_j log2 P_j,   rhs = P @ E + correction.
     """
     totals = p.sum(axis=1)
     if totals.min() <= ZERO_NORM_TOL:
         raise DegenerateStateError("all coefficients vanish")
-    if variant not in _CONSTRAINTS:
+    if variant is None or _RULES[variant].unit_total is None:
         return _row_values(p, ents)
     _check_unit_total(variant, p)
     corrections = -xlog2x(p).sum(axis=1)
@@ -429,39 +472,6 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
     return float(rows[0, k]), float(rows[1, k]), tuple(int(j) for j in perms[k])
 
 
-def _check_n(n: int, variant: str) -> None:
-    """Raise DomainError unless `variant` takes n components: the
-    documented domain, and the normalization table a campaign draws with,
-    end at MAX_N, the N_i^2-weighted bound variants at MAX_WEIGHTED_N, and
-    the minimized bound at MAX_MINIMIZED_N."""
-    if variant == VARIANT_MINIMIZED:
-        cap = MAX_MINIMIZED_N
-    elif variant in (VARIANT_CONSTRAINED, VARIANT_UNCONSTRAINED):
-        cap = MAX_WEIGHTED_N
-    else:
-        cap = MAX_N
-    if n > cap:
-        raise DomainError(f"the {variant} variant is capped at n = {cap}, got {n}")
-
-
-def _check_weights(variant: str, n: int, top: float, dim_a: int, dim_b: int) -> None:
-    """Raise DomainError unless an N_i^2-weighted variant keeps every row it
-    weighs a float, for n coefficients of largest |alpha_i|^2 = top on
-    dim_a x dim_b components; the exact and assistant variants weigh by
-    |alpha_i|^2 alone.  A row's total is at most n N_n^2 top, its rhs that
-    times log2 min(dim_a, dim_b) + log2 n (the entropies and the
-    correction), and the lhs at most n^2 top log2 min(dim_a, dim_b); one
-    more factor of the total covers the search's rounding margins."""
-    weighted = (VARIANT_CONSTRAINED, VARIANT_UNCONSTRAINED, VARIANT_MINIMIZED)
-    if variant in weighted and not math.isfinite(
-        n * float(normalization_coeffs(n)[-1]) * top * math.log2(2 * n * min(dim_a, dim_b))
-    ):
-        raise DomainError(
-            f"the {variant} variant needs n N_n^2 max|alpha_i|^2 log2(2 n min(dim_a, dim_b))"
-            f" finite (got max|alpha_i| = {math.sqrt(top):.3e})"
-        )
-
-
 def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
     """The one bound kernel behind the three bound variants.
 
@@ -469,19 +479,16 @@ def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
     identity assignment, p_j = N_j^2 |alpha_j|^2, for the constrained and
     unconstrained variants, and the row `_minimized` finds for the
     minimized one.  A spec beyond the variant's cap on n, or whose weighted
-    rows could leave the float range (`_check_weights`), is a DomainError.
+    rows could leave the float range, is a DomainError (`_variant_weights`).
     """
-    n = spec.n
-    _check_n(n, variant)
     a2 = np.abs(spec.coefficients) ** 2
-    _check_weights(variant, n, float(a2.max()), spec.dim_a, spec.dim_b)
-    minimized = variant == VARIANT_MINIMIZED
+    row = _variant_weights(variant, spec.n, spec.dim_a, spec.dim_b, a2)
     n2, e_psi, ents = _entanglements(spec, "the bound is vacuous")
     permutation = None
-    if minimized:
+    if variant == VARIANT_MINIMIZED:
         rhs, correction, permutation = _minimized(a2, ents)
     else:
-        rhs, correction = (float(v[0]) for v in _rhs(_weight_row(variant, a2), ents, variant))
+        rhs, correction = (float(v[0]) for v in _rhs(row, ents, variant))
     return BoundReport(
         variant=variant,
         lhs=n2 * e_psi,
@@ -550,12 +557,12 @@ def exact_biorthogonal_entanglement(spec: SuperpositionSpec) -> BoundReport:
     entropy; the check biorth_equality holds when the two sides agree
     within EQUALITY_TOL.
     """
-    _check_n(spec.n, VARIANT_EXACT)
+    a2 = np.abs(spec.coefficients) ** 2
+    row = _variant_weights(VARIANT_EXACT, spec.n, spec.dim_a, spec.dim_b, a2)
     _, direct, ents = _entanglements(spec, "entanglement of the normalized version is undefined")
     if not is_biorthogonal(spec):
         raise PreconditionError("components are not mutually biorthogonal")
-    a2 = np.abs(spec.coefficients) ** 2
-    rhs, mixing = _rhs(_weight_row(VARIANT_EXACT, a2), ents, VARIANT_EXACT)
+    rhs, mixing = _rhs(row, ents, VARIANT_EXACT)
     formula = float(rhs[0])
     return BoundReport(
         variant=VARIANT_EXACT,
@@ -586,15 +593,12 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
          result after the residual terms are dropped, is <= rhs.
     """
     n = spec.n
-    _check_n(n, VARIANT_ASSISTANT)
-    if n * spec.dim_a * spec.dim_b > MAX_ASSISTANT_ELEMS:
-        raise DomainError(
-            f"assistant state would exceed {MAX_ASSISTANT_ELEMS} amplitudes"
-        )
     alphas = spec.coefficients
-    a2 = np.abs(alphas) ** 2
+    row = _variant_weights(VARIANT_ASSISTANT, n, spec.dim_a, spec.dim_b, np.abs(alphas) ** 2)
+    if n * spec.dim_a * spec.dim_b > MAX_ASSISTANT_ELEMS:
+        raise DomainError(f"assistant state would exceed {MAX_ASSISTANT_ELEMS} amplitudes")
     comp_ents = component_entanglements(spec)
-    rhs, mixing = _rhs(_weight_row(VARIANT_ASSISTANT, a2), comp_ents, VARIANT_ASSISTANT)
+    rhs, mixing = _rhs(row, comp_ents, VARIANT_ASSISTANT)
     upper_bound = float(rhs[0])
 
     # The assistant state is pure, so S(rho_B) is its Schmidt entropy as a

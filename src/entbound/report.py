@@ -23,11 +23,10 @@ from .bounds import (
     VARIANT_EXACT,
     VARIANT_MINIMIZED,
     VARIANT_UNCONSTRAINED,
+    VARIANTS,  # re-exported: the CLI's choices
     BoundReport,
-    _check_n,
     _check_unit_total,
-    _check_weights,
-    _weight_row,
+    _variant_weights,
     assistant_state_check,
     bound_constrained,
     bound_minimized,
@@ -35,18 +34,10 @@ from .bounds import (
     exact_biorthogonal_entanglement,
     normalization_coeffs,
 )
-from .ensembles import EnsembleConfig, RandomStream, generate_spec
+from .ensembles import EnsembleConfig, RandomStream, _require_int, generate_spec
 from .errors import DomainError, InvariantViolationError
 from .serialize import config_to_json, dumps, format_float
 from .superposition import SuperpositionSpec
-
-VARIANTS = (
-    VARIANT_CONSTRAINED,
-    VARIANT_UNCONSTRAINED,
-    VARIANT_MINIMIZED,
-    VARIANT_EXACT,
-    VARIANT_ASSISTANT,
-)
 
 
 @dataclass(frozen=True)
@@ -73,8 +64,9 @@ def trial_stream(config: EnsembleConfig, trial_id: int) -> RandomStream:
 
 def evaluate_variant(spec: SuperpositionSpec, variant: str) -> BoundReport:
     """Evaluate one bound variant (or equality/proof-chain check) on a spec."""
-    # Built per call, not at import, so that rebinding a module-level
-    # function (a profiler's wrapper, a test double) takes effect here.
+    _variant_weights(variant, spec.n, spec.dim_a, spec.dim_b)  # an unknown variant, of any type
+    # Built per call, not at import, so that a wrapper or test double bound
+    # to one of these names in this module takes effect here.
     evaluators = {
         VARIANT_CONSTRAINED: bound_constrained,
         VARIANT_UNCONSTRAINED: bound_unconstrained,
@@ -82,8 +74,6 @@ def evaluate_variant(spec: SuperpositionSpec, variant: str) -> BoundReport:
         VARIANT_EXACT: exact_biorthogonal_entanglement,
         VARIANT_ASSISTANT: assistant_state_check,
     }
-    if variant not in evaluators:
-        raise DomainError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     return evaluators[variant](spec)
 
 
@@ -96,20 +86,19 @@ def run_trial(config: EnsembleConfig, variant: str, trial_id: int) -> TrialRecor
 def iter_trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[TrialRecord]:
     """Lazily evaluate trial_id = 0 .. trials-1 in order.
 
-    The arguments, the variant's cap on n and the scale and unit total of
-    fixed coefficients included, are checked here, when the iterator is
-    made, not at its first step.  A trial that trips a numeric invariant is
+    The arguments, then the variant-level checks of `bounds` and the unit
+    total of fixed coefficients, are made here, when the iterator is made,
+    not at its first step.  A trial that trips a numeric invariant is
     recorded as a violation rather than aborting the campaign.
     """
+    _require_int("trials", trials)
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    _check_n(config.n, variant)
-    if config.fixed_coefficients is not None:
-        a2 = np.abs(np.array(config.fixed_coefficients, dtype=complex)) ** 2
-        _check_weights(variant, config.n, float(a2.max()), config.dim_a, config.dim_b)
-        _check_unit_total(variant, _weight_row(variant, a2))
+    fixed = config.fixed_coefficients
+    a2 = None if fixed is None else np.abs(np.array(fixed, dtype=complex)) ** 2
+    row = _variant_weights(variant, config.n, config.dim_a, config.dim_b, a2)
+    if row is not None:
+        _check_unit_total(variant, row)
     return _trials(config, variant, trials)
 
 
@@ -184,13 +173,17 @@ def run_campaign(
     """
     start = time.perf_counter()
     records = iter_trials(config, variant, trials)  # bad arguments raise before any file opens
+    out_path = Path(out_path)
+    if csv_path is not None:
+        for name, path in (("records", out_path), ("summary", summary_path_for(out_path))):
+            if Path(csv_path).resolve() == path.resolve():
+                raise DomainError(f"the CSV export and the {name} would share the file {path}")
     config_text = dumps(config_to_json(config))
     violations = 0
     count = 0
     min_gap = float("inf")
     max_gap = float("-inf")
     gap_sum = 0.0
-    out_path = Path(out_path)
     with contextlib.ExitStack() as files:
         # Every output is opened before any is truncated, so a path that
         # cannot be opened leaves the files of an earlier run intact.

@@ -247,6 +247,17 @@ class TestCampaign:
             run_campaign(haar_config(), "bogus", 2, out)
         assert out.read_bytes() == b"records of an earlier run\n"
 
+    @pytest.mark.parametrize("trials", [2.0, True])
+    def test_trials_must_be_an_integer(self, tmp_path, trials):
+        # 2.0 used to truncate the output and then fail; True ran one trial
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"records of an earlier run\n")
+        with pytest.raises(DomainError) as caught:
+            run_campaign(haar_config(), "constrained", trials, out)
+        assert str(caught.value) == f"trials must be an integer, got {trials!r}"
+        assert out.read_bytes() == b"records of an earlier run\n"
+        assert not summary_path_for(out).exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run_campaign(haar_config(), "unconstrained", 30, out1)
@@ -446,6 +457,29 @@ class TestCli:
             args += [name, str(path)]
         assert main(args) == 2
         assert str(paths[flag]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "csv_name, clash", [("r.jsonl", "records"), ("r.summary.json", "summary")]
+    )
+    @pytest.mark.parametrize("spelling", ["plain", "dotted"])
+    def test_verify_csv_sharing_an_output_is_refused(
+        self, tmp_path, capsys, csv_name, clash, spelling
+    ):
+        # paths are compared resolved, so sub/../r.jsonl is r.jsonl
+        cfg_path = write_config(tmp_path, haar_config())
+        out = tmp_path / "r.jsonl"
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in (out, summary_path_for(out))}
+        (tmp_path / "sub").mkdir()
+        shared = tmp_path / csv_name
+        csv_path = tmp_path / "sub" / ".." / csv_name if spelling == "dotted" else shared
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2", "--out", str(out),
+                     "--csv", str(csv_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"entbound: the CSV export and the {clash} would share the file {shared}\n"
+        )
+        assert {p: p.read_bytes() for p in before} == before
 
     def test_verify_unwritable_csv_keeps_existing_output(self, tmp_path):
         cfg_path = write_config(tmp_path, haar_config())
@@ -863,13 +897,13 @@ class TestRefusalPrecedence:
                      "--variant", variant, "--out", str(tmp_path / "r.jsonl")]) == 3
         assert capsys.readouterr().err == refused(DegenerateStateError, VACUOUS)[1]
 
-    def test_unknown_variant_of_evaluate_variant(self):
-        spec = SuperpositionSpec((1.0, 0.0), tuple(bells([1.0, 0.0])[1]))
+    @pytest.mark.parametrize("variant", ["bogus", []])
+    def test_unknown_variant_of_evaluate_variant(self, variant):
+        # the same check as iter_trials', so an unhashable variant is no TypeError
+        spec = SuperpositionSpec(*bells([1.0, 0.0]))
         with pytest.raises(DomainError) as caught:
-            evaluate_variant(spec, "bogus")
-        assert str(caught.value) == UNKNOWN_VARIANT.format("bogus")
-        with pytest.raises(TypeError, match="unhashable type: 'list'"):
-            evaluate_variant(spec, [])
+            evaluate_variant(spec, variant)
+        assert str(caught.value) == UNKNOWN_VARIANT.format(variant)
 
     @pytest.mark.parametrize("command", ["eval", "verify"])
     def test_unknown_variant_on_the_command_line(self, tmp_path, capsys, command):
