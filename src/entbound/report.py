@@ -86,9 +86,9 @@ def run_trial(config: EnsembleConfig, variant: str, trial_id: int) -> TrialRecor
 def iter_trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[TrialRecord]:
     """Lazily evaluate trial_id = 0 .. trials-1 in order.
 
-    The arguments, then the variant-level checks of `bounds` and the unit
-    total of fixed coefficients, are made here, when the iterator is made,
-    not at its first step.  A trial that trips a numeric invariant is
+    Every argument check, the variant-level ones of `bounds` and the unit
+    total of fixed coefficients included, runs here, when the iterator is
+    made, not at its first step.  A trial that trips a numeric invariant is
     recorded as a violation rather than aborting the campaign.
     """
     _require_int("trials", trials)
@@ -175,8 +175,9 @@ def run_campaign(
     records = iter_trials(config, variant, trials)  # bad arguments raise before any file opens
     out_path = Path(out_path)
     if csv_path is not None:
+        csv_file = Path(csv_path).resolve()
         for name, path in (("records", out_path), ("summary", summary_path_for(out_path))):
-            if Path(csv_path).resolve() == path.resolve():
+            if csv_file == path.resolve():
                 raise DomainError(f"the CSV export and the {name} would share the file {path}")
     config_text = dumps(config_to_json(config))
     violations = 0

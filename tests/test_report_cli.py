@@ -249,7 +249,7 @@ class TestCampaign:
 
     @pytest.mark.parametrize("trials", [2.0, True])
     def test_trials_must_be_an_integer(self, tmp_path, trials):
-        # 2.0 used to truncate the output and then fail; True ran one trial
+        # a bool or float count is refused before any output opens
         out = tmp_path / "r.jsonl"
         out.write_bytes(b"records of an earlier run\n")
         with pytest.raises(DomainError) as caught:
