@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
+import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -63,8 +65,8 @@ def trial_stream(config: EnsembleConfig, trial_id: int) -> RandomStream:
 
 
 def evaluate_variant(spec: SuperpositionSpec, variant: str) -> BoundReport:
-    """Evaluate one bound variant (or equality/proof-chain check) on a spec."""
-    _variant_weights(variant, spec.n, spec.dim_a, spec.dim_b)  # an unknown variant, of any type
+    """Evaluate one bound variant (or equality/proof-chain check) on a spec.
+    Every evaluator opens with the variant checks of `_variant_weights`."""
     # Built per call, not at import, so that a wrapper or test double bound
     # to one of these names in this module takes effect here.
     evaluators = {
@@ -74,6 +76,8 @@ def evaluate_variant(spec: SuperpositionSpec, variant: str) -> BoundReport:
         VARIANT_EXACT: exact_biorthogonal_entanglement,
         VARIANT_ASSISTANT: assistant_state_check,
     }
+    if not isinstance(variant, str) or variant not in evaluators:
+        _variant_weights(variant, spec.n, spec.dim_a, spec.dim_b)  # raises, for any type
     return evaluators[variant](spec)
 
 
@@ -169,16 +173,21 @@ def run_campaign(
 
     The records file is byte-identical across re-runs with the same
     arguments; the summary repeats the deterministic fields and adds the
-    wall-clock runtime.
+    wall-clock runtime.  A per-trial error that aborts the campaign leaves
+    the records written before it, an empty summary and the CSV rows so far.
     """
     start = time.perf_counter()
     records = iter_trials(config, variant, trials)  # bad arguments raise before any file opens
     out_path = Path(out_path)
+    if not out_path.name:  # "." or "/": a directory, with no name to give a suffix
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_path))
+    outputs = {"records": out_path, "summary": summary_path_for(out_path)}
     if csv_path is not None:
         csv_file = Path(csv_path).resolve()
-        for name, path in (("records", out_path), ("summary", summary_path_for(out_path))):
+        for name, path in outputs.items():
             if csv_file == path.resolve():
                 raise DomainError(f"the CSV export and the {name} would share the file {path}")
+        outputs["csv"] = Path(csv_path)
     config_text = dumps(config_to_json(config))
     violations = 0
     count = 0
@@ -188,42 +197,33 @@ def run_campaign(
     with contextlib.ExitStack() as files:
         # Every output is opened before any is truncated, so a path that
         # cannot be opened leaves the files of an earlier run intact.
-        fh = files.enter_context(open(out_path, "a", encoding="utf-8", newline="\n"))
-        csv_writer = None
-        if csv_path is not None:
-            csv_file = files.enter_context(open(csv_path, "a", encoding="utf-8", newline=""))
-            csv_file.truncate(0)
-            csv_writer = csv.writer(csv_file)
+        handles = {}
+        for name, path in outputs.items():
+            newline = "" if name == "csv" else "\n"  # csv.writer ends its rows with \r\n
+            handles[name] = files.enter_context(open(path, "a", encoding="utf-8", newline=newline))
+        for handle in handles.values():
+            handle.truncate(0)
+        csv_writer = csv.writer(handles["csv"]) if "csv" in handles else None
+        if csv_writer is not None:
             csv_writer.writerow(["trial_id", "variant", "lhs", "rhs", "gap", "correction"])
-        fh.truncate(0)
         for record in records:
-            fh.write(record_line(record, config_text) + "\n")
+            handles["records"].write(record_line(record, config_text) + "\n")
             rep = record.report
             if csv_writer is not None:
-                csv_writer.writerow(
-                    [
-                        record.trial_id,
-                        rep.variant,
-                        format_float(rep.lhs),
-                        format_float(rep.rhs),
-                        format_float(rep.gap),
-                        format_float(rep.correction),
-                    ]
-                )
+                numbers = (rep.lhs, rep.rhs, rep.gap, rep.correction)
+                csv_writer.writerow([record.trial_id, rep.variant, *map(format_float, numbers)])
             violations += int(rep.is_violation)
             count += 1
             min_gap = min(min_gap, rep.gap)
             max_gap = max(max_gap, rep.gap)
             gap_sum += rep.gap
-    summary = CampaignSummary(
-        trials=count,
-        violations=violations,
-        min_gap=min_gap,
-        mean_gap=gap_sum / count,
-        max_gap=max_gap,
-        runtime_seconds=time.perf_counter() - start,
-    )
-    summary_path_for(out_path).write_text(
-        dumps(summary_to_json(summary)) + "\n", encoding="utf-8"
-    )
+        summary = CampaignSummary(
+            trials=count,
+            violations=violations,
+            min_gap=min_gap,
+            mean_gap=gap_sum / count,
+            max_gap=max_gap,
+            runtime_seconds=time.perf_counter() - start,
+        )
+        handles["summary"].write(dumps(summary_to_json(summary)) + "\n")
     return summary

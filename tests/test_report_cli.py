@@ -447,16 +447,63 @@ class TestCli:
                      "--out", str(tmp_path / "o.jsonl")]) == 2
         assert "dims 65x64 are over the 4096 cap" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--out", "--csv"])
-    def test_verify_unwritable_output_is_input_error(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("broken", ["--out", "--csv", "summary"])
+    def test_verify_unwritable_output_is_input_error(self, tmp_path, capsys, broken):
+        # every output is opened before any is truncated, so one that cannot
+        # be opened leaves the outputs of an earlier run byte-identical
         cfg_path = write_config(tmp_path, haar_config())
         paths = {"--out": tmp_path / "o.jsonl", "--csv": tmp_path / "o.csv"}
-        paths[flag] = tmp_path / "missing" / "r.out"
-        args = ["verify", "--config", str(cfg_path), "--trials", "1"]
-        for name, path in paths.items():
-            args += [name, str(path)]
-        assert main(args) == 2
-        assert str(paths[flag]) in capsys.readouterr().err
+        summary = summary_path_for(paths["--out"])
+
+        def verify(trials):
+            args = ["verify", "--config", str(cfg_path), "--trials", str(trials)]
+            for name, path in paths.items():
+                args += [name, str(path)]
+            return main(args)
+
+        assert verify(3) == 0
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in (*paths.values(), summary)}
+        if broken == "summary":  # a directory where the summary would go
+            summary.unlink()
+            summary.mkdir()
+            del before[summary]
+            bad = summary
+        else:
+            bad = paths[broken] = tmp_path / "missing" / "r.out"
+        assert verify(2) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in before} == before
+
+    def test_verify_out_of_dot_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # "." has no name to give the summary suffix: a directory, refused
+        # with exit 2 before any output opens
+        cfg_path = write_config(tmp_path, haar_config())
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2", "--out", "."]) == 2
+        assert capsys.readouterr().err == (
+            "entbound: cannot write the campaign output: [Errno 21] Is a directory: '.'\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_verify_aborted_campaign_leaves_no_stale_summary(self, tmp_path, capsys):
+        # the exact variant needs biorthogonal components, so trial 0 of a
+        # haar campaign aborts it: the earlier run's summary is emptied with
+        # its records, and the CSV keeps only its header
+        cfg_path = write_config(tmp_path, haar_config(coefficient_mode="simplex_uniform"))
+        out, csv_out = tmp_path / "r.jsonl", tmp_path / "r.csv"
+        args = ["verify", "--config", str(cfg_path), "--trials", "3",
+                "--out", str(out), "--csv", str(csv_out)]
+        assert main([*args, "--variant", "unconstrained"]) == 0
+        assert json.loads(summary_path_for(out).read_text())["trials"] == 3
+        capsys.readouterr()
+        assert main([*args, "--variant", "exact"]) == 3
+        assert capsys.readouterr().err == (
+            "entbound: precondition failed: components are not mutually biorthogonal\n"
+        )
+        assert out.read_bytes() == b""
+        assert summary_path_for(out).read_bytes() == b""
+        assert csv_out.read_bytes() == b"trial_id,variant,lhs,rhs,gap,correction\r\n"
 
     @pytest.mark.parametrize(
         "csv_name, clash", [("r.jsonl", "records"), ("r.summary.json", "summary")]
