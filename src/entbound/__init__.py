@@ -12,7 +12,6 @@ from .superposition import (
     combine,
     component_entanglements,
     squared_norm,
-    superposition_entanglement,
 )
 from .bounds import (
     BoundReport,
@@ -89,6 +88,5 @@ __all__ = [
     "shannon_entropy",
     "simplex_coefficients",
     "squared_norm",
-    "superposition_entanglement",
     "von_neumann_entropy",
 ]

@@ -54,7 +54,7 @@ from .core import (
     xlog2x,
 )
 from .errors import DegenerateStateError, DomainError, PreconditionError
-from .superposition import SuperpositionSpec, combine, component_entanglements, squared_norm
+from .superposition import SuperpositionSpec, combine, squared_norm
 
 MAX_N = 16              # recursion values overflow even float64 shortly beyond
 # Caps the N_i^2-weighted bound variants: N_11^2 (about 2.7e208) is the last
@@ -182,7 +182,9 @@ class BoundReport:
     minimized variant and gives, per component, the index into the
     sorted normalization table that was assigned to it: of the
     assignments whose rhs is within TIE_REL of the least, the
-    lexicographically smallest (see `bound_minimized`).
+    lexicographically smallest (see `bound_minimized`).  squared_norm and
+    superposition_entanglement, ||psi||^2 and E(psi), are set by every
+    evaluator (`_entanglements`) and None only on a hand-built report.
     """
 
     variant: str
@@ -192,6 +194,8 @@ class BoundReport:
     component_entanglements: tuple[float, ...]
     checks: dict[str, bool] = field(default_factory=dict)
     permutation: tuple[int, ...] | None = None
+    squared_norm: float | None = None
+    superposition_entanglement: float | None = None
 
     @property
     def gap(self) -> float:
@@ -209,9 +213,9 @@ class BoundReport:
 def _entanglements(spec: SuperpositionSpec, vanishing: str) -> tuple[float, float, np.ndarray]:
     """||psi||^2, E(psi) and every E(phi_i) for psi = sum alpha_i phi_i, from
     one batched singular value pass over the (n + 1)-row stack of the
-    components and psi.  Each matrix is decomposed on its own, so the
-    values equal `entanglement(combine(spec))` and
-    `component_entanglements(spec)`; a vanishing psi raises, with
+    components and psi, for all five evaluators.  Each matrix is decomposed
+    on its own, so the values equal `entanglement(combine(spec))` and
+    `schmidt_entropies(spec._stack)`; a vanishing psi raises, with
     `vanishing` as the reason."""
     n2 = squared_norm(spec)
     if n2 <= ZERO_NORM_TOL:
@@ -283,7 +287,8 @@ def _variant_weights(
 def _check_unit_total(variant: str, p: np.ndarray) -> None:
     """Raise the variant's PreconditionError unless its single weight row p
     totals 1 within CONSTRAINT_TOL; a variant without a unit total passes.
-    `_rhs` and, for fixed coefficients, `report.iter_trials` both apply it."""
+    `_check_totals` and, for fixed coefficients, `report.iter_trials` both
+    apply it."""
     message = _RULES[variant].unit_total
     if message is not None:
         total = p.sum(axis=1)[0]
@@ -291,24 +296,30 @@ def _check_unit_total(variant: str, p: np.ndarray) -> None:
             raise PreconditionError(f"{message} (got {float(total)!r})")
 
 
+def _check_totals(p: np.ndarray, variant: str | None) -> None:
+    """Raise if a row of weights totals zero, then `_check_unit_total`."""
+    if p.sum(axis=1).min() <= ZERO_NORM_TOL:
+        raise DegenerateStateError("all coefficients vanish")
+    if variant is not None:
+        _check_unit_total(variant, p)
+
+
 def _rhs(
     p: np.ndarray, ents: np.ndarray, variant: str | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """rhs and correction of every row P of weights, T = sum_j P_j.
+    """rhs and correction of every row P of weights, T = sum_j P_j, after
+    the checks of `_check_totals`.
 
     Without a unit-total precondition (no variant, or one whose rule has
     none) the rows take the cancellation-free form of `_row_values`, each
-    row reduced on its own.  With one, the single row must pass
-    `_check_unit_total` and is the T = 1 case written directly:
+    row reduced on its own.  With one, the single row is the T = 1 case
+    written directly:
 
         correction = -sum_j P_j log2 P_j,   rhs = P @ E + correction.
     """
-    totals = p.sum(axis=1)
-    if totals.min() <= ZERO_NORM_TOL:
-        raise DegenerateStateError("all coefficients vanish")
+    _check_totals(p, variant)
     if variant is None or _RULES[variant].unit_total is None:
         return _row_values(p, ents)
-    _check_unit_total(variant, p)
     corrections = -xlog2x(p).sum(axis=1)
     return p @ ents + corrections, corrections
 
@@ -496,6 +507,8 @@ def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
         correction=correction,
         component_entanglements=tuple(float(e) for e in ents),
         permutation=permutation,
+        squared_norm=n2,
+        superposition_entanglement=e_psi,
     )
 
 
@@ -559,7 +572,7 @@ def exact_biorthogonal_entanglement(spec: SuperpositionSpec) -> BoundReport:
     """
     a2 = np.abs(spec.coefficients) ** 2
     row = _variant_weights(VARIANT_EXACT, spec.n, spec.dim_a, spec.dim_b, a2)
-    _, direct, ents = _entanglements(spec, "entanglement of the normalized version is undefined")
+    n2, direct, ents = _entanglements(spec, "entanglement of the normalized version is undefined")
     if not is_biorthogonal(spec):
         raise PreconditionError("components are not mutually biorthogonal")
     rhs, mixing = _rhs(row, ents, VARIANT_EXACT)
@@ -571,6 +584,8 @@ def exact_biorthogonal_entanglement(spec: SuperpositionSpec) -> BoundReport:
         correction=float(mixing[0]),
         component_entanglements=tuple(float(e) for e in ents),
         checks={"biorth_equality": abs(formula - direct) < EQUALITY_TOL},
+        squared_norm=n2,
+        superposition_entanglement=direct,
     )
 
 
@@ -578,8 +593,9 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
     """Build the assistant state sum_i alpha_i |i>|phi_i> over an auxiliary
     n-dimensional register, and verify the proof chain on it.
 
-    Requires sum |alpha_i|^2 = 1, n <= MAX_N and at most
-    MAX_ASSISTANT_ELEMS amplitudes.  The report's lhs is S(rho_B), the
+    Requires, in this order, n <= MAX_N, at most MAX_ASSISTANT_ELEMS
+    amplitudes, sum |alpha_i|^2 = 1 (`_check_totals`) and a psi that does
+    not vanish, as it can on that total.  The report's lhs is S(rho_B), the
     Schmidt entropy of the pure assistant state across (register x A) : B,
     its rhs the upper bound sum |alpha_i|^2 E(phi_i) + H(|alpha|^2), and its
     correction the mixing entropy H(|alpha|^2).  Its checks are:
@@ -597,8 +613,9 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
     row = _variant_weights(VARIANT_ASSISTANT, n, spec.dim_a, spec.dim_b, np.abs(alphas) ** 2)
     if n * spec.dim_a * spec.dim_b > MAX_ASSISTANT_ELEMS:
         raise DomainError(f"assistant state would exceed {MAX_ASSISTANT_ELEMS} amplitudes")
-    comp_ents = component_entanglements(spec)
-    rhs, mixing = _rhs(row, comp_ents, VARIANT_ASSISTANT)
+    _check_totals(row, VARIANT_ASSISTANT)
+    n2, e_psi, ents = _entanglements(spec, "entanglement of the normalized version is undefined")
+    rhs, mixing = _rhs(row, ents, VARIANT_ASSISTANT)
     upper_bound = float(rhs[0])
 
     # The assistant state is pure, so S(rho_B) is its Schmidt entropy as a
@@ -621,11 +638,13 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
         lhs=s_rho_b,
         rhs=upper_bound,
         correction=float(mixing[0]),
-        component_entanglements=tuple(float(e) for e in comp_ents),
+        component_entanglements=tuple(float(e) for e in ents),
         checks={
             "norm_partition": residual < EQUALITY_TOL,
             "sandwich_lower": lower_chain <= s_rho_b + GAP_SLACK,
             "sandwich_upper": s_rho_b <= upper_bound + GAP_SLACK,
             "final_bound": leading_term <= upper_bound + GAP_SLACK,
         },
+        squared_norm=n2,
+        superposition_entanglement=e_psi,
     )

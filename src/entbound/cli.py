@@ -29,7 +29,6 @@ from .report import (
     summary_to_json,
 )
 from .serialize import config_from_json, dumps, loads, spec_from_json
-from .superposition import squared_norm, superposition_entanglement
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -85,8 +84,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         rep = evaluate_variant(spec, args.variant)
         out = {
             **bound_report_to_json(rep),
-            "squared_norm": squared_norm(spec),
-            "superposition_entanglement": superposition_entanglement(spec),
+            "squared_norm": rep.squared_norm,
+            "superposition_entanglement": rep.superposition_entanglement,
         }
         if rep.permutation is not None:
             out["permutation"] = list(rep.permutation)

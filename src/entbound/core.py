@@ -6,10 +6,10 @@ matrix of shape (dim_a, dim_b): entry (i, j) is the amplitude of
 operation normalizes internally.  The entropy of a pure state's reduced
 state, on either side, comes from its Schmidt spectrum through one
 batched kernel, `schmidt_entropies`; no reduced density matrix is
-formed.  `von_neumann_entropy` takes a Hermitian matrix as an array and
-has no caller in the package: it stays because the benchmark harness
-(`benchmarks/harness/layers.py`) counts its calls.  All entropies are in
-bits (log base 2, no base parameter).
+formed.  `von_neumann_entropy`, which takes a Hermitian array, and the
+one-state `entanglement` have no caller in the package: they stay
+because the benchmark harness (`benchmarks/harness/`) binds them.  All
+entropies are in bits (log base 2, no base parameter).
 """
 
 from __future__ import annotations

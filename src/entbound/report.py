@@ -26,6 +26,7 @@ from .bounds import (
     VARIANT_MINIMIZED,
     VARIANT_UNCONSTRAINED,
     VARIANTS,  # re-exported: the CLI's choices
+    _RULES,
     BoundReport,
     _check_unit_total,
     _variant_weights,
@@ -37,7 +38,7 @@ from .bounds import (
     normalization_coeffs,
 )
 from .ensembles import EnsembleConfig, RandomStream, _require_int, generate_spec
-from .errors import DomainError, InvariantViolationError
+from .errors import DomainError, InvariantViolationError, PreconditionError
 from .serialize import config_to_json, dumps, format_float
 from .superposition import SuperpositionSpec
 
@@ -91,7 +92,7 @@ def iter_trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[T
     """Lazily evaluate trial_id = 0 .. trials-1 in order.
 
     Every argument check, the variant-level ones of `bounds` and the unit
-    total of fixed coefficients included, runs here, when the iterator is
+    total of the coefficients included, runs here, when the iterator is
     made, not at its first step.  A trial that trips a numeric invariant is
     recorded as a violation rather than aborting the campaign.
     """
@@ -103,6 +104,10 @@ def iter_trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[T
     row = _variant_weights(variant, config.n, config.dim_a, config.dim_b, a2)
     if row is not None:
         _check_unit_total(variant, row)
+    # A constrained draw has sum |alpha_i|^2 <= 1/2, a simplex one sum N_i^2 |alpha_i|^2 >= 2.
+    rule, mode = _RULES[variant], config.coefficient_mode
+    if rule.unit_total and mode == ("simplex_uniform" if rule.weighted else "constrained"):
+        raise PreconditionError(f"{rule.unit_total} (coefficient mode {mode!r} never meets it)")
     return _trials(config, variant, trials)
 
 
@@ -173,8 +178,10 @@ def run_campaign(
 
     The records file is byte-identical across re-runs with the same
     arguments; the summary repeats the deterministic fields and adds the
-    wall-clock runtime.  A per-trial error that aborts the campaign leaves
-    the records written before it, an empty summary and the CSV rows so far.
+    wall-clock runtime.  An output that cannot be opened leaves the others
+    as they were, and removes those this call created.  A per-trial error
+    that aborts the campaign leaves the records written before it, an
+    empty summary and the CSV rows so far.
     """
     start = time.perf_counter()
     records = iter_trials(config, variant, trials)  # bad arguments raise before any file opens
@@ -198,9 +205,18 @@ def run_campaign(
         # Every output is opened before any is truncated, so a path that
         # cannot be opened leaves the files of an earlier run intact.
         handles = {}
-        for name, path in outputs.items():
-            newline = "" if name == "csv" else "\n"  # csv.writer ends its rows with \r\n
-            handles[name] = files.enter_context(open(path, "a", encoding="utf-8", newline=newline))
+        created = [path for path in outputs.values() if not os.path.lexists(path)]
+        try:
+            for name, path in outputs.items():
+                newline = "" if name == "csv" else "\n"  # csv.writer ends its rows with \r\n
+                handles[name] = files.enter_context(
+                    open(path, "a", encoding="utf-8", newline=newline)
+                )
+        except OSError:
+            files.close()
+            for path in created:
+                path.unlink(missing_ok=True)
+            raise
         for handle in handles.values():
             handle.truncate(0)
         csv_writer = csv.writer(handles["csv"]) if "csv" in handles else None

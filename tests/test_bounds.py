@@ -20,6 +20,7 @@ from entbound import (
     bound_constrained,
     bound_minimized,
     bound_unconstrained,
+    combine,
     component_entanglements,
     constrained_coefficients,
     entanglement,
@@ -30,7 +31,7 @@ from entbound import (
     normalization_coeffs,
     shannon_entropy,
     simplex_coefficients,
-    superposition_entanglement,
+    squared_norm,
     von_neumann_entropy,
 )
 from entbound import bounds
@@ -821,7 +822,7 @@ class TestExactBiorthogonal:
     def test_two_bell_blocks_two_bits(self):
         spec = make_spec([2**-0.5, 2**-0.5], two_bell_blocks())
         assert exact_biorthogonal_entanglement(spec).rhs == pytest.approx(2.0, abs=1e-9)
-        assert superposition_entanglement(spec) == pytest.approx(2.0, abs=1e-9)
+        assert entanglement(combine(spec)) == pytest.approx(2.0, abs=1e-9)
 
     def test_single_dominant_coefficient(self):
         a, b = two_bell_blocks()
@@ -844,7 +845,7 @@ class TestExactBiorthogonal:
             alphas = simplex_coefficients(3, stream.child("a"))
             spec = make_spec(alphas, comps)
             report = exact_biorthogonal_entanglement(spec)
-            direct = superposition_entanglement(spec)
+            direct = entanglement(combine(spec))
             assert abs(report.rhs - direct) < 1e-9
             assert report.lhs == direct
             assert report.checks == {"biorth_equality": True}
@@ -1008,3 +1009,52 @@ class TestAssistantStateCheck:
         with pytest.raises(DomainError):
             assistant_state_check(spec7)
         assert assistant_state_check(big).checks["sandwich_upper"]
+
+    def test_vanishing_superposition_on_the_unit_total(self):
+        # sum |alpha_i|^2 = 1, yet psi = (phi - phi) / sqrt(2) vanishes: refused
+        # with the exact formula's reason (TestRefusalPrecedence pins the
+        # caps and both totals before it)
+        spec = make_spec([2**-0.5, -(2**-0.5)], [bell_state(), bell_state()])
+        with pytest.raises(DegenerateStateError) as caught:
+            assistant_state_check(spec)
+        assert str(caught.value) == (
+            "superposition vanishes; entanglement of the normalized version is undefined"
+        )
+
+
+# The coefficient mode each variant's domain takes: a unit total where it has one.
+PSI_MODES = {
+    "constrained": "constrained",
+    "unconstrained": "constrained",
+    "minimized": "simplex_uniform",
+    "exact": "simplex_uniform",
+    "assistant": "simplex_uniform",
+}
+
+
+@pytest.mark.parametrize("variant", bounds.VARIANTS)
+def test_report_carries_psi_of_the_one_pass(variant):
+    # ||psi||^2 and E(psi) in every evaluator's report are the values of the
+    # direct paths, bit for bit, on every family it takes
+    cap = bounds._RULES[variant].cap
+    checked = 0
+    for family in FAMILIES:
+        if variant == "exact" and family != BIORTHOGONAL:
+            continue  # the exact formula refuses other families
+        for n in (n for n in (2, 4, 8) if n <= cap):
+            for dim_a, dim_b in ((2, 2), (3, 5), (8, 8)):
+                if family == BIORTHOGONAL:
+                    dim_a, dim_b = max(dim_a, n), max(dim_b, n)
+                elif family == FAMILY_SHARED_SUPPORT:
+                    dim_b = max(dim_b, -(-n // dim_a))
+                cfg = EnsembleConfig(
+                    n=n, dim_a=dim_a, dim_b=dim_b, family=family, seed=n + 17 * dim_a + dim_b,
+                    coefficient_mode=PSI_MODES[variant],
+                )
+                for trial in range(2):
+                    spec = generate_spec(cfg, normalization_coeffs(n), trial_stream(cfg, trial))
+                    rep = evaluate_variant(spec, variant)
+                    assert rep.squared_norm == squared_norm(spec)
+                    assert rep.superposition_entanglement == entanglement(combine(spec))
+                    checked += 1
+    assert checked == (18 if variant == "exact" else 90)

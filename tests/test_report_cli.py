@@ -392,6 +392,17 @@ class TestCli:
         path = write_spec_file(tmp_path, [1.0, -1.0], [bell_state(), bell_state()])
         assert main(["eval", str(path), "--variant", "unconstrained"]) == 3
 
+    def test_eval_assistant_refuses_a_vanishing_unit_total_spec(self, tmp_path, capsys):
+        # sum |alpha_i|^2 = 1 holds, and psi = (phi - phi) / sqrt(2) vanishes
+        path = write_spec_file(tmp_path, [2**-0.5, -(2**-0.5)], [bell_state(), bell_state()])
+        assert main(["eval", str(path), "--variant", "assistant"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "entbound: precondition failed: superposition vanishes;"
+            " entanglement of the normalized version is undefined\n"
+        )
+
     def test_verify_round_trip(self, tmp_path, capsys):
         cfg = haar_config(seed=7)
         cfg_path = tmp_path / "cfg.json"
@@ -527,6 +538,23 @@ class TestCli:
             f"entbound: the CSV export and the {clash} would share the file {shared}\n"
         )
         assert {p: p.read_bytes() for p in before} == before
+
+    @pytest.mark.parametrize("earlier", [False, True])
+    def test_verify_refused_output_removes_only_what_it_created(self, tmp_path, capsys, earlier):
+        # the CSV cannot be opened after the records and summary were: the
+        # files this run created go, an earlier run's records stay as they were
+        cfg_path = write_config(tmp_path, haar_config())
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        out = fresh / "new.jsonl"
+        if earlier:
+            out.write_bytes(b"records of an earlier run\n")
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2", "--out", str(out),
+                     "--csv", str(fresh / "missing" / "x.csv")]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert sorted(p.name for p in fresh.iterdir()) == (["new.jsonl"] if earlier else [])
+        if earlier:
+            assert out.read_bytes() == b"records of an earlier run\n"
 
     def test_verify_unwritable_csv_keeps_existing_output(self, tmp_path):
         cfg_path = write_config(tmp_path, haar_config())
@@ -698,6 +726,26 @@ class TestCli:
         assert out.read_bytes() == b"records of an earlier run\n"
         assert capsys.readouterr().err == f"entbound: precondition failed: {message}\n"
 
+    @pytest.mark.parametrize(
+        "variant, mode",
+        [("constrained", "simplex_uniform"), ("exact", "constrained"), ("assistant", "constrained")],
+    )
+    def test_verify_refuses_a_mode_off_the_unit_total(self, tmp_path, capsys, variant, mode):
+        # a constrained draw has sum |alpha_i|^2 <= 1/2, a simplex draw
+        # sum N_i^2 |alpha_i|^2 >= 2: no trial could pass, so the campaign
+        # refuses before --out is opened
+        cfg_path = write_config(tmp_path, haar_config(coefficient_mode=mode))
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"records of an earlier run\n")
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2",
+                     "--variant", variant, "--out", str(out)]) == 3
+        assert out.read_bytes() == b"records of an earlier run\n"
+        assert not summary_path_for(out).exists()
+        rule = UNIT_TOTAL[variant].removesuffix(" (got {})")
+        assert capsys.readouterr().err == (
+            f"entbound: precondition failed: {rule} (coefficient mode {mode!r} never meets it)\n"
+        )
+
     def test_fixed_coefficients_on_the_unit_total_run(self, tmp_path):
         # (1/2, 1/2j, -1/sqrt(2)) has sum |alpha_i|^2 = 1, but at n = 3
         # sum N_i^2 |alpha_i|^2 = (2 + 3)/4 + 7/2: the assistant check and the
@@ -821,7 +869,7 @@ SPEC_REFUSALS = (
     + [pytest.param("assistant", diagonal(7, 100, 1.0), DomainError,
                     "assistant state would exceed 65536 amplitudes", id="assistant-amplitudes")]
     # a vanishing psi off the unit total: psi first, save for the assistant
-    # check, which never forms psi
+    # check, which refuses its unit total before it forms psi
     + [
         pytest.param(v, bells([1.0, -1.0]), exc, message, id=f"{v}-vanishing")
         for v, exc, message in [

@@ -12,14 +12,14 @@ from entbound import (
     PreconditionError,
     ShapeMismatchError,
     SuperpositionSpec,
+    bound_unconstrained,
     combine,
     component_entanglements,
     entanglement,
     squared_norm,
-    superposition_entanglement,
 )
 from entbound.cli import main
-from entbound.report import VARIANTS
+from entbound.report import VARIANTS, evaluate_variant
 from entbound.serialize import dumps, state_to_json
 from conftest import basis_state, bell_state, random_state, two_bell_blocks
 
@@ -31,6 +31,14 @@ OVERFLOWING_COEFFICIENTS = ([1, 1e300 + 1e300j], [1e154, 1e154])
 
 def make_spec(coeffs, components) -> SuperpositionSpec:
     return SuperpositionSpec(np.asarray(coeffs, dtype=complex), tuple(components))
+
+
+def psi_entanglement(spec: SuperpositionSpec) -> float:
+    """E(psi) of the normalized superposition as a bound report carries it,
+    which the direct path through the combined state must equal."""
+    value = bound_unconstrained(spec).superposition_entanglement
+    assert value == entanglement(combine(spec))
+    return value
 
 
 class TestSpecValidation:
@@ -210,15 +218,15 @@ class TestSquaredNorm:
 class TestSuperpositionEntanglement:
     def test_bell_sum_is_unentangled(self):
         spec = make_spec([2**-0.5, 2**-0.5], [bell_state(+1), bell_state(-1)])
-        assert superposition_entanglement(spec) == pytest.approx(0.0, abs=1e-12)
+        assert psi_entanglement(spec) == pytest.approx(0.0, abs=1e-12)
 
     def test_normalized_version_is_bell(self):
         spec = make_spec([0.5, 0.5], [basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)])
-        assert superposition_entanglement(spec) == pytest.approx(1.0, abs=1e-12)
+        assert psi_entanglement(spec) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_bell_blocks(self):
         spec = make_spec([2**-0.5, 2**-0.5], two_bell_blocks())
-        assert superposition_entanglement(spec) == pytest.approx(2.0, abs=1e-12)
+        assert psi_entanglement(spec) == pytest.approx(2.0, abs=1e-12)
 
     def test_overflowing_squared_norm_raises(self):
         # |1e300 + 1e300j|^2 overflows, and so does the Gram form of
@@ -243,16 +251,21 @@ class TestSuperpositionEntanglement:
             assert err.count("\n") == 1
 
     def test_vanishing_superposition_rejected(self):
-        spec = make_spec([1.0, -1.0], [bell_state(), bell_state()])
+        # on the unit total sum |alpha_i|^2 = 1, so the exact and assistant
+        # variants reach their own vanishing check too
+        spec = make_spec([2**-0.5, -(2**-0.5)], [bell_state(), bell_state()])
         with pytest.raises(DegenerateStateError):
-            superposition_entanglement(spec)
+            entanglement(combine(spec))
+        for variant in VARIANTS:
+            with pytest.raises(DegenerateStateError, match="superposition vanishes"):
+                evaluate_variant(spec, variant)
 
     def test_coefficient_rescaling_invariance(self, rng):
         comps = [random_state(rng, 3, 4) for _ in range(3)]
         alphas = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        base = superposition_entanglement(make_spec(alphas, comps))
+        base = psi_entanglement(make_spec(alphas, comps))
         for factor in (2.0, -1.0, 0.3 - 1.7j):
-            scaled = superposition_entanglement(make_spec(factor * alphas, comps))
+            scaled = psi_entanglement(make_spec(factor * alphas, comps))
             assert scaled == pytest.approx(base, abs=1e-9)
 
 
