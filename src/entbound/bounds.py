@@ -296,29 +296,26 @@ def _check_unit_total(variant: str, p: np.ndarray) -> None:
             raise PreconditionError(f"{message} (got {float(total)!r})")
 
 
-def _check_totals(p: np.ndarray, variant: str | None) -> None:
-    """Raise if a row of weights totals zero, then `_check_unit_total`."""
+def _check_totals(p: np.ndarray, variant: str) -> None:
+    """Raise if a row of weights totals zero, then `_check_unit_total`.  Every
+    evaluator calls it once, just before `_rhs` (the assistant check before
+    it forms psi), save `_minimized`, which refuses a vanishing least total."""
     if p.sum(axis=1).min() <= ZERO_NORM_TOL:
         raise DegenerateStateError("all coefficients vanish")
-    if variant is not None:
-        _check_unit_total(variant, p)
+    _check_unit_total(variant, p)
 
 
-def _rhs(
-    p: np.ndarray, ents: np.ndarray, variant: str | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """rhs and correction of every row P of weights, T = sum_j P_j, after
-    the checks of `_check_totals`.
+def _rhs(p: np.ndarray, ents: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """rhs and correction of every row P of weights, T = sum_j P_j.  It
+    checks nothing: its callers have made the checks of `_check_totals`.
 
-    Without a unit-total precondition (no variant, or one whose rule has
-    none) the rows take the cancellation-free form of `_row_values`, each
-    row reduced on its own.  With one, the single row is the T = 1 case
-    written directly:
+    Without a unit-total precondition the rows take the cancellation-free
+    form of `_row_values`, each row reduced on its own.  With one, the
+    single row is the T = 1 case written directly:
 
         correction = -sum_j P_j log2 P_j,   rhs = P @ E + correction.
     """
-    _check_totals(p, variant)
-    if variant is None or _RULES[variant].unit_total is None:
+    if _RULES[variant].unit_total is None:
         return _row_values(p, ents)
     corrections = -xlog2x(p).sum(axis=1)
     return p @ ents + corrections, corrections
@@ -406,7 +403,7 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
     winner comes from that one pass.  Below it, each pass places one more
     entry, down to entry 1 (entry 0 is the completion), and the
     completions of the nodes settled there and of the last survivors go
-    through `_rhs` once at the end.
+    through `_row_values` once at the end.
 
     A settled subtree may still hold a row below the least rhs read,
     which would narrow the window.  When that could untie the winning
@@ -443,8 +440,8 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
         perms: np.ndarray, rows: np.ndarray, more: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """The rows `perms` and their rhs and corrections `rows`, followed
-        by the rows `more`, through `_rhs`."""
-        extra = np.stack(_rhs(nsq[more] * a2, ents))
+        by the rows `more`, through `_row_values`."""
+        extra = np.stack(_row_values(nsq[more] * a2, ents))
         return np.concatenate((perms, more)), np.concatenate((rows, extra), axis=1)
 
     frontier, completions, entries = _opening(n)
@@ -499,6 +496,7 @@ def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
     if variant == VARIANT_MINIMIZED:
         rhs, correction, permutation = _minimized(a2, ents)
     else:
+        _check_totals(row, variant)
         rhs, correction = (float(v[0]) for v in _rhs(row, ents, variant))
     return BoundReport(
         variant=variant,
@@ -575,6 +573,7 @@ def exact_biorthogonal_entanglement(spec: SuperpositionSpec) -> BoundReport:
     n2, direct, ents = _entanglements(spec, "entanglement of the normalized version is undefined")
     if not is_biorthogonal(spec):
         raise PreconditionError("components are not mutually biorthogonal")
+    _check_totals(row, VARIANT_EXACT)
     rhs, mixing = _rhs(row, ents, VARIANT_EXACT)
     formula = float(rhs[0])
     return BoundReport(

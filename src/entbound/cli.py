@@ -36,8 +36,8 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
 
-# Exit code and message prefix of every package error a command reports
-# itself; main's catch-all reports any other package error as EXIT_INPUT.
+# Exit code and message prefix of the package errors `_fail` names; any
+# other package error, which `main` also sends through it, is EXIT_INPUT.
 _EXIT_CODES = {
     SchemaError: (EXIT_INPUT, ""),
     DomainError: (EXIT_INPUT, ""),
@@ -62,18 +62,13 @@ def _read_json(path: str, what: str):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    config = config_from_json(_read_json(args.config, "config"))
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     try:
-        config = config_from_json(_read_json(args.config, "config"))
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
-        try:
-            summary = run_campaign(
-                config, args.variant, args.trials, args.out, csv_path=args.csv
-            )
-        except OSError as exc:  # an unwritable --out or --csv path is an input error
-            raise SchemaError(f"cannot write the campaign output: {exc}") from exc
-    except _REPORTED as exc:
-        return _fail(exc)
+        summary = run_campaign(config, args.variant, args.trials, args.out, csv_path=args.csv)
+    except OSError as exc:  # an unwritable --out or --csv path is an input error
+        raise SchemaError(f"cannot write the campaign output: {exc}") from exc
     print(dumps(summary_to_json(summary)))
     return EXIT_OK if summary.violations == 0 else EXIT_VIOLATION
 
@@ -91,7 +86,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             out["permutation"] = list(rep.permutation)
         if rep.checks:
             out["checks"] = rep.checks
-    except _REPORTED as exc:
+    except _REPORTED as exc:  # reported here too: the benchmark calls cmd_eval without main
         return _fail(exc)
     print(dumps(out))
     return EXIT_OK

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BipartitePureState
-from .errors import DomainError, ShapeMismatchError
+from .errors import DomainError
 from .superposition import SuperpositionSpec, check_coefficient_scale
 
 MAX_STATE_ELEMS = 4096  # design target: dim_a * dim_b stays desk-scale
@@ -65,7 +65,8 @@ class RandomStream:
 
     child(label) derives an independent substream; generator() always
     returns a fresh generator at the stream's origin, so every consumer
-    is a pure function of the stream it holds.
+    is a pure function of the stream it holds.  It owns the seed range,
+    which `EnsembleConfig` checks by building one.
     """
 
     seed: int
@@ -155,12 +156,11 @@ def haar_unitary(dim: int, stream: RandomStream) -> np.ndarray:
     return _unitary_stack(dim, [stream])[0]
 
 
-def constrained_coefficients(n: int, coeffs: np.ndarray, stream: RandomStream) -> np.ndarray:
+def constrained_coefficients(coeffs: np.ndarray, stream: RandomStream) -> np.ndarray:
     """Complex coefficients with sum N_i^2 |alpha_i|^2 = 1 by construction:
-    simplex-uniform weights w_i, |alpha_i|^2 = w_i / N_i^2, uniform phases.
-    coeffs is the table (N_1^2, ..., N_n^2) of `bounds.normalization_coeffs`."""
-    if len(coeffs) != n:
-        raise ShapeMismatchError(f"normalization table is for n={len(coeffs)}, got n={n}")
+    simplex-uniform weights w_i, |alpha_i|^2 = w_i / N_i^2, uniform phases,
+    one per entry of the table coeffs of `bounds.normalization_coeffs`."""
+    n = len(coeffs)
     g = stream.generator()
     # Normalized exponentials: exactly uniform on the simplex, no rejection.
     w = g.exponential(size=n)
@@ -174,12 +174,13 @@ def simplex_coefficients(n: int, stream: RandomStream) -> np.ndarray:
     phases: the constrained draw under the unit table (w / 1.0 == w)."""
     if n < 2:
         raise DomainError("need n >= 2 coefficients")
-    return constrained_coefficients(n, np.ones(n), stream)
+    return constrained_coefficients(np.ones(n), stream)
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Reproducible recipe for one family of superposition draws."""
+    """Reproducible recipe for one family of superposition draws; its seed
+    range is the `RandomStream`'s, checked by building one."""
 
     n: int
     dim_a: int
@@ -211,8 +212,7 @@ class EnsembleConfig:
                 f"unknown coefficient mode {self.coefficient_mode!r},"
                 f" expected one of {COEFFICIENT_MODES}"
             )
-        if not 0 <= int(self.seed) < 2**64:
-            raise DomainError("seed must fit an unsigned 64-bit integer")
+        RandomStream(self.seed)  # the stream's seed range
         if self.family == FAMILY_BIORTHOGONAL:
             if self.dim_a < self.n * self.block_a or self.dim_b < self.n * self.block_b:
                 raise DomainError(
@@ -296,7 +296,7 @@ _FAMILY_DRAWS = {
     "bell_like": _bell_like_draw,
 }
 _COEFFICIENT_DRAWS = {
-    "constrained": lambda c, coeffs, s: constrained_coefficients(c.n, coeffs, s),
+    "constrained": lambda c, coeffs, s: constrained_coefficients(coeffs, s),
     "simplex_uniform": lambda c, coeffs, s: simplex_coefficients(c.n, s),
     MODE_FIXED: lambda c, coeffs, s: np.array(c.fixed_coefficients, dtype=complex),
 }

@@ -2,7 +2,8 @@
 
 Complex numbers are two-element arrays [re, im]; states are
 {dim_a, dim_b, amplitudes} with the amplitudes row-major; all reals are
-rendered with 17 significant digits so round trips are bit exact.
+rendered with 17 significant digits so round trips are bit exact.  A
+state is decoded only as a spec's component.
 
 A spec is decoded into the (n, dim_a, dim_b) amplitude stack that
 `SuperpositionSpec` takes, with no state object per component: each list
@@ -28,7 +29,7 @@ import numpy as np
 
 from .core import BipartitePureState
 from .ensembles import EnsembleConfig
-from .errors import DomainError, InvariantViolationError, SchemaError
+from .errors import DomainError, EntboundError, InvariantViolationError, SchemaError
 from .superposition import SuperpositionSpec, _stack_rows
 
 
@@ -145,10 +146,6 @@ def _amplitudes(obj: Any, where: str) -> np.ndarray:
     return amp
 
 
-def state_from_json(obj: Any, where: str = "state") -> BipartitePureState:
-    return BipartitePureState(_amplitudes(obj, where))
-
-
 def spec_to_json(spec: SuperpositionSpec) -> dict:
     return {
         "coefficients": [complex_to_pair(a) for a in spec.coefficients],
@@ -166,7 +163,7 @@ def spec_from_json(obj: Any) -> SuperpositionSpec:
     rows = [_amplitudes(c, f"spec.components[{k}]") for k, c in enumerate(comps)]
     try:
         return SuperpositionSpec(coefficients=alphas, components=_stack_rows(rows))
-    except Exception as exc:
+    except EntboundError as exc:  # a refusal of the spec's checks; any other error is a fault
         raise SchemaError(f"spec: {exc}") from exc
 
 

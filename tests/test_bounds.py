@@ -35,7 +35,14 @@ from entbound import (
     von_neumann_entropy,
 )
 from entbound import bounds
-from entbound.bounds import TIE_REL, _exact_n_squared, _minimized, _rhs
+from entbound.bounds import (
+    TIE_REL,
+    VARIANT_MINIMIZED,
+    _check_totals,
+    _exact_n_squared,
+    _minimized,
+    _rhs,
+)
 from entbound.ensembles import FAMILIES, FAMILY_SHARED_SUPPORT
 from entbound.ensembles import FAMILY_BIORTHOGONAL as BIORTHOGONAL
 from entbound.report import evaluate_variant, trial_stream
@@ -75,7 +82,7 @@ def oracle_n_squared(n: int) -> list[int]:
 def haar_spec(stream: RandomStream, n: int, da: int, db: int, mode: str) -> SuperpositionSpec:
     comps = [haar_state(da, db, stream.child(f"c{k}")) for k in range(n)]
     if mode == "constrained":
-        alphas = constrained_coefficients(n, normalization_coeffs(n), stream.child("a"))
+        alphas = constrained_coefficients(normalization_coeffs(n), stream.child("a"))
     else:
         alphas = simplex_coefficients(n, stream.child("a"))
     return make_spec(alphas, comps)
@@ -351,12 +358,14 @@ def brute_force_minimized(
     a2: np.ndarray, ents: np.ndarray, tie: float = TIE_REL
 ) -> tuple[float, float, tuple[int, ...]]:
     """The minimized bound by full enumeration: every one of the n! rows,
-    in lexicographic order, through `_rhs` in one call, and the first row
-    whose rhs is within `tie` (relative) of the least.  Returns its (rhs,
-    correction, permutation)."""
+    in lexicographic order, through `_check_totals` and `_rhs` in one call
+    each, and the first row whose rhs is within `tie` (relative) of the
+    least.  Returns its (rhs, correction, permutation)."""
     n = a2.size
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    rhs, corrections = _rhs(normalization_coeffs(n)[perms] * a2, ents)
+    rows = normalization_coeffs(n)[perms] * a2
+    _check_totals(rows, VARIANT_MINIMIZED)
+    rhs, corrections = _rhs(rows, ents, VARIANT_MINIMIZED)
     least = rhs.min()
     k = int(np.flatnonzero(rhs - least <= tie * least)[0])
     return float(rhs[k]), float(corrections[k]), tuple(int(j) for j in perms[k])
@@ -512,7 +521,8 @@ class TestBoundMinimized:
             assert rep.gap == rhs - rep.lhs
             assert rep.correction == correction
             assert rep.permutation == perm
-            alone = _rhs(normalization_coeffs(spec.n)[list(perm)][None] * a2, ents)
+            row = normalization_coeffs(spec.n)[list(perm)][None] * a2
+            alone = _rhs(row, ents, VARIANT_MINIMIZED)
             assert (float(alone[0][0]), float(alone[1][0])) == (rhs, correction)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -1058,3 +1068,19 @@ def test_report_carries_psi_of_the_one_pass(variant):
                     assert rep.superposition_entanglement == entanglement(combine(spec))
                     checked += 1
     assert checked == (18 if variant == "exact" else 90)
+
+
+@pytest.mark.parametrize("variant", bounds.VARIANTS)
+def test_each_evaluator_checks_the_totals_once(monkeypatch, variant):
+    # The row kernel checks nothing; every evaluator but the minimized one,
+    # whose search refuses a vanishing least total itself, calls
+    # `_check_totals` once, the assistant check before it forms psi.
+    cfg = EnsembleConfig(
+        n=3, dim_a=6, dim_b=6, family=BIORTHOGONAL, seed=5, coefficient_mode=PSI_MODES[variant]
+    )
+    spec = generate_spec(cfg, normalization_coeffs(3), trial_stream(cfg, 0))
+    totals = record_calls(monkeypatch, "_check_totals")
+    evaluate_variant(spec, variant)
+    assert [args[1] for args, _ in totals] == ([] if variant == "minimized" else [variant])
+    zero = _rhs(np.zeros((1, 3)), np.ones(3), variant)
+    assert [v.tolist() for v in zero] == [[0.0], [0.0]]

@@ -11,6 +11,7 @@ from entbound import (
     DomainError,
     EnsembleConfig,
     SchemaError,
+    ShapeMismatchError,
     RandomStream,
     constrained_coefficients,
     entanglement,
@@ -329,6 +330,13 @@ class TestHaarState:
         assert abs(abs(s.amplitudes[0, 0]) - 1.0) < 1e-12
         assert entanglement(s) == 0.0
 
+    @pytest.mark.parametrize("dims", [(0, 2), (2, 0)])
+    def test_zero_dimension_is_refused(self, dims):
+        with pytest.raises(DomainError) as caught:
+            haar_state(*dims, RandomStream(5).child("s"))
+        assert type(caught.value) is DomainError
+        assert str(caught.value) == "dimensions must be >= 1"
+
     def test_mean_entanglement_band(self):
         stream = RandomStream(99)
         es = [
@@ -418,7 +426,7 @@ class TestCoefficientSamplers:
     def test_constrained_residual(self):
         coeffs = normalization_coeffs(4)
         for trial in range(100):
-            a = constrained_coefficients(4, coeffs, RandomStream(10).child(f"t{trial}"))
+            a = constrained_coefficients(coeffs, RandomStream(10).child(f"t{trial}"))
             assert abs(np.sum(coeffs * np.abs(a) ** 2) - 1.0) < 1e-12
 
     def test_constrained_construction_formula(self):
@@ -428,14 +436,8 @@ class TestCoefficientSamplers:
         g = stream.generator()
         w = g.exponential(size=2)
         w /= w.sum()
-        a = constrained_coefficients(2, coeffs, stream)
+        a = constrained_coefficients(coeffs, stream)
         np.testing.assert_allclose(np.abs(a) ** 2, w / coeffs, atol=1e-15)
-
-    def test_constrained_table_mismatch(self):
-        from entbound import ShapeMismatchError
-
-        with pytest.raises(ShapeMismatchError):
-            constrained_coefficients(3, normalization_coeffs(2), RandomStream(0).child("x"))
 
     def test_simplex_residual(self):
         for trial in range(100):
@@ -447,8 +449,52 @@ class TestCoefficientSamplers:
         b = simplex_coefficients(5, RandomStream(13).child("x"))
         assert a.tobytes() == b.tobytes()
 
+    def test_simplex_needs_two_coefficients(self):
+        with pytest.raises(DomainError) as caught:
+            simplex_coefficients(1, RandomStream(13).child("x"))
+        assert type(caught.value) is DomainError
+        assert str(caught.value) == "need n >= 2 coefficients"
+
+    def test_a_table_of_another_length_fails_in_the_spec(self):
+        # the constrained draw takes n from its table, so a table for n = 2
+        # draws two coefficients, which the spec of three components refuses
+        cfg = EnsembleConfig(
+            n=3, dim_a=3, dim_b=3, family="haar", seed=0, coefficient_mode="constrained"
+        )
+        assert len(constrained_coefficients(normalization_coeffs(2), RandomStream(0))) == 2
+        with pytest.raises(ShapeMismatchError) as caught:
+            generate_spec(cfg, normalization_coeffs(2), trial_stream(cfg, 0))
+        assert str(caught.value) == "2 coefficients for 3 components"
+
 
 class TestEnsembleConfig:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            pytest.param(dict(n=1), "n must be >= 2, got 1", id="n-one"),
+            pytest.param(dict(dim_a=0), "dimensions must be >= 1", id="dim_a-zero"),
+            pytest.param(dict(dim_b=0), "dimensions must be >= 1", id="dim_b-zero"),
+            pytest.param(
+                dict(seed=2**64),
+                "seed must fit an unsigned 64-bit integer, got 18446744073709551616",
+                id="seed-2**64",
+            ),
+            pytest.param(
+                dict(seed=-1), "seed must fit an unsigned 64-bit integer, got -1", id="seed-negative"
+            ),
+            pytest.param(
+                dict(fixed_coefficients=(1, 0, 0)),
+                "fixed_coefficients only apply to coefficient_mode='fixed'",
+                id="fixed-under-constrained",
+            ),
+        ],
+    )
+    def test_refuses_a_field_out_of_range(self, overrides, message):
+        kwargs = dict(n=3, dim_a=3, dim_b=3, family="haar", seed=0, coefficient_mode="constrained")
+        with pytest.raises(DomainError) as caught:
+            EnsembleConfig(**dict(kwargs, **overrides))
+        assert type(caught.value) is DomainError and str(caught.value) == message
+
     def test_rejects_unknown_family(self):
         with pytest.raises(DomainError):
             EnsembleConfig(

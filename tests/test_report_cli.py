@@ -1,7 +1,9 @@
+import argparse
 import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from entbound import (
@@ -20,7 +22,7 @@ from entbound import (
     run_trial,
 )
 from entbound import report
-from entbound.cli import main
+from entbound.cli import cmd_eval, main
 from entbound.report import (
     VARIANTS,
     bound_report_to_json,
@@ -366,8 +368,25 @@ class TestCli:
         path.write_text("{oops")
         assert main(["eval", str(path)]) == 2
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_eval_refuses_a_spec_of_fewer_than_two_components(self, tmp_path, capsys, count):
+        path = write_spec_file(tmp_path, [1.0] * count, [bell_state()] * count)
+        assert main(["eval", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "entbound: spec: a superposition needs at least 2 components\n"
+
     def test_eval_missing_file(self):
         assert main(["eval", "/nonexistent/x.json"]) == 2
+
+    def test_eval_reports_its_own_refusal(self, tmp_path, capsys):
+        # the benchmark calls cmd_eval without main and reads the code it returns
+        spec_path = write_spec_file(tmp_path, [1.0, -1.0], [bell_state(), bell_state()])
+        args = argparse.Namespace(state_file=str(spec_path), variant="unconstrained")
+        assert cmd_eval(args) == 3
+        assert capsys.readouterr().err == (
+            "entbound: precondition failed: superposition vanishes; the bound is vacuous\n"
+        )
 
     def test_eval_precondition_exit_code(self, tmp_path, capsys):
         # constrained variant on coefficients violating the constraint
@@ -433,6 +452,54 @@ class TestCli:
         assert out1.read_bytes() != out3.read_bytes()
         # the echoed config must carry the effective seed
         assert json.loads(out3.read_text().splitlines()[0])["config"]["seed"] == 8
+
+    def test_verify_seed_override_out_of_range(self, tmp_path, capsys):
+        # the stream refuses it, and main reports it
+        cfg_path = write_config(tmp_path, haar_config())
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"records of an earlier run\n")
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2",
+                     "--seed", str(2**64), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "entbound: seed must fit an unsigned 64-bit integer, got 18446744073709551616\n"
+        )
+        assert out.read_bytes() == b"records of an earlier run\n"
+
+    def test_verify_records_a_caught_invariant_as_a_violation(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A trial whose numeric invariant trips (here trial 1's singular
+        # value pass fails) is recorded with zero sides and a failed
+        # numeric_invariants check, and the campaign goes on.  This pins the
+        # zero gap that enters the summary, not an endorsement of it.
+        cfg_path = write_config(tmp_path, haar_config())
+        args = ["verify", "--config", str(cfg_path), "--trials", "3"]
+        assert main([*args, "--out", str(tmp_path / "clean.jsonl")]) == 0
+        capsys.readouterr()
+        svd, calls = np.linalg.svd, []
+
+        def failing(*a, **k):
+            calls.append(a)
+            if len(calls) == 2:  # one pass per constrained trial: trial 1's
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*a, **k)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        assert main([*args, "--out", str(tmp_path / "failed.jsonl")]) == 1
+        assert len(calls) == 3
+        clean = (tmp_path / "clean.jsonl").read_text().splitlines()
+        failed = (tmp_path / "failed.jsonl").read_text().splitlines()
+        assert len(failed) == 3 and failed[0] == clean[0] and failed[2] == clean[2]
+        record = json.loads(failed[1])
+        assert record.pop("config") == json.loads(clean[1])["config"]
+        assert record == {
+            "trial_id": 1, "variant": "constrained", "lhs": 0, "rhs": 0, "gap": 0,
+            "correction": 0, "component_entanglements": [],
+            "checks": {"numeric_invariants": False},
+        }
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["trials"] == 3 and summary["violations"] == 1
+        assert json.loads((tmp_path / "failed.summary.json").read_text())["violations"] == 1
 
     def test_verify_unparseable_config(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -615,6 +682,20 @@ class TestCli:
         + [
             pytest.param(field, MISSING, f"config: missing field {field!r}", id=f"missing-{field}")
             for field in ("n", "dim_a", "dim_b", "family", "seed", "coefficient_mode")
+        ]
+        + [
+            pytest.param("n", 1, "config: n must be >= 2, got 1", id="n-one"),
+            pytest.param("dim_a", 0, "config: dimensions must be >= 1", id="dim_a-zero"),
+            pytest.param(
+                "seed", 2**64,
+                "config: seed must fit an unsigned 64-bit integer, got 18446744073709551616",
+                id="seed-2**64",
+            ),
+            pytest.param(
+                "fixed_coefficients", [[1, 0], [0, 0], [0, 0]],
+                "config: fixed_coefficients only apply to coefficient_mode='fixed'",
+                id="fixed-under-constrained",
+            ),
         ],
     )
     def test_verify_rejects_a_bad_config_field(self, tmp_path, capsys, field, value, message):

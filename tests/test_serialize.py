@@ -14,6 +14,7 @@ from entbound import (
     SchemaError,
     SuperpositionSpec,
 )
+from entbound import superposition
 from entbound.bounds import _exact_n_squared
 from entbound.ensembles import (
     COEFFICIENT_MODES,
@@ -33,7 +34,6 @@ from entbound.serialize import (
     pair_to_complex,
     spec_from_json,
     spec_to_json,
-    state_from_json,
     state_to_json,
 )
 from conftest import bell_state, random_state
@@ -91,26 +91,42 @@ class TestDumps:
         obj = {"x": 1 / 3, "y": [2**-0.5, 1e-17]}
         assert dumps(obj) == dumps(obj)
 
+    def test_refuses_an_unknown_type(self):
+        with pytest.raises(SchemaError) as caught:
+            dumps({"x": [object()]})
+        assert str(caught.value) == "cannot serialize object of type object"
+
+
+def spec_of(*components) -> dict:
+    """A spec object with unit coefficients on the given JSON components."""
+    return {"coefficients": [[1.0, 0.0]] * len(components), "components": list(components)}
+
 
 class TestStateRoundTrip:
+    """States are decoded only as a spec's components."""
+
     def test_bell(self):
         s = bell_state()
-        back = state_from_json(state_to_json(s))
+        back = spec_from_json(spec_of(state_to_json(s), state_to_json(s))).components[0]
         assert back.amplitudes.tobytes() == s.amplitudes.tobytes()
 
     def test_random_bit_exact(self, rng):
         s = random_state(rng, 3, 5)
-        text = dumps(state_to_json(s))
-        back = state_from_json(loads(text))
+        text = dumps(spec_of(state_to_json(bell_state(dim_a=3, dim_b=5)), state_to_json(s)))
+        back = spec_from_json(loads(text)).components[1]
         assert back.amplitudes.tobytes() == s.amplitudes.tobytes()
 
     def test_missing_field(self):
-        with pytest.raises(SchemaError, match="dim_b"):
-            state_from_json({"dim_a": 2, "amplitudes": []})
+        obj = spec_of({"dim_a": 2, "amplitudes": []}, state_to_json(bell_state()))
+        with pytest.raises(SchemaError) as caught:
+            spec_from_json(obj)
+        assert str(caught.value) == "spec.components[0]: missing field 'dim_b'"
 
     def test_wrong_amplitude_count(self):
-        with pytest.raises(SchemaError, match="expected 4 amplitudes"):
-            state_from_json({"dim_a": 2, "dim_b": 2, "amplitudes": [[1.0, 0.0]]})
+        bad = {"dim_a": 2, "dim_b": 2, "amplitudes": [[1.0, 0.0]]}
+        with pytest.raises(SchemaError) as caught:
+            spec_from_json(spec_of(state_to_json(bell_state()), bad))
+        assert str(caught.value) == "spec.components[1]: expected 4 amplitudes, got 1"
 
     def test_bad_pair(self):
         with pytest.raises(SchemaError, match="re, im"):
@@ -149,6 +165,18 @@ class TestSpecRoundTrip:
     def test_not_json(self):
         with pytest.raises(SchemaError):
             loads("{not json", "x")
+
+    def test_a_fault_in_the_checks_is_not_an_input_error(self, monkeypatch):
+        # Only the spec's own refusals become SchemaError: an error of any
+        # other kind, a bug or a MemoryError, propagates as it is.
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(superposition, "check_coefficient_scale", boom)
+        bell = state_to_json(bell_state())
+        with pytest.raises(RuntimeError) as caught:
+            spec_from_json(spec_of(bell, bell))
+        assert type(caught.value) is RuntimeError and str(caught.value) == "boom"
 
 
 def reference_pair(obj, where):
@@ -317,14 +345,12 @@ def mutated_specs(draw) -> dict:
 
 
 def decoded(decode, obj):
-    """What a decoder makes of obj: the bytes of a state's amplitudes or a
-    spec's coefficients and stack, or the type and text of its error."""
+    """What a spec decoder makes of obj: the bytes of the spec's coefficients
+    and stack, or the type and text of its error."""
     try:
         out = decode(obj)
     except Exception as exc:
         return type(exc), str(exc)
-    if isinstance(out, BipartitePureState):
-        return out.amplitudes.shape, out.amplitudes.tobytes()
     return out.coefficients.tobytes(), out._stack.shape, out._stack.tobytes()
 
 
@@ -334,20 +360,12 @@ class TestStackDecoder:
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(json_specs())
     def test_valid_specs_decode_bit_for_bit(self, obj):
-        want = decoded(reference_spec_from_json, obj)
-        assert decoded(spec_from_json, obj) == want
-        for k, comp in enumerate(obj["components"]):
-            where = f"spec.components[{k}]"
-            assert decoded(lambda c: state_from_json(c, where), comp) == decoded(
-                lambda c: reference_state_from_json(c, where), comp
-            )
+        assert decoded(spec_from_json, obj) == decoded(reference_spec_from_json, obj)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(mutated_specs())
     def test_malformed_specs_raise_the_same_error(self, obj):
         assert decoded(spec_from_json, obj) == decoded(reference_spec_from_json, obj)
-        for comp in obj.get("components") or []:
-            assert decoded(state_from_json, comp) == decoded(reference_state_from_json, comp)
 
     def test_nan_amplitude_is_a_bare_invariant_error(self):
         # A component's non-finite amplitude is refused when that component
