@@ -153,7 +153,14 @@ def basis_matrix(n: int) -> np.ndarray:
     1 dropped on the last row, and its squared norm is exactly N_i^2.
     Entries are square roots of correctly rounded exact integer ratios, so
     the matrix stays orthonormal to machine precision for every supported n.
+    Like `normalization_coeffs`, it is built once per n and shared
+    read-only, through a plain function that profilers see on every call.
     """
+    return _cached_basis_matrix(n)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _cached_basis_matrix(n: int) -> np.ndarray:
     nsq = _exact_n_squared(n)
     m = np.zeros((n, n))
     for i in range(n):
@@ -284,25 +291,27 @@ def _variant_weights(
     return (nsq * a2)[None]
 
 
-def _check_unit_total(variant: str, p: np.ndarray) -> None:
-    """Raise the variant's PreconditionError unless its single weight row p
-    totals 1 within CONSTRAINT_TOL; a variant without a unit total passes.
-    `_check_totals` and, for fixed coefficients, `report.iter_trials` both
-    apply it."""
+def _check_unit_total(variant: str, totals: np.ndarray) -> None:
+    """Raise the variant's PreconditionError unless the total of its single
+    weight row, totals = p.sum(axis=1), is 1 within CONSTRAINT_TOL; a
+    variant without a unit total passes.  `_check_totals` and, for fixed
+    coefficients, `report.iter_trials` both apply it."""
     message = _RULES[variant].unit_total
     if message is not None:
-        total = p.sum(axis=1)[0]
+        total = float(totals[0])
         if abs(total - 1.0) > CONSTRAINT_TOL:
-            raise PreconditionError(f"{message} (got {float(total)!r})")
+            raise PreconditionError(f"{message} (got {total!r})")
 
 
 def _check_totals(p: np.ndarray, variant: str) -> None:
-    """Raise if a row of weights totals zero, then `_check_unit_total`.  Every
-    evaluator calls it once, just before `_rhs` (the assistant check before
-    it forms psi), save `_minimized`, which refuses a vanishing least total."""
-    if p.sum(axis=1).min() <= ZERO_NORM_TOL:
+    """Raise if a row of weights totals zero, then `_check_unit_total`, from
+    one sum of the rows.  Every evaluator calls it once, just before `_rhs`
+    (the assistant check before it forms psi), save `_minimized`, which
+    refuses a vanishing least total."""
+    totals = p.sum(axis=1)
+    if totals.min() <= ZERO_NORM_TOL:
         raise DegenerateStateError("all coefficients vanish")
-    _check_unit_total(variant, p)
+    _check_unit_total(variant, totals)
 
 
 def _rhs(p: np.ndarray, ents: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray]:
@@ -497,13 +506,14 @@ def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
         rhs, correction, permutation = _minimized(a2, ents)
     else:
         _check_totals(row, variant)
-        rhs, correction = (float(v[0]) for v in _rhs(row, ents, variant))
+        rhs, correction = _rhs(row, ents, variant)
+        rhs, correction = float(rhs[0]), float(correction[0])
     return BoundReport(
         variant=variant,
         lhs=n2 * e_psi,
         rhs=rhs,
         correction=correction,
-        component_entanglements=tuple(float(e) for e in ents),
+        component_entanglements=tuple(ents.tolist()),
         permutation=permutation,
         squared_norm=n2,
         superposition_entanglement=e_psi,
@@ -581,7 +591,7 @@ def exact_biorthogonal_entanglement(spec: SuperpositionSpec) -> BoundReport:
         lhs=direct,
         rhs=formula,
         correction=float(mixing[0]),
-        component_entanglements=tuple(float(e) for e in ents),
+        component_entanglements=tuple(ents.tolist()),
         checks={"biorth_equality": abs(formula - direct) < EQUALITY_TOL},
         squared_norm=n2,
         superposition_entanglement=direct,
@@ -637,7 +647,7 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
         lhs=s_rho_b,
         rhs=upper_bound,
         correction=float(mixing[0]),
-        component_entanglements=tuple(float(e) for e in ents),
+        component_entanglements=tuple(ents.tolist()),
         checks={
             "norm_partition": residual < EQUALITY_TOL,
             "sandwich_lower": lower_chain <= s_rho_b + GAP_SLACK,

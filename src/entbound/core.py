@@ -40,7 +40,7 @@ def xlog2x(p: np.ndarray) -> np.ndarray:
     Entries at or below EIG_CUTOFF contribute exactly zero.
     """
     p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
+    out = np.zeros(p.shape)
     mask = p > EIG_CUTOFF
     out[mask] = p[mask] * np.log2(p[mask])
     return out

@@ -11,7 +11,10 @@ contract: `RandomStream(seed, path).generator()` is
 at its origin.  The key is handed to SeedSequence as the uint32 words
 that it derives from that integer (see `_seed_words`), which skips the
 int conversion and draws the same numbers; tests/test_ensembles.py
-checks the formula itself.
+checks the formula itself.  Philox's key, its one `generate_state(2,
+np.uint64)` call, is hashed from the four pool words on Python ints with
+the fixed (xor, multiply) pairs of numpy's output hash (`_KeySequence`);
+every other `generate_state` call falls through to numpy's own method.
 
 Each component family is a private `(config, stream)` draw that returns
 one (n, dim_a, dim_b) amplitude stack and trusts its config: a family's
@@ -59,6 +62,35 @@ def _require_int(name: str, value: object) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+# The (xor, multiply) pairs of numpy's SeedSequence output hash for the
+# first four words.  Its hash constant starts at INIT_B; each word is xored
+# with the constant, the constant is multiplied by MULT_B, and the word by
+# the new constant.
+_INIT_B, _MULT_B, _MASK32 = 0x8B51F9DD, 0x58F38DED, 0xFFFFFFFF
+_KEY_HASH = tuple(
+    (_INIT_B * _MULT_B**i & _MASK32, _INIT_B * _MULT_B ** (i + 1) & _MASK32) for i in range(4)
+)
+
+
+class _KeySequence(np.random.SeedSequence):
+    """A SeedSequence whose `generate_state(2, np.uint64)`, the one call
+    Philox makes, hashes the four pool words on Python ints, without the
+    errstate wrapper and numpy-scalar loop of numpy's method; every other
+    call is numpy's own.  tests/test_ensembles.py holds both to numpy's."""
+
+    __slots__ = ()
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or dtype is not np.uint64:
+            return super().generate_state(n_words, dtype)
+        words = []
+        for word, (xor, mult) in zip(self.pool.tolist(), _KEY_HASH):
+            word = (word ^ xor) * mult & _MASK32
+            words.append(word ^ word >> 16)
+        # each uint64 is two uint32 words, the low one first
+        return np.array([words[1] << 32 | words[0], words[3] << 32 | words[2]], dtype=np.uint64)
+
+
 @dataclass(frozen=True)
 class RandomStream:
     """Counter-based random stream addressed by (seed, label path).
@@ -80,11 +112,16 @@ class RandomStream:
     def child(self, label: str) -> "RandomStream":
         """The substream under one more label.  The path is hashed joined by
         "/", so a label that is empty or holds a "/" would alias another
-        path and is rejected."""
+        path and is rejected.  The child keeps this stream's seed, which
+        passed its checks when this stream was built, so it is not checked
+        again."""
         label = str(label)
         if not label or "/" in label:
             raise DomainError(f"stream label must be nonempty and free of '/', got {label!r}")
-        return RandomStream(self.seed, self.path + (label,))
+        child = object.__new__(RandomStream)
+        object.__setattr__(child, "seed", self.seed)
+        object.__setattr__(child, "path", self.path + (label,))
+        return child
 
     def generator(self) -> np.random.Generator:
         # Entropy comes from hashing the label path, so streams are pinned
@@ -92,8 +129,7 @@ class RandomStream:
         digest = hashlib.sha256(
             ("%d|" % self.seed + "/".join(self.path)).encode()
         ).digest()
-        seq = np.random.SeedSequence(_seed_words(digest))
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.Philox(_KeySequence(_seed_words(digest))))
 
 
 def _seed_words(digest: bytes) -> np.ndarray:
@@ -141,8 +177,8 @@ def _unitary_stack(dim: int, streams: list[RandomStream]) -> np.ndarray:
     z = _gaussian_stack((dim, dim), streams)
     z /= math.sqrt(2)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    q *= (d / np.abs(d))[:, None, :]
+    d = r.diagonal(0, 1, 2)
+    q *= (d / abs(d))[:, None]
     return q
 
 

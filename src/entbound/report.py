@@ -103,7 +103,7 @@ def iter_trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[T
     a2 = None if fixed is None else np.abs(np.array(fixed, dtype=complex)) ** 2
     row = _variant_weights(variant, config.n, config.dim_a, config.dim_b, a2)
     if row is not None:
-        _check_unit_total(variant, row)
+        _check_unit_total(variant, row.sum(axis=1))
     # A constrained draw has sum |alpha_i|^2 <= 1/2, a simplex one sum N_i^2 |alpha_i|^2 >= 2.
     rule, mode = _RULES[variant], config.coefficient_mode
     if rule.unit_total and mode == ("simplex_uniform" if rule.weighted else "constrained"):

@@ -107,9 +107,7 @@ class SuperpositionSpec:
         for array in (alphas, stack, gram):
             array.setflags(write=False)
         object.__setattr__(self, "coefficients", alphas)
-        object.__setattr__(
-            self, "components", tuple(BipartitePureState._view(amp) for amp in stack)
-        )
+        object.__setattr__(self, "components", tuple(map(BipartitePureState._view, stack)))
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "gram", GramMatrix(gram))
 

@@ -202,6 +202,20 @@ class TestBasisMatrix:
         with pytest.raises(DomainError):
             basis_matrix(17)
 
+    def test_matrix_is_shared_per_n(self):
+        m = basis_matrix(12)
+        assert basis_matrix(12) is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+
+    def test_cached_n_keeps_its_refusals(self):
+        basis_matrix(4)
+        with pytest.raises(TypeError):  # 4.0 is not served from the n = 4 entry
+            basis_matrix(4.0)
+        with pytest.raises(DomainError, match="n must be between 2 and 16, got 1"):
+            basis_matrix(1)
+
 
 def product_spec(coeffs) -> SuperpositionSpec:
     """Orthogonal product components |kk>, one per coefficient."""

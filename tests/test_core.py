@@ -14,7 +14,7 @@ from entbound import (
     entanglement,
     von_neumann_entropy,
 )
-from entbound.core import ZERO_NORM_TOL, schmidt_entropies
+from entbound.core import EIG_CUTOFF, ZERO_NORM_TOL, schmidt_entropies, xlog2x
 from conftest import basis_state, bell_state, random_state, reduced_states, two_bell_blocks
 
 # Direct evaluation of -sum p log2 p for p = (1/2, 1/3, 1/6).
@@ -146,6 +146,34 @@ def amplitude_stacks(draw) -> np.ndarray:
     stack[kind == 1] = 0.0
     stack[kind == 2] *= 1e-8
     return stack
+
+
+def entry_xlog2x(x: float) -> float:
+    """p log2 p of one entry above EIG_CUTOFF, through a one-entry array."""
+    p = np.array([x])
+    return float((p * np.log2(p))[0])
+
+
+class TestXlog2x:
+    def test_zero_dimensional_array(self):
+        got = xlog2x(np.array(0.3))
+        assert got.shape == () and got.dtype == np.float64
+        assert float(got) == entry_xlog2x(0.3)
+        assert float(xlog2x(np.array(0.0))) == 0.0
+
+    def test_fortran_ordered_array(self):
+        values = [[0.3, 0.0, 0.125], [1.0, 0.7, 1e-3]]
+        p = np.asfortranarray(values)
+        got = xlog2x(p)
+        assert got.shape == p.shape
+        assert got.tolist() == [[entry_xlog2x(x) if x else 0.0 for x in row] for row in values]
+        assert got.tobytes() == xlog2x(np.array(values)).tobytes()
+
+    def test_entries_at_or_below_the_cutoff_count_zero(self):
+        above = np.nextafter(EIG_CUTOFF, 1.0)
+        got = xlog2x(np.array([EIG_CUTOFF, 0.0, -0.0, -0.5, above]))
+        assert got[:4].tobytes() == bytes(32)  # exactly +0.0
+        assert got[4] == entry_xlog2x(above) < 0.0
 
 
 class TestSchmidtEntropies:

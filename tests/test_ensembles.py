@@ -33,6 +33,7 @@ from entbound.ensembles import (
     FAMILY_BIORTHOGONAL as BIORTHOGONAL,
     FAMILY_SHARED_SUPPORT as SHARED_SUPPORT,
     MAX_STATE_ELEMS,
+    _KeySequence,
     _gaussian_stack,
     _seed_words,
 )
@@ -278,11 +279,23 @@ class TestRandomStream:
         with pytest.raises(DomainError, match="seed must be an integer"):
             RandomStream(seed)
 
+    def test_child_equals_the_stream_built_on_its_path(self):
+        child = RandomStream(7).child("a")
+        assert child == RandomStream(7, ("a",))
+        assert hash(child) == hash(RandomStream(7, ("a",)))
+        assert child.child("b") == RandomStream(7, ("a", "b"))
+        assert hash(child.child("b")) == hash(RandomStream(7, ("a", "b")))
+
     def test_numpy_integer_seed_draws_the_int_streams(self):
         want = RandomStream(7).child("x").generator().standard_normal(4)
-        for seed in (np.int64(7), np.uint64(7)):
+        deeper = RandomStream(7).child("x").child("y").generator().standard_normal(4)
+        for seed in (np.int64(7), np.uint64(7), np.uint8(7)):
             got = RandomStream(seed).child("x").generator().standard_normal(4)
             assert got.tobytes() == want.tobytes()
+            # a child keeps the seed as given, unchecked, and its own children draw alike
+            child = RandomStream(seed).child("x").child("y")
+            assert child.seed is seed and child == RandomStream(7, ("x", "y"))
+            assert child.generator().standard_normal(4).tobytes() == deeper.tobytes()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(
@@ -313,6 +326,61 @@ class TestRandomStream:
         assert words.tolist() == int_words(value)
         got, want = np.random.SeedSequence(words), np.random.SeedSequence(value)
         np.testing.assert_array_equal(got.pool, want.pool)
+
+
+# The two dtypes generate_state takes, as a class, a name and a dtype object.
+STATE_DTYPES = [np.uint32, np.uint64, "u8", np.dtype(np.uint64)]
+
+
+@st.composite
+def seed_entropy(draw) -> np.ndarray:
+    """1-8 uint32 words, or the words of a sha256-sized digest whose leading
+    bytes are zero, as `_seed_words` cuts them."""
+    if draw(st.booleans()):
+        words = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8))
+        return np.array(words, dtype=np.uint32)
+    zeros = draw(st.integers(0, 32))
+    body = draw(st.binary(min_size=32, max_size=32))
+    return _seed_words(bytes(zeros) + body[zeros:])
+
+
+class TestKeySequence:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(seed_entropy(), st.integers(1, 8), st.sampled_from(STATE_DTYPES))
+    def test_generate_state_is_numpys(self, entropy, n_words, dtype):
+        ours, numpys = _KeySequence(entropy), np.random.SeedSequence(entropy)
+        pairs = [(ours, numpys), *zip(ours.spawn(2), numpys.spawn(2))]
+        for got, want in pairs:
+            np.testing.assert_array_equal(got.pool, want.pool)
+            for args in ((n_words, dtype), (2, np.uint64)):
+                a, b = got.generate_state(*args), want.generate_state(*args)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), args
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(seed_entropy())
+    def test_philox_state_is_numpys(self, entropy):
+        got = np.random.Philox(_KeySequence(entropy)).state
+        want = np.random.Philox(np.random.SeedSequence(entropy)).state
+        np.testing.assert_equal(got, want)
+
+    def test_generator_seeds_one_fresh_philox_through_it(self):
+        stream = RandomStream(7).child("x")
+        first, second = stream.generator(), stream.generator()
+        assert type(first.bit_generator) is np.random.Philox
+        assert type(first.bit_generator.seed_seq) is _KeySequence
+        assert first.bit_generator is not second.bit_generator
+        assert first.bit_generator.seed_seq is not second.bit_generator.seed_seq
+
+    def test_interleaved_generators_each_draw_the_stream(self):
+        stream = RandomStream(7).child("x")
+        want = reference_generator(7, ("x",)).random(12)
+        first, second = stream.generator(), stream.generator()
+        got_first, got_second = [], []
+        for size in (1, 3, 2, 6):
+            got_first.append(first.random(size))
+            got_second.append(second.random(size))
+        assert np.concatenate(got_first).tobytes() == want.tobytes()
+        assert np.concatenate(got_second).tobytes() == want.tobytes()
 
 
 class TestHaarState:
