@@ -42,7 +42,8 @@ def xlog2x(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     out = np.zeros(p.shape)
     mask = p > EIG_CUTOFF
-    out[mask] = p[mask] * np.log2(p[mask])
+    kept = p[mask]
+    out[mask] = kept * np.log2(kept)
     return out
 
 

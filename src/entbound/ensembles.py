@@ -62,14 +62,12 @@ def _require_int(name: str, value: object) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
-# The (xor, multiply) pairs of numpy's SeedSequence output hash for the
-# first four words.  Its hash constant starts at INIT_B; each word is xored
-# with the constant, the constant is multiplied by MULT_B, and the word by
-# the new constant.
-_INIT_B, _MULT_B, _MASK32 = 0x8B51F9DD, 0x58F38DED, 0xFFFFFFFF
-_KEY_HASH = tuple(
-    (_INIT_B * _MULT_B**i & _MASK32, _INIT_B * _MULT_B ** (i + 1) & _MASK32) for i in range(4)
-)
+# numpy's SeedSequence output hash: output word i is pool word i xored with
+# h_i, times h_(i+1) mod 2^32, then xored with itself shifted right by 16,
+# where h_0 = INIT_B = 0x8B51F9DD and h_(i+1) = h_i MULT_B mod 2^32 for
+# MULT_B = 0x58F38DED.  These are h_0 .. h_4, for the first four words.
+_MASK32 = 0xFFFFFFFF
+_KEY_HASH = tuple(0x8B51F9DD * 0x58F38DED**i & _MASK32 for i in range(5))
 
 
 class _KeySequence(np.random.SeedSequence):
@@ -83,12 +81,17 @@ class _KeySequence(np.random.SeedSequence):
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 2 or dtype is not np.uint64:
             return super().generate_state(n_words, dtype)
-        words = []
-        for word, (xor, mult) in zip(self.pool.tolist(), _KEY_HASH):
-            word = (word ^ xor) * mult & _MASK32
-            words.append(word ^ word >> 16)
-        # each uint64 is two uint32 words, the low one first
-        return np.array([words[1] << 32 | words[0], words[3] << 32 | words[2]], dtype=np.uint64)
+        h0, h1, h2, h3, h4 = _KEY_HASH
+        w0, w1, w2, w3 = self.pool.tolist()
+        w0 = (w0 ^ h0) * h1 & _MASK32
+        w1 = (w1 ^ h1) * h2 & _MASK32
+        w2 = (w2 ^ h2) * h3 & _MASK32
+        w3 = (w3 ^ h3) * h4 & _MASK32
+        # each uint64 is two output words, the low one first
+        return np.array(
+            [(w1 ^ w1 >> 16) << 32 | (w0 ^ w0 >> 16), (w3 ^ w3 >> 16) << 32 | (w2 ^ w2 >> 16)],
+            dtype=np.uint64,
+        )
 
 
 @dataclass(frozen=True)
