@@ -30,8 +30,9 @@ the unit-weight case of the bound's (every N_i^2 = 1, so T = 1), which
 on its single row that rounds exactly like the dot product p @ E.
 
 The inputs each variant takes are one row of the table `_RULES`, whose
-keys are `VARIANTS`: its cap on n, whether it weights by N_i^2, and the
-text of its unit-total PreconditionError, if its weights must total 1.
+keys are `VARIANTS`: the name of its evaluator, its cap on n, whether it
+weights by N_i^2, and the text of its unit-total PreconditionError, if
+its weights must total 1.
 One check, `_variant_weights`, raises every variant-level DomainError
 and returns the weight row; every variant and the campaign runner call it.
 """
@@ -87,6 +88,9 @@ VARIANT_ASSISTANT = "assistant"
 
 
 class _Rule(NamedTuple):
+    # the name of the public function here that evaluates it, looked up at each
+    # call so that a wrapper set on the module attribute is the one called
+    evaluator: str
     cap: int  # the largest n
     weighted: bool  # its weights are N_i^2 |alpha_i|^2, else |alpha_i|^2
     unit_total: str | None  # the PreconditionError text if its weights must total 1
@@ -96,12 +100,17 @@ class _Rule(NamedTuple):
 # N_i^2-weighted bounds stop at MAX_WEIGHTED_N, the minimized at MAX_MINIMIZED_N.
 _RULES = {
     VARIANT_CONSTRAINED: _Rule(
-        MAX_WEIGHTED_N, True, "constraint sum N_i^2|alpha_i|^2 = 1 violated"
+        "bound_constrained", MAX_WEIGHTED_N, True, "constraint sum N_i^2|alpha_i|^2 = 1 violated"
     ),
-    VARIANT_UNCONSTRAINED: _Rule(MAX_WEIGHTED_N, True, None),
-    VARIANT_MINIMIZED: _Rule(MAX_MINIMIZED_N, True, None),
-    VARIANT_EXACT: _Rule(MAX_N, False, "sum |alpha_i|^2 = 1 required for the exact formula"),
-    VARIANT_ASSISTANT: _Rule(MAX_N, False, "assistant state requires sum |alpha_i|^2 = 1"),
+    VARIANT_UNCONSTRAINED: _Rule("bound_unconstrained", MAX_WEIGHTED_N, True, None),
+    VARIANT_MINIMIZED: _Rule("bound_minimized", MAX_MINIMIZED_N, True, None),
+    VARIANT_EXACT: _Rule(
+        "exact_biorthogonal_entanglement", MAX_N, False,
+        "sum |alpha_i|^2 = 1 required for the exact formula",
+    ),
+    VARIANT_ASSISTANT: _Rule(
+        "assistant_state_check", MAX_N, False, "assistant state requires sum |alpha_i|^2 = 1"
+    ),
 }
 VARIANTS = tuple(_RULES)
 
@@ -122,8 +131,7 @@ def _exact_n_squared(n: int) -> list[int]:
     return vals
 
 
-# typed: a float n such as 4.0 still fails as before instead of hitting n = 4
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=None)
 def _cached_normalization_coeffs(n: int) -> np.ndarray:
     floats = np.array([float(v) if v <= _FLOAT_MAX else math.inf for v in _exact_n_squared(n)])
     floats.setflags(write=False)
@@ -159,7 +167,7 @@ def basis_matrix(n: int) -> np.ndarray:
     return _cached_basis_matrix(n)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=None)
 def _cached_basis_matrix(n: int) -> np.ndarray:
     nsq = _exact_n_squared(n)
     m = np.zeros((n, n))

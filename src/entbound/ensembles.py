@@ -232,8 +232,9 @@ class EnsembleConfig:
     fixed_coefficients: tuple[complex, ...] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("n", "dim_a", "dim_b", "block_a", "block_b", "seed"):
+        for name in ("n", "dim_a", "dim_b", "block_a", "block_b"):
             _require_int(name, getattr(self, name))
+        RandomStream(self.seed)  # the stream's seed type and range
         if self.n < 2:
             raise DomainError(f"n must be >= 2, got {self.n}")
         if self.dim_a < 1 or self.dim_b < 1:
@@ -251,7 +252,6 @@ class EnsembleConfig:
                 f"unknown coefficient mode {self.coefficient_mode!r},"
                 f" expected one of {COEFFICIENT_MODES}"
             )
-        RandomStream(self.seed)  # the stream's seed range
         if self.family == FAMILY_BIORTHOGONAL:
             if self.dim_a < self.n * self.block_a or self.dim_b < self.n * self.block_b:
                 raise DomainError(

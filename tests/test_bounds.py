@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import entbound
 from entbound import (
     DegenerateStateError,
     DomainError,
@@ -209,12 +210,13 @@ class TestBasisMatrix:
         with pytest.raises(ValueError):
             m[0, 0] = 0.0
 
-    def test_cached_n_keeps_its_refusals(self):
-        basis_matrix(4)
+    @pytest.mark.parametrize("table", [basis_matrix, normalization_coeffs])
+    def test_cached_n_keeps_its_refusals(self, table):
+        table(4)
         with pytest.raises(TypeError):  # 4.0 is not served from the n = 4 entry
-            basis_matrix(4.0)
+            table(4.0)
         with pytest.raises(DomainError, match="n must be between 2 and 16, got 1"):
-            basis_matrix(1)
+            table(1)
 
 
 def product_spec(coeffs) -> SuperpositionSpec:
@@ -1098,3 +1100,22 @@ def test_each_evaluator_checks_the_totals_once(monkeypatch, variant):
     assert [args[1] for args, _ in totals] == ([] if variant == "minimized" else [variant])
     zero = _rhs(np.zeros((1, 3)), np.ones(3), variant)
     assert [v.tolist() for v in zero] == [[0.0], [0.0]]
+
+
+@pytest.mark.parametrize("variant", bounds.VARIANTS)
+def test_the_rule_names_the_evaluator_that_is_called(monkeypatch, variant):
+    # `_RULES` is the one list of variants: its row names the public evaluator,
+    # which `evaluate_variant` looks up in `bounds` on every call, so a wrapper
+    # set on that module attribute, as a tracer sets one, is what it calls.
+    rules = bounds._RULES
+    name = rules[variant].evaluator
+    assert not name.startswith("_") and name in entbound.__all__
+    assert getattr(entbound, name) is getattr(bounds, name)
+    assert getattr(bounds, name).__module__ == "entbound.bounds"
+    cfg = EnsembleConfig(
+        n=3, dim_a=6, dim_b=6, family=BIORTHOGONAL, seed=5, coefficient_mode=PSI_MODES[variant]
+    )
+    spec = generate_spec(cfg, normalization_coeffs(3), trial_stream(cfg, 0))
+    calls = {rule.evaluator: record_calls(monkeypatch, rule.evaluator) for rule in rules.values()}
+    assert evaluate_variant(spec, variant).variant == variant
+    assert {k: [args for args, _ in v] for k, v in calls.items() if v} == {name: [(spec,)]}

@@ -563,6 +563,29 @@ class TestEnsembleConfig:
             EnsembleConfig(**dict(kwargs, **overrides))
         assert type(caught.value) is DomainError and str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n=1), dict(dim_a=0), dict(dim_a=65, dim_b=64), dict(block_b=0),
+            dict(family="nope"), dict(coefficient_mode="nope"),
+            dict(family="biorthogonal_blocks", dim_a=2),
+            dict(coefficient_mode="fixed"),
+        ],
+        ids=["n", "dims", "state-cap", "blocks", "family", "mode", "biorthogonal", "fixed"],
+    )
+    def test_seed_range_is_checked_after_the_types_before_the_values(self, overrides):
+        # One owner of the seed checks, `RandomStream`, built right after the
+        # other integer fields' type checks: an out-of-range seed is refused
+        # before any value check, a float seed after the type checks.
+        kwargs = dict(n=3, dim_a=3, dim_b=3, family="haar", coefficient_mode="constrained")
+        kwargs.update(overrides)
+        with pytest.raises(DomainError, match="seed must fit an unsigned 64-bit integer"):
+            EnsembleConfig(**kwargs, seed=2**64)
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            EnsembleConfig(**kwargs, seed=1.5)
+        with pytest.raises(DomainError, match="block_a must be an integer"):
+            EnsembleConfig(**dict(kwargs, block_a=1.5), seed=1.5)
+
     def test_rejects_unknown_family(self):
         with pytest.raises(DomainError):
             EnsembleConfig(

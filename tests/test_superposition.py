@@ -18,8 +18,10 @@ from entbound import (
     entanglement,
     squared_norm,
 )
+from entbound import bounds
 from entbound.cli import main
 from entbound.report import VARIANTS, evaluate_variant
+from entbound.superposition import GramMatrix
 from entbound.serialize import dumps, state_to_json
 from conftest import basis_state, bell_state, random_state, two_bell_blocks
 
@@ -259,6 +261,33 @@ class TestSuperpositionEntanglement:
         for variant in VARIANTS:
             with pytest.raises(DegenerateStateError, match="superposition vanishes"):
                 evaluate_variant(spec, variant)
+
+    def test_vanishing_combined_state_is_refused_on_its_own(self, monkeypatch, tmp_path, capsys):
+        # A squared norm that reads 1 lets psi = (phi - phi) / sqrt(2) past
+        # the spec-level vanishing check; the combined state's norm refuses it.
+        monkeypatch.setattr(bounds, "squared_norm", lambda spec: 1.0)
+        h = 2**-0.5
+        spec = make_spec([h, -h], [bell_state(), bell_state()])
+        message = "entanglement of a numerically zero state is undefined"
+        path = tmp_path / "spec.json"
+        components = [state_to_json(bell_state())] * 2
+        path.write_text(dumps({"coefficients": [[h, 0], [-h, 0]], "components": components}))
+        for variant in VARIANTS:
+            with pytest.raises(DegenerateStateError) as caught:
+                evaluate_variant(spec, variant)
+            assert str(caught.value) == message
+            assert main(["eval", str(path), "--variant", variant]) == 3
+            assert capsys.readouterr() == ("", f"entbound: precondition failed: {message}\n")
+
+    def test_squared_norm_refuses_an_imaginary_residue(self):
+        # the Gram form of a Hermitian matrix is real; this one is not
+        spec = make_spec([2**-0.5, 2**-0.5], [bell_state(), bell_state(-1)])
+        gram = np.array([[1, 1j], [0, 1]])
+        gram.setflags(write=False)
+        object.__setattr__(spec, "gram", GramMatrix(gram))
+        with pytest.raises(InvariantViolationError) as caught:
+            squared_norm(spec)
+        assert str(caught.value) == "squared norm has imaginary residue 5.000e-01"
 
     def test_coefficient_rescaling_invariance(self, rng):
         comps = [random_state(rng, 3, 4) for _ in range(3)]
