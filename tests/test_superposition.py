@@ -21,8 +21,8 @@ from entbound import (
 from entbound import bounds
 from entbound.cli import main
 from entbound.report import VARIANTS, evaluate_variant
-from entbound.superposition import GramMatrix
 from entbound.serialize import dumps, state_to_json
+from entbound.superposition import GramMatrix
 from conftest import basis_state, bell_state, random_state, two_bell_blocks
 
 
