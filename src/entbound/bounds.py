@@ -30,11 +30,13 @@ the unit-weight case of the bound's (every N_i^2 = 1, so T = 1), which
 on its single row that rounds exactly like the dot product p @ E.
 
 The inputs each variant takes are one row of the table `_RULES`, whose
-keys are `VARIANTS`: the name of its evaluator, its cap on n, whether it
-weights by N_i^2, and the text of its unit-total PreconditionError, if
-its weights must total 1.
-One check, `_variant_weights`, raises every variant-level DomainError
-and returns the weight row; every variant and the campaign runner call it.
+keys are `VARIANTS`: the name of its evaluator, its caps on n and on the
+n dim_a dim_b amplitudes, whether it weights by N_i^2, and the text of its
+unit-total PreconditionError, if its weights must total 1.  One check,
+`_variant_weights`, raises every refusal that these and |alpha|^2 decide,
+in one order for all five variants, and returns the weight row.  Every
+evaluator calls it first, then forms psi (`_entanglements`), then makes its
+own check, if any; the campaign runner calls it once, before any trial.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ class _Rule(NamedTuple):
     cap: int  # the largest n
     weighted: bool  # its weights are N_i^2 |alpha_i|^2, else |alpha_i|^2
     unit_total: str | None  # the PreconditionError text if its weights must total 1
+    max_amplitudes: float = math.inf  # the largest n dim_a dim_b
 
 
 # MAX_N ends the documented domain and the table a campaign draws with; the
@@ -109,7 +112,8 @@ _RULES = {
         "sum |alpha_i|^2 = 1 required for the exact formula",
     ),
     VARIANT_ASSISTANT: _Rule(
-        "assistant_state_check", MAX_N, False, "assistant state requires sum |alpha_i|^2 = 1"
+        "assistant_state_check", MAX_N, False, "assistant state requires sum |alpha_i|^2 = 1",
+        MAX_ASSISTANT_ELEMS,
     ),
 }
 VARIANTS = tuple(_RULES)
@@ -271,10 +275,13 @@ def _row_values(p: np.ndarray, ents: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _variant_weights(
     variant: object, n: int, dim_a: int, dim_b: int, a2: np.ndarray | None = None
 ) -> np.ndarray | None:
-    """Raise every variant-level DomainError of n components on dim_a x dim_b,
-    in this order: an unknown variant, of any type; n over its cap; given
-    a2 = |alpha|^2, N_i^2 weights that could leave the float range.  Return
-    the (1, n) weight row of the identity assignment (None without a2).
+    """Raise every refusal that the variant, n components on dim_a x dim_b
+    and a2 = |alpha|^2 decide, in this order: an unknown variant, of any
+    type, n over its cap, n dim_a dim_b over its amplitude cap and, given
+    a2, N_i^2 weights that could leave the float range (all DomainError),
+    a weight row that totals zero (DegenerateStateError) and a total off
+    the unit total (PreconditionError).  Return the (1, n) weight row of
+    the identity assignment (None without a2).
 
     A weighted row's total is at most n N_n^2 max a2, its rhs that times
     log2 min(dim_a, dim_b) + log2 n (the entropies and the correction), and
@@ -285,46 +292,31 @@ def _variant_weights(
     rule = _RULES[variant]
     if n > rule.cap:
         raise DomainError(f"the {variant} variant is capped at n = {rule.cap}, got {n}")
+    if n * dim_a * dim_b > rule.max_amplitudes:
+        raise DomainError(f"{variant} state would exceed {rule.max_amplitudes} amplitudes")
     if a2 is None:
         return None
-    if not rule.weighted:
-        return a2[None]
-    nsq = normalization_coeffs(n)
-    top = float(a2.max())
-    if not math.isfinite(n * float(nsq[-1]) * top * math.log2(2 * n * min(dim_a, dim_b))):
-        raise DomainError(
-            f"the {variant} variant needs n N_n^2 max|alpha_i|^2 log2(2 n min(dim_a, dim_b))"
-            f" finite (got max|alpha_i| = {math.sqrt(top):.3e})"
-        )
-    return (nsq * a2)[None]
-
-
-def _check_unit_total(variant: str, totals: np.ndarray) -> None:
-    """Raise the variant's PreconditionError unless the total of its single
-    weight row, totals = p.sum(axis=1), is 1 within CONSTRAINT_TOL; a
-    variant without a unit total passes.  `_check_totals` and, for fixed
-    coefficients, `report.iter_trials` both apply it."""
-    message = _RULES[variant].unit_total
-    if message is not None:
-        total = float(totals[0])
-        if abs(total - 1.0) > CONSTRAINT_TOL:
-            raise PreconditionError(f"{message} (got {total!r})")
-
-
-def _check_totals(p: np.ndarray, variant: str) -> None:
-    """Raise if a row of weights totals zero, then `_check_unit_total`, from
-    one sum of the rows.  Every evaluator calls it once, just before `_rhs`
-    (the assistant check before it forms psi), save `_minimized`, which
-    refuses a vanishing least total."""
-    totals = p.sum(axis=1)
-    if totals.min() <= ZERO_NORM_TOL:
+    row = a2[None]
+    if rule.weighted:
+        nsq = normalization_coeffs(n)
+        top = float(a2.max())
+        if not math.isfinite(n * float(nsq[-1]) * top * math.log2(2 * n * min(dim_a, dim_b))):
+            raise DomainError(
+                f"the {variant} variant needs n N_n^2 max|alpha_i|^2 log2(2 n min(dim_a, dim_b))"
+                f" finite (got max|alpha_i| = {math.sqrt(top):.3e})"
+            )
+        row = nsq * row
+    total = float(row.sum(axis=1)[0])
+    if total <= ZERO_NORM_TOL:
         raise DegenerateStateError("all coefficients vanish")
-    _check_unit_total(variant, totals)
+    if rule.unit_total is not None and abs(total - 1.0) > CONSTRAINT_TOL:
+        raise PreconditionError(f"{rule.unit_total} (got {total!r})")
+    return row
 
 
 def _rhs(p: np.ndarray, ents: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray]:
     """rhs and correction of every row P of weights, T = sum_j P_j.  It
-    checks nothing: its callers have made the checks of `_check_totals`.
+    checks nothing: its callers have made the checks of `_variant_weights`.
 
     Without a unit-total precondition the rows take the cancellation-free
     form of `_row_values`, each row reduced on its own.  With one, the
@@ -503,8 +495,8 @@ def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
     The weights are products N_i^2 |alpha_j|^2: the single row of the
     identity assignment, p_j = N_j^2 |alpha_j|^2, for the constrained and
     unconstrained variants, and the row `_minimized` finds for the
-    minimized one.  A spec beyond the variant's cap on n, or whose weighted
-    rows could leave the float range, is a DomainError (`_variant_weights`).
+    minimized one.  `_variant_weights` refuses what the variant, n and the
+    weights decide, before psi is formed.
     """
     a2 = np.abs(spec.coefficients) ** 2
     row = _variant_weights(variant, spec.n, spec.dim_a, spec.dim_b, a2)
@@ -513,7 +505,6 @@ def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
     if variant == VARIANT_MINIMIZED:
         rhs, correction, permutation = _minimized(a2, ents)
     else:
-        _check_totals(row, variant)
         rhs, correction = _rhs(row, ents, variant)
         rhs, correction = float(rhs[0]), float(correction[0])
     return BoundReport(
@@ -591,7 +582,6 @@ def exact_biorthogonal_entanglement(spec: SuperpositionSpec) -> BoundReport:
     n2, direct, ents = _entanglements(spec, "entanglement of the normalized version is undefined")
     if not is_biorthogonal(spec):
         raise PreconditionError("components are not mutually biorthogonal")
-    _check_totals(row, VARIANT_EXACT)
     rhs, mixing = _rhs(row, ents, VARIANT_EXACT)
     formula = float(rhs[0])
     return BoundReport(
@@ -610,9 +600,9 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
     """Build the assistant state sum_i alpha_i |i>|phi_i> over an auxiliary
     n-dimensional register, and verify the proof chain on it.
 
-    Requires, in this order, n <= MAX_N, at most MAX_ASSISTANT_ELEMS
-    amplitudes, sum |alpha_i|^2 = 1 (`_check_totals`) and a psi that does
-    not vanish, as it can on that total.  The report's lhs is S(rho_B), the
+    Requires, in the order of `_variant_weights`, n <= MAX_N, at most
+    MAX_ASSISTANT_ELEMS amplitudes and sum |alpha_i|^2 = 1, then a psi that
+    does not vanish, as it can on that total.  The report's lhs is S(rho_B), the
     Schmidt entropy of the pure assistant state across (register x A) : B,
     its rhs the upper bound sum |alpha_i|^2 E(phi_i) + H(|alpha|^2), and its
     correction the mixing entropy H(|alpha|^2).  Its checks are:
@@ -628,9 +618,6 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
     n = spec.n
     alphas = spec.coefficients
     row = _variant_weights(VARIANT_ASSISTANT, n, spec.dim_a, spec.dim_b, np.abs(alphas) ** 2)
-    if n * spec.dim_a * spec.dim_b > MAX_ASSISTANT_ELEMS:
-        raise DomainError(f"assistant state would exceed {MAX_ASSISTANT_ELEMS} amplitudes")
-    _check_totals(row, VARIANT_ASSISTANT)
     n2, e_psi, ents = _entanglements(spec, "entanglement of the normalized version is undefined")
     rhs, mixing = _rhs(row, ents, VARIANT_ASSISTANT)
     upper_bound = float(rhs[0])

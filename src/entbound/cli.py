@@ -56,7 +56,7 @@ def _fail(exc: EntboundError) -> int:
 def _read_json(path: str, what: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{what}: cannot read {path}: {exc}") from exc
     return loads(text, what)
 

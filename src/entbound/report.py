@@ -24,7 +24,6 @@ from .bounds import (
     VARIANTS,  # re-exported: the CLI's choices
     _RULES,
     BoundReport,
-    _check_unit_total,
     _variant_weights,
     normalization_coeffs,
 )
@@ -58,7 +57,8 @@ def trial_stream(config: EnsembleConfig, trial_id: int) -> RandomStream:
 
 def evaluate_variant(spec: SuperpositionSpec, variant: str) -> BoundReport:
     """Evaluate one bound variant (or equality/proof-chain check) on a spec.
-    Every evaluator opens with the variant checks of `_variant_weights`."""
+    Every evaluator opens with the checks of `_variant_weights`, so only an
+    unknown variant is refused here, by the same call."""
     if not isinstance(variant, str) or variant not in _RULES:
         _variant_weights(variant, spec.n, spec.dim_a, spec.dim_b)  # raises, for any type
     # The evaluator is looked up in `bounds` by name on every call, so a
@@ -77,19 +77,18 @@ def run_trial(config: EnsembleConfig, variant: str, trial_id: int) -> TrialRecor
 def iter_trials(config: EnsembleConfig, variant: str, trials: int) -> Iterator[TrialRecord]:
     """Lazily evaluate trial_id = 0 .. trials-1 in order.
 
-    Every argument check, the variant-level ones of `bounds` and the unit
-    total of the coefficients included, runs here, when the iterator is
-    made, not at its first step.  A trial that trips a numeric invariant is
-    recorded as a violation rather than aborting the campaign.
+    Every argument check runs here, when the iterator is made, not at its
+    first step: one call of `_variant_weights` makes the checks of the
+    variant, n and the dims, and those of the weights of fixed coefficients.
+    A trial that trips a numeric invariant is recorded as a violation
+    rather than aborting the campaign.
     """
     _require_int("trials", trials)
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     fixed = config.fixed_coefficients
     a2 = None if fixed is None else np.abs(np.array(fixed, dtype=complex)) ** 2
-    row = _variant_weights(variant, config.n, config.dim_a, config.dim_b, a2)
-    if row is not None:
-        _check_unit_total(variant, row.sum(axis=1))
+    _variant_weights(variant, config.n, config.dim_a, config.dim_b, a2)
     # A constrained draw has sum |alpha_i|^2 <= 1/2, a simplex one sum N_i^2 |alpha_i|^2 >= 2.
     rule, mode = _RULES[variant], config.coefficient_mode
     if rule.unit_total and mode == ("simplex_uniform" if rule.weighted else "constrained"):

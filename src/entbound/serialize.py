@@ -199,5 +199,7 @@ def config_from_json(obj: Any) -> EnsembleConfig:
 def loads(text: str, where: str = "input") -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError, or an integer beyond Python's digit limit, or nesting
+    # beyond the recursion limit: limits that JSON lets a parser set
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{where}: not valid JSON ({exc})") from exc

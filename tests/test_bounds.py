@@ -39,11 +39,11 @@ from entbound import bounds
 from entbound.bounds import (
     TIE_REL,
     VARIANT_MINIMIZED,
-    _check_totals,
     _exact_n_squared,
     _minimized,
     _rhs,
 )
+from entbound.core import ZERO_NORM_TOL
 from entbound.ensembles import FAMILIES, FAMILY_SHARED_SUPPORT
 from entbound.ensembles import FAMILY_BIORTHOGONAL as BIORTHOGONAL
 from entbound.report import evaluate_variant, trial_stream
@@ -374,13 +374,14 @@ def brute_force_minimized(
     a2: np.ndarray, ents: np.ndarray, tie: float = TIE_REL
 ) -> tuple[float, float, tuple[int, ...]]:
     """The minimized bound by full enumeration: every one of the n! rows,
-    in lexicographic order, through `_check_totals` and `_rhs` in one call
-    each, and the first row whose rhs is within `tie` (relative) of the
-    least.  Returns its (rhs, correction, permutation)."""
+    in lexicographic order, refused if any of them totals zero, through
+    `_rhs` in one call, and the first row whose rhs is within `tie`
+    (relative) of the least.  Returns its (rhs, correction, permutation)."""
     n = a2.size
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     rows = normalization_coeffs(n)[perms] * a2
-    _check_totals(rows, VARIANT_MINIMIZED)
+    if rows.sum(axis=1).min() <= ZERO_NORM_TOL:
+        raise DegenerateStateError("all coefficients vanish")
     rhs, corrections = _rhs(rows, ents, VARIANT_MINIMIZED)
     least = rhs.min()
     k = int(np.flatnonzero(rhs - least <= tie * least)[0])
@@ -1088,16 +1089,29 @@ def test_report_carries_psi_of_the_one_pass(variant):
 
 @pytest.mark.parametrize("variant", bounds.VARIANTS)
 def test_each_evaluator_checks_the_totals_once(monkeypatch, variant):
-    # The row kernel checks nothing; every evaluator but the minimized one,
-    # whose search refuses a vanishing least total itself, calls
-    # `_check_totals` once, the assistant check before it forms psi.
+    # `_variant_weights` owns every refusal that the variant, n, the dims and
+    # |alpha|^2 decide: every evaluator calls it once, before it forms psi,
+    # so a vanishing or off-unit-total weight row never reaches
+    # `_entanglements`; the row kernel checks nothing.
     cfg = EnsembleConfig(
         n=3, dim_a=6, dim_b=6, family=BIORTHOGONAL, seed=5, coefficient_mode=PSI_MODES[variant]
     )
     spec = generate_spec(cfg, normalization_coeffs(3), trial_stream(cfg, 0))
-    totals = record_calls(monkeypatch, "_check_totals")
+    weights = record_calls(monkeypatch, "_variant_weights")
+    psi = record_calls(monkeypatch, "_entanglements")
     evaluate_variant(spec, variant)
-    assert [args[1] for args, _ in totals] == ([] if variant == "minimized" else [variant])
+    assert [args[:4] for args, _ in weights] == [(variant, 3, 6, 6)] and len(psi) == 1
+    refusals = [(1e-7, DegenerateStateError, "all coefficients vanish")]
+    unit_total = bounds._RULES[variant].unit_total
+    if unit_total is not None:
+        refusals.append((1.0, PreconditionError, unit_total))
+    for alpha, exc, message in refusals:
+        weights.clear()
+        spec = make_spec([alpha, alpha], [basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)])
+        with pytest.raises(exc) as caught:
+            evaluate_variant(spec, variant)
+        assert type(caught.value) is exc and str(caught.value).startswith(message)
+        assert len(weights) == 1 and len(psi) == 1
     zero = _rhs(np.zeros((1, 3)), np.ones(3), variant)
     assert [v.tolist() for v in zero] == [[0.0], [0.0]]
 

@@ -368,6 +368,31 @@ class TestCli:
         path.write_text("{oops")
         assert main(["eval", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+            (b'{"n": ' + b"1" * 4301 + b"}", "Exceeds the limit (4300 digits)"),
+            (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["not-utf8", "long-integer", "deep-nesting"],
+    )
+    def test_unreadable_json_is_an_input_error(self, tmp_path, capsys, command, text, reason):
+        # text that json cannot read exits 2 with one stderr line, not a
+        # traceback, and a refused verify leaves the existing --out as it was
+        path = tmp_path / "input.json"
+        path.write_bytes(text)
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"records of an earlier run\n")
+        args = [str(path)] if command == "eval" else [
+            "--config", str(path), "--trials", "2", "--out", str(out)]
+        assert main([command, *args]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("entbound: ") and err.count("\n") == 1
+        assert reason in err
+        assert out.read_bytes() == b"records of an earlier run\n"
+
     @pytest.mark.parametrize("count", [0, 1])
     def test_eval_refuses_a_spec_of_fewer_than_two_components(self, tmp_path, capsys, count):
         path = write_spec_file(tmp_path, [1.0] * count, [bell_state()] * count)
@@ -949,24 +974,33 @@ SPEC_REFUSALS = (
     # the assistant's amplitude cap beside an off-unit total
     + [pytest.param("assistant", diagonal(7, 100, 1.0), DomainError,
                     "assistant state would exceed 65536 amplitudes", id="assistant-amplitudes")]
-    # a vanishing psi off the unit total: psi first, save for the assistant
-    # check, which refuses its unit total before it forms psi
+    # a vanishing psi off the unit total: the unit total first, as every
+    # weight check comes before psi is formed; the variants without one
+    # refuse psi
     + [
         pytest.param(v, bells([1.0, -1.0]), exc, message, id=f"{v}-vanishing")
         for v, exc, message in [
-            *((v, DegenerateStateError, VACUOUS) for v in WEIGHTED),
-            ("exact", DegenerateStateError, UNDEFINED),
+            ("constrained", PreconditionError, UNIT_TOTAL["constrained"].format("4.0")),
+            *((v, DegenerateStateError, VACUOUS) for v in WEIGHTED[1:]),
+            ("exact", PreconditionError, UNIT_TOTAL["exact"].format("2.0")),
             ("assistant", PreconditionError, UNIT_TOTAL["assistant"].format("2.0")),
         ]
     ]
-    # alpha = (1e-7, 1e-7): psi vanishes, and so does the assistant's total
+    # a vanishing psi on the unit total: psi, after every weight check
     + [
-        pytest.param(v, diagonal(2, 2, 1e-7), DegenerateStateError, message, id=f"{v}-tiny")
-        for v, message in [
-            *((v, VACUOUS) for v in WEIGHTED),
-            ("exact", UNDEFINED),
-            ("assistant", "all coefficients vanish"),
+        pytest.param(v, bells([h, -h]), DegenerateStateError, message,
+                     id=f"{v}-vanishing-on-total")
+        for v, h, message in [
+            ("constrained", 0.5, VACUOUS),
+            ("exact", 2**-0.5, UNDEFINED),
+            ("assistant", 2**-0.5, UNDEFINED),
         ]
+    ]
+    # alpha = (1e-7, 1e-7): psi and every weight total vanish, the total first
+    + [
+        pytest.param(v, diagonal(2, 2, 1e-7), DegenerateStateError, "all coefficients vanish",
+                     id=f"{v}-tiny")
+        for v in VARIANTS
     ]
 )
 
@@ -1006,17 +1040,14 @@ CONFIG_REFUSALS = (
         )
         for v in ("exact", "assistant")
     ]
-    # fixed alpha = (1e-7, 1e-7): the unit total is refused up front
+    # fixed alpha = (1e-7, 1e-7): every variant refuses the vanishing weight
+    # total up front, before its unit total and before any trial forms psi
     + [
         pytest.param(
             v, dict(coefficient_mode="fixed", fixed_coefficients=(1e-7, 1e-7)),
-            PreconditionError, UNIT_TOTAL[v].format(total), id=f"{v}-tiny",
+            DegenerateStateError, "all coefficients vanish", id=f"{v}-tiny",
         )
-        for v, total in (
-            ("constrained", "3.9999999999999994e-14"),
-            ("exact", "1.9999999999999997e-14"),
-            ("assistant", "1.9999999999999997e-14"),
-        )
+        for v in VARIANTS
     ]
     # fixed alpha = (1, -1) off the unit total, refused before any trial is drawn
     + [
@@ -1058,20 +1089,6 @@ class TestRefusalPrecedence:
                      "--variant", variant, "--out", str(out)]) == code
         assert capsys.readouterr().err == err
         assert out.read_bytes() == b"records of an earlier run\n"
-
-    @pytest.mark.parametrize("variant", WEIGHTED[1:])
-    def test_tiny_fixed_coefficients_fail_the_first_trial(self, tmp_path, capsys, variant):
-        # no unit total to refuse up front: psi vanishes on trial 0
-        config = haar_config(n=2, dim_a=2, dim_b=2, coefficient_mode="fixed",
-                             fixed_coefficients=(1e-7, 1e-7))
-        records = iter_trials(config, variant, 2)
-        with pytest.raises(DegenerateStateError) as caught:
-            next(records)
-        assert str(caught.value) == VACUOUS
-        cfg_path = write_config(tmp_path, config)
-        assert main(["verify", "--config", str(cfg_path), "--trials", "2",
-                     "--variant", variant, "--out", str(tmp_path / "r.jsonl")]) == 3
-        assert capsys.readouterr().err == refused(DegenerateStateError, VACUOUS)[1]
 
     @pytest.mark.parametrize("variant", ["bogus", []])
     def test_unknown_variant_of_evaluate_variant(self, variant):

@@ -253,26 +253,29 @@ class TestSuperpositionEntanglement:
             assert err.count("\n") == 1
 
     def test_vanishing_superposition_rejected(self):
-        # on the unit total sum |alpha_i|^2 = 1, so the exact and assistant
-        # variants reach their own vanishing check too
-        spec = make_spec([2**-0.5, -(2**-0.5)], [bell_state(), bell_state()])
-        with pytest.raises(DegenerateStateError):
-            entanglement(combine(spec))
+        # alpha = (h, -h) on each variant's own unit total (N_1^2 = N_2^2 = 2,
+        # so h = 1/2 for the constrained bound, else 1/sqrt(2)), so that
+        # every variant reaches its vanishing check
         for variant in VARIANTS:
+            h = 0.5 if variant == "constrained" else 2**-0.5
+            spec = make_spec([h, -h], [bell_state(), bell_state()])
+            with pytest.raises(DegenerateStateError):
+                entanglement(combine(spec))
             with pytest.raises(DegenerateStateError, match="superposition vanishes"):
                 evaluate_variant(spec, variant)
 
     def test_vanishing_combined_state_is_refused_on_its_own(self, monkeypatch, tmp_path, capsys):
-        # A squared norm that reads 1 lets psi = (phi - phi) / sqrt(2) past
-        # the spec-level vanishing check; the combined state's norm refuses it.
+        # A squared norm that reads 1 lets psi = (phi - phi) h past the
+        # spec-level vanishing check; the combined state's norm refuses it.
+        # h puts alpha = (h, -h) on the variant's unit total, as above.
         monkeypatch.setattr(bounds, "squared_norm", lambda spec: 1.0)
-        h = 2**-0.5
-        spec = make_spec([h, -h], [bell_state(), bell_state()])
         message = "entanglement of a numerically zero state is undefined"
         path = tmp_path / "spec.json"
         components = [state_to_json(bell_state())] * 2
-        path.write_text(dumps({"coefficients": [[h, 0], [-h, 0]], "components": components}))
         for variant in VARIANTS:
+            h = 0.5 if variant == "constrained" else 2**-0.5
+            spec = make_spec([h, -h], [bell_state(), bell_state()])
+            path.write_text(dumps({"coefficients": [[h, 0], [-h, 0]], "components": components}))
             with pytest.raises(DegenerateStateError) as caught:
                 evaluate_variant(spec, variant)
             assert str(caught.value) == message
