@@ -986,15 +986,12 @@ SPEC_REFUSALS = (
             ("assistant", PreconditionError, UNIT_TOTAL["assistant"].format("2.0")),
         ]
     ]
-    # a vanishing psi on the unit total: psi, after every weight check
+    # a vanishing psi on the unit total: psi, after every weight check (the
+    # assistant check's case is test_eval_assistant_refuses_a_vanishing_unit_total_spec)
     + [
         pytest.param(v, bells([h, -h]), DegenerateStateError, message,
                      id=f"{v}-vanishing-on-total")
-        for v, h, message in [
-            ("constrained", 0.5, VACUOUS),
-            ("exact", 2**-0.5, UNDEFINED),
-            ("assistant", 2**-0.5, UNDEFINED),
-        ]
+        for v, h, message in [("constrained", 0.5, VACUOUS), ("exact", 2**-0.5, UNDEFINED)]
     ]
     # alpha = (1e-7, 1e-7): psi and every weight total vanish, the total first
     + [
