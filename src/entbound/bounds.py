@@ -34,17 +34,19 @@ keys are `VARIANTS`: the name of its evaluator, its caps on n and on the
 n dim_a dim_b amplitudes, whether it weights by N_i^2, and the text of its
 unit-total PreconditionError, if its weights must total 1.  One check,
 `_variant_weights`, raises every refusal that these and |alpha|^2 decide,
-in one order for all five variants, and returns the weight row.  Every
-evaluator calls it first, then forms psi (`_entanglements`), then makes its
-own check, if any; the campaign runner calls it once, before any trial.
+in one order for all five variants, and returns the weight row.  One
+kernel, `_bound`, evaluates all five: it calls that check, forms psi
+(`_entanglements`) and applies `_rhs` to the row (or finds the minimized
+row), and the exact formula and the assistant check add only their own
+check and lhs to its report.  The campaign runner calls the check once,
+before any trial.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -316,7 +318,8 @@ def _variant_weights(
 
 def _rhs(p: np.ndarray, ents: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray]:
     """rhs and correction of every row P of weights, T = sum_j P_j.  It
-    checks nothing: its callers have made the checks of `_variant_weights`.
+    checks nothing: its one caller, `_bound`, has made the checks of
+    `_variant_weights`.
 
     Without a unit-total precondition the rows take the cancellation-free
     form of `_row_values`, each row reduced on its own.  With one, the
@@ -347,21 +350,23 @@ def _bounding_entries(nodes: np.ndarray, nsq: np.ndarray, entry: int) -> np.ndar
     return np.where(nodes < 0, ends, nsq[nodes]).reshape(-1, nodes.shape[1])
 
 
-def _completions(nodes: np.ndarray, every: bool = False) -> np.ndarray:
-    """The rows of the subtrees of `nodes` (table index per component, -1
-    while free): the k free components of a node take the remaining
-    entries 0..k-1, in ascending order, the node's lexicographically
-    smallest completion, or, if every, in all k! orders, node by node."""
+def _completions(nodes: np.ndarray) -> np.ndarray:
+    """The lexicographically smallest completion of each of `nodes` (table
+    index per component, -1 while free): its k free components take the
+    remaining entries 0..k-1 in ascending order."""
     free = nodes < 0
-    if not every:
-        return np.where(free, np.cumsum(free, axis=1) - 1, nodes)
-    counts = free.sum(axis=1)
+    return np.where(free, np.cumsum(free, axis=1) - 1, nodes)
+
+
+def _every_completion(nodes: np.ndarray) -> np.ndarray:
+    """Every row of the subtrees of `nodes` (table index per component, -1
+    while free), each once: entry 0, then 1, and so on, placed in every free
+    component of each node that still has one, k! rows for k free."""
     rows = []
-    for k in np.unique(counts):
-        orders = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
-        block = np.repeat(nodes[counts == k], len(orders), axis=0)
-        block[block < 0] = np.tile(orders.ravel(), len(block) // len(orders))
-        rows.append(block)
+    for entry in range(nodes.shape[1] + 1):
+        full = (nodes >= 0).all(axis=1)
+        rows.append(nodes[full])
+        nodes = _place(nodes[~full], entry)
     return np.concatenate(rows)
 
 
@@ -417,18 +422,19 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
     A settled subtree may still hold a row below the least rhs read,
     which would narrow the window.  When that could untie the winning
     row, every row of the settled subtrees whose lower bound is below
-    the least rhs read is weighed as well (at most (n - 2)! rows per
-    subtree, and rare: 4 of 1 600 n = 8 specs drawn from four families).
+    the least rhs read is weighed as well, enumerated by `_place` through
+    `_every_completion` (at most (n - 2)! rows per subtree, and rare: 4 of
+    1 600 n = 8 specs drawn from four families).
     The margins of _ROUNDING cover the rounding of bounds and rows, so the
     result is the full enumeration's: the same row, rhs and correction,
     bit for bit.
+
+    It refuses nothing: since sum 1/N_i^2 = 1, ||psi||^2 <= (sum |alpha_i|)^2
+    <= sum N_pi(i)^2 |alpha_i|^2 for every assignment pi, so `_entanglements`
+    has refused every spec whose least row total is at most ZERO_NORM_TOL.
     """
     n = a2.size
     nsq = normalization_coeffs(n)
-    # The enumeration raises on any degenerate row; the least total gives
-    # the largest entries to the smallest weights.
-    if nsq[::-1] @ np.sort(a2) <= ZERO_NORM_TOL:
-        raise DegenerateStateError("all coefficients vanish")
     least_upper = settled_lower = math.inf
 
     def sift(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -483,30 +489,36 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
     under = floors < rows[0].min()
     if under.any() and rows[0, k] > floors[under].min() * (1 + TIE_REL) * (1 - _ROUNDING):
         perms, rows = weigh(
-            perms[~under], rows[:, ~under], _completions(nodes[under], every=True)
+            perms[~under], rows[:, ~under], _every_completion(nodes[under])
         )
         k = _least_tied(rows[0], perms)
     return float(rows[0, k]), float(rows[1, k]), tuple(int(j) for j in perms[k])
 
 
 def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
-    """The one bound kernel behind the three bound variants.
+    """The one evaluation kernel behind all five variants.
 
-    The weights are products N_i^2 |alpha_j|^2: the single row of the
-    identity assignment, p_j = N_j^2 |alpha_j|^2, for the constrained and
-    unconstrained variants, and the row `_minimized` finds for the
-    minimized one.  `_variant_weights` refuses what the variant, n and the
-    weights decide, before psi is formed.
+    `_variant_weights` refuses what the variant, n and the weights decide,
+    before psi is formed; a vanishing psi makes the bound vacuous for the
+    N_i^2-weighted variants and leaves no normalized version for the
+    others.  The rhs takes the row `_minimized` finds for the minimized
+    bound and the identity row, p_j = N_j^2 |alpha_j|^2 or |alpha_j|^2,
+    for the others; the lhs is ||psi||^2 E(psi), which the exact formula
+    and the assistant check replace with their own.
     """
     a2 = np.abs(spec.coefficients) ** 2
     row = _variant_weights(variant, spec.n, spec.dim_a, spec.dim_b, a2)
-    n2, e_psi, ents = _entanglements(spec, "the bound is vacuous")
+    vanishing = (
+        "the bound is vacuous"
+        if _RULES[variant].weighted
+        else "entanglement of the normalized version is undefined"
+    )
+    n2, e_psi, ents = _entanglements(spec, vanishing)
     permutation = None
     if variant == VARIANT_MINIMIZED:
         rhs, correction, permutation = _minimized(a2, ents)
     else:
-        rhs, correction = _rhs(row, ents, variant)
-        rhs, correction = float(rhs[0]), float(correction[0])
+        rhs, correction = (float(v[0]) for v in _rhs(row, ents, variant))
     return BoundReport(
         variant=variant,
         lhs=n2 * e_psi,
@@ -571,28 +583,18 @@ def exact_biorthogonal_entanglement(spec: SuperpositionSpec) -> BoundReport:
 
         sum |alpha_i|^2 E(phi_i) - sum |alpha_i|^2 log2 |alpha_i|^2,
 
-    against the directly computed one.  Requires sum |alpha_i|^2 = 1.  The
-    report's lhs is the direct entanglement of the normalized
-    superposition, its rhs the formula and its correction the mixing
-    entropy; the check biorth_equality holds when the two sides agree
-    within EQUALITY_TOL.
+    against the directly computed one.  The unit-weight case of `_bound`,
+    which adds the refusal of components that are not mutually
+    biorthogonal; the lhs is the direct entanglement E(psi) of the
+    normalized superposition, and the check biorth_equality holds when it
+    agrees with the rhs, the formula, within EQUALITY_TOL.
     """
-    a2 = np.abs(spec.coefficients) ** 2
-    row = _variant_weights(VARIANT_EXACT, spec.n, spec.dim_a, spec.dim_b, a2)
-    n2, direct, ents = _entanglements(spec, "entanglement of the normalized version is undefined")
+    report = _bound(spec, VARIANT_EXACT)
     if not is_biorthogonal(spec):
         raise PreconditionError("components are not mutually biorthogonal")
-    rhs, mixing = _rhs(row, ents, VARIANT_EXACT)
-    formula = float(rhs[0])
-    return BoundReport(
-        variant=VARIANT_EXACT,
-        lhs=direct,
-        rhs=formula,
-        correction=float(mixing[0]),
-        component_entanglements=tuple(ents.tolist()),
-        checks={"biorth_equality": abs(formula - direct) < EQUALITY_TOL},
-        squared_norm=n2,
-        superposition_entanglement=direct,
+    direct = report.superposition_entanglement
+    return replace(
+        report, lhs=direct, checks={"biorth_equality": abs(report.rhs - direct) < EQUALITY_TOL}
     )
 
 
@@ -600,12 +602,10 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
     """Build the assistant state sum_i alpha_i |i>|phi_i> over an auxiliary
     n-dimensional register, and verify the proof chain on it.
 
-    Requires, in the order of `_variant_weights`, n <= MAX_N, at most
-    MAX_ASSISTANT_ELEMS amplitudes and sum |alpha_i|^2 = 1, then a psi that
-    does not vanish, as it can on that total.  The report's lhs is S(rho_B), the
-    Schmidt entropy of the pure assistant state across (register x A) : B,
-    its rhs the upper bound sum |alpha_i|^2 E(phi_i) + H(|alpha|^2), and its
-    correction the mixing entropy H(|alpha|^2).  Its checks are:
+    The unit-weight case of `_bound`, whose rhs is the upper bound
+    sum |alpha_i|^2 E(phi_i) + H(|alpha|^2); the lhs is S(rho_B), the
+    Schmidt entropy of the pure assistant state across (register x A) : B.
+    Its checks are:
       norm_partition: the auxiliary basis change partitions the unit norm
          between the leading combination sum_i (alpha_i/N_i) phi_i and the
          residual blocks, within EQUALITY_TOL;
@@ -615,12 +615,10 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
       final_bound: the leading block's weighted entropy, the chain's end
          result after the residual terms are dropped, is <= rhs.
     """
+    report = _bound(spec, VARIANT_ASSISTANT)
     n = spec.n
     alphas = spec.coefficients
-    row = _variant_weights(VARIANT_ASSISTANT, n, spec.dim_a, spec.dim_b, np.abs(alphas) ** 2)
-    n2, e_psi, ents = _entanglements(spec, "entanglement of the normalized version is undefined")
-    rhs, mixing = _rhs(row, ents, VARIANT_ASSISTANT)
-    upper_bound = float(rhs[0])
+    upper_bound = report.rhs
 
     # The assistant state is pure, so S(rho_B) is its Schmidt entropy as a
     # (register x A) : B amplitude matrix.
@@ -637,18 +635,13 @@ def assistant_state_check(spec: SuperpositionSpec) -> BoundReport:
     lower_chain = float(weights @ block_entropies)
     leading_term = float(weights[0] * block_entropies[0])
 
-    return BoundReport(
-        variant=VARIANT_ASSISTANT,
+    return replace(
+        report,
         lhs=s_rho_b,
-        rhs=upper_bound,
-        correction=float(mixing[0]),
-        component_entanglements=tuple(ents.tolist()),
         checks={
             "norm_partition": residual < EQUALITY_TOL,
             "sandwich_lower": lower_chain <= s_rho_b + GAP_SLACK,
             "sandwich_upper": s_rho_b <= upper_bound + GAP_SLACK,
             "final_bound": leading_term <= upper_bound + GAP_SLACK,
         },
-        squared_norm=n2,
-        superposition_entanglement=e_psi,
     )

@@ -28,6 +28,7 @@ from entbound import (
     exact_biorthogonal_entanglement,
     generate_spec,
     haar_state,
+    haar_unitary,
     is_biorthogonal,
     normalization_coeffs,
     shannon_entropy,
@@ -424,16 +425,15 @@ EXPONENTS = st.one_of(st.floats(-2.0, 2.0), st.floats(-13.0, -9.0), st.floats(-9
 
 def assert_search_is_the_full_enumeration(pairs, exponent: float) -> None:
     """`_minimized` on the (|alpha|^2, E) pairs, the weights scaled by
-    10^exponent, against the full enumeration: the same row, or the same
-    DegenerateStateError."""
+    10^exponent, against the full enumeration: the same row, unless the
+    enumeration meets a degenerate row, which `bound_minimized` refuses
+    before the search (`test_no_vanishing_row_reaches_the_search`)."""
     a2 = np.array([a for a, _ in pairs]) * 10.0**exponent
     ents = np.array([e for _, e in pairs])
     assume(a2.any())
     try:
         want = brute_force_minimized(a2, ents)
     except DegenerateStateError:
-        with pytest.raises(DegenerateStateError):
-            _minimized(a2, ents)
         return
     assert _minimized(a2, ents) == want
 
@@ -589,10 +589,10 @@ class TestBoundMinimized:
         # above it.  A window read from that completion would also admit a
         # lexicographically smaller row beyond the true window's edge.
         monkeypatch.setattr(bounds, "TIE_REL", 1e-2)
-        weighed = record_calls(monkeypatch, "_completions")
+        weighed = record_calls(monkeypatch, "_every_completion")
         a2, ents = np.array(a2), np.array(ents)
         assert _minimized(a2, ents) == brute_force_minimized(a2, ents, tie=1e-2)
-        assert any(kwargs.get("every") for _, kwargs in weighed)
+        assert weighed
 
     @pytest.mark.parametrize("trial", [145, 155])
     def test_settled_subtree_fallback_at_the_default_window(self, monkeypatch, trial):
@@ -603,12 +603,35 @@ class TestBoundMinimized:
             n=8, dim_a=4, dim_b=4, family="haar", seed=7, coefficient_mode="simplex_uniform"
         )
         spec = generate_spec(cfg, normalization_coeffs(8), trial_stream(cfg, trial))
-        weighed = record_calls(monkeypatch, "_completions")
+        weighed = record_calls(monkeypatch, "_every_completion")
         rep = bound_minimized(spec)
-        assert any(kwargs.get("every") for _, kwargs in weighed)
+        assert weighed
         assert (rep.rhs, rep.correction, rep.permutation) == brute_force_minimized(
             *spec_arrays(spec)
         )
+
+    def test_every_completion_is_each_permutation_once(self):
+        # Nodes with 0 to 6 free components, mixed: the k free components of
+        # a node hold the entries 0..k-1 in every order, each row once.
+        rng = np.random.default_rng(3)
+        free_counts = (3, 0, 6, 1, 4, 2, 5, 0, 6, 2)
+        nodes = []
+        for k in free_counts:
+            node = np.full(6, -1, dtype=np.intp)
+            node[np.sort(rng.choice(6, 6 - k, replace=False))] = rng.permutation(6 - k) + k
+            nodes.append(node)
+        nodes = np.array(nodes)
+        want = []
+        for node in nodes.tolist():
+            free = [j for j, t in enumerate(node) if t < 0]
+            for order in itertools.permutations(range(len(free))):
+                row = list(node)
+                for j, t in zip(free, order):
+                    row[j] = t
+                want.append(tuple(row))
+        got = [tuple(row) for row in bounds._every_completion(nodes).tolist()]
+        assert len(got) == len(want) == sum(math.factorial(k) for k in free_counts)
+        assert sorted(got) == sorted(want)
 
     def test_exact_window_is_the_full_enumeration(self, monkeypatch):
         # With no tie window, only the _ROUNDING margins keep the bounds of a
@@ -627,6 +650,38 @@ class TestBoundMinimized:
         spec = make_spec([2**-0.5, 2**-0.5, 0.0, 0.0], [bell_state()] * 4)
         assert brute_force_minimized(*spec_arrays(spec))[2] == (0, 1, 2, 3)
         assert bound_minimized(spec).permutation == (0, 1, 2, 3)
+
+    def test_no_vanishing_row_reaches_the_search(self):
+        # Since sum 1/N_i^2 = 1, ||psi||^2 <= (sum |alpha_i|)^2 <= the least
+        # row total sum N_pi(i)^2 |alpha_i|^2, with equality for identical
+        # components and |alpha_i| proportional to 1/N_pi(i)^2.  On that edge,
+        # scaled so that the least row total straddles ZERO_NORM_TOL, every
+        # spec is refused before the search or reports a least total above it.
+        rng = np.random.default_rng(26)
+        scales = [s * 10.0**e for s in (-1, 1) for e in np.linspace(-16, -1, 10)]
+        outcomes = {}
+        for n in range(2, 9):
+            nsq = normalization_coeffs(n)
+            for _ in range(20):
+                shape = 1.0 / nsq[rng.permutation(n)]
+                least = nsq[::-1] @ np.sort(shape**2)
+                for scale in scales:
+                    spec = make_spec(
+                        shape * math.sqrt(ZERO_NORM_TOL * (1 + scale) / least), [bell_state()] * n
+                    )
+                    try:
+                        bound_minimized(spec)
+                    except DegenerateStateError as exc:
+                        outcome = str(exc)
+                    else:
+                        a2 = np.abs(spec.coefficients) ** 2
+                        assert nsq[::-1] @ np.sort(a2) > ZERO_NORM_TOL
+                        outcome = "report"
+                    outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        assert sorted(outcomes) == [
+            "all coefficients vanish", "report", "superposition vanishes; the bound is vacuous"
+        ]
+        assert sum(outcomes.values()) == 2800
 
     def test_cached_permutation_tables_are_read_only(self):
         # The search builds no n! table (the full n = 8 enumeration takes
@@ -1087,31 +1142,63 @@ def test_report_carries_psi_of_the_one_pass(variant):
     assert checked == (18 if variant == "exact" else 90)
 
 
+@pytest.mark.parametrize(
+    "variant, family",
+    [(v, f) for v in bounds.VARIANTS for f in FAMILIES if v != "exact" or f == BIORTHOGONAL],
+)
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from((2, 3, 5, 8)), seed=st.integers(0, 2**32 - 1))
+def test_local_unitaries_leave_every_variant_unchanged(variant, family, n, seed):
+    # U_a (x) U_b applied to every component changes no reduced spectrum,
+    # overlap or Gram entry, so every variant's lhs and rhs stay within 1e-12
+    # relative (with a floor of 1 bit) and its checks stay equal; the
+    # minimized row may also change inside the tie window, moving its rhs by
+    # up to TIE_REL.
+    dim_a, dim_b = (n, n) if family == BIORTHOGONAL else (2, max(3, -(-n // 2)))
+    cfg = EnsembleConfig(
+        n=n, dim_a=dim_a, dim_b=dim_b, family=family, seed=seed,
+        coefficient_mode=PSI_MODES[variant],
+    )
+    spec = generate_spec(cfg, normalization_coeffs(n), trial_stream(cfg, 0))
+    stream = RandomStream(seed)
+    u_a, u_b = haar_unitary(dim_a, stream.child("U_a")), haar_unitary(dim_b, stream.child("U_b"))
+    moved = SuperpositionSpec(spec.coefficients, u_a @ spec._stack @ u_b.T)
+    before, after = evaluate_variant(spec, variant), evaluate_variant(moved, variant)
+    tie = TIE_REL if variant == VARIANT_MINIMIZED else 0.0
+    for x, y, rel in ((before.lhs, after.lhs, 0.0), (before.rhs, after.rhs, tie)):
+        assert abs(y - x) <= 1e-12 * max(abs(x), 1.0) + rel * abs(x)
+    assert after.checks == before.checks
+
+
 @pytest.mark.parametrize("variant", bounds.VARIANTS)
 def test_each_evaluator_checks_the_totals_once(monkeypatch, variant):
-    # `_variant_weights` owns every refusal that the variant, n, the dims and
-    # |alpha|^2 decide: every evaluator calls it once, before it forms psi,
-    # so a vanishing or off-unit-total weight row never reaches
-    # `_entanglements`; the row kernel checks nothing.
+    # Every evaluator runs the one kernel `_bound` once per evaluation, and
+    # `_variant_weights`, which owns every refusal that the variant, n, the
+    # dims and |alpha|^2 decide, runs once in it, before psi is formed, so a
+    # vanishing or off-unit-total weight row never reaches `_entanglements`;
+    # the row kernel checks nothing.
     cfg = EnsembleConfig(
         n=3, dim_a=6, dim_b=6, family=BIORTHOGONAL, seed=5, coefficient_mode=PSI_MODES[variant]
     )
     spec = generate_spec(cfg, normalization_coeffs(3), trial_stream(cfg, 0))
+    kernel = record_calls(monkeypatch, "_bound")
     weights = record_calls(monkeypatch, "_variant_weights")
     psi = record_calls(monkeypatch, "_entanglements")
     evaluate_variant(spec, variant)
+    assert [args[1:] for args, _ in kernel] == [(variant,)]
     assert [args[:4] for args, _ in weights] == [(variant, 3, 6, 6)] and len(psi) == 1
     refusals = [(1e-7, DegenerateStateError, "all coefficients vanish")]
     unit_total = bounds._RULES[variant].unit_total
     if unit_total is not None:
         refusals.append((1.0, PreconditionError, unit_total))
     for alpha, exc, message in refusals:
+        kernel.clear()
         weights.clear()
         spec = make_spec([alpha, alpha], [basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)])
         with pytest.raises(exc) as caught:
             evaluate_variant(spec, variant)
         assert type(caught.value) is exc and str(caught.value).startswith(message)
-        assert len(weights) == 1 and len(psi) == 1
+        assert len(kernel) == len(weights) == 1 and len(psi) == 1
     zero = _rhs(np.zeros((1, 3)), np.ones(3), variant)
     assert [v.tolist() for v in zero] == [[0.0], [0.0]]
 
