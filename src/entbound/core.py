@@ -106,13 +106,16 @@ def schmidt_entropies(stack: np.ndarray) -> np.ndarray:
     most ZERO_NORM_TOL counts 0 bits.
     """
     try:
-        probs = np.linalg.svd(stack, compute_uv=False) ** 2
+        probs = np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise InvariantViolationError(f"singular value decomposition failed: {exc}") from exc
+    np.square(probs, out=probs)
     totals = probs.sum(axis=1, keepdims=True)
-    # a numerically zero row is divided by inf: every weight and the entropy 0
-    probs /= np.where(totals > ZERO_NORM_TOL, totals, np.inf)
-    return -xlog2x(probs).sum(axis=1)
+    # a total at or below the tolerance (or NaN) divides by inf: every weight and the entropy 0
+    totals[~(totals > ZERO_NORM_TOL)] = np.inf
+    probs /= totals
+    entropies = xlog2x(probs).sum(axis=1)
+    return np.negative(entropies, out=entropies)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

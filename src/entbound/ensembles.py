@@ -55,8 +55,9 @@ MODE_FIXED = "fixed"
 def _require_int(name: str, value: object) -> None:
     """Reject a bool or a non-integer, such as a float, which would alias the
     integer it formats to.  An integer is what implements __index__, numpy
-    integers included; every substream pays this check, and a
-    numbers.Integral one costs several times more."""
+    integers included; every `EnsembleConfig` field and `RandomStream` seed
+    pays this check (a child stream keeps its checked parent's seed), and
+    a numbers.Integral one costs several times more."""
     kind = type(value)
     if kind is bool or not hasattr(kind, "__index__"):
         raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -121,10 +122,16 @@ class RandomStream:
         label = str(label)
         if not label or "/" in label:
             raise DomainError(f"stream label must be nonempty and free of '/', got {label!r}")
-        child = object.__new__(RandomStream)
-        object.__setattr__(child, "seed", self.seed)
-        object.__setattr__(child, "path", self.path + (label,))
-        return child
+        return RandomStream._unchecked(self.seed, self.path + (label,))
+
+    @classmethod
+    def _unchecked(cls, seed: int, path: tuple[str, ...] = ()) -> "RandomStream":
+        """The stream at (seed, path) without the seed checks, for a seed that
+        has passed them already: a parent stream's, or an `EnsembleConfig`'s."""
+        stream = object.__new__(cls)
+        object.__setattr__(stream, "seed", seed)
+        object.__setattr__(stream, "path", path)
+        return stream
 
     def generator(self) -> np.random.Generator:
         # Entropy comes from hashing the label path, so streams are pinned
@@ -138,7 +145,10 @@ class RandomStream:
 def _seed_words(digest: bytes) -> np.ndarray:
     """The uint32 words SeedSequence derives from int.from_bytes(digest, "big"):
     least significant first, with the high zero words dropped but at least
-    one word kept (the integer 0 is the single word 0)."""
+    one word kept (the integer 0 is the single word 0).  The zero bytes are
+    counted only when the top word is zero, for one sha256 digest in 2^32."""
+    if digest[:4] != b"\0\0\0\0":
+        return np.frombuffer(digest[::-1], dtype="<u4")
     count = max(1, (len(digest.lstrip(b"\0")) + 3) // 4)
     return np.frombuffer(digest[::-1], dtype="<u4", count=count)
 
@@ -203,9 +213,10 @@ def constrained_coefficients(coeffs: np.ndarray, stream: RandomStream) -> np.nda
     g = stream.generator()
     # Normalized exponentials: exactly uniform on the simplex, no rejection.
     w = g.exponential(size=n)
-    w = w / w.sum()
+    w /= w.sum()
+    w /= coeffs
     phases = np.exp(2j * np.pi * g.random(n))
-    return np.sqrt(w / coeffs) * phases
+    return np.sqrt(w, out=w) * phases
 
 
 def simplex_coefficients(n: int, stream: RandomStream) -> np.ndarray:
@@ -269,9 +280,9 @@ class EnsembleConfig:
                 raise DomainError("fixed_coefficients must be finite")
             if not any(fixed):
                 raise DomainError("fixed_coefficients must not all be zero")
-            check_coefficient_scale(
-                self.n, max(abs(c) for c in fixed), "fixed_coefficients", DomainError
-            )
+            # hypot gives inf where abs() of a complex would raise OverflowError
+            largest = max(math.hypot(c.real, c.imag) for c in fixed)
+            check_coefficient_scale(self.n, largest, "fixed_coefficients", DomainError)
             object.__setattr__(self, "fixed_coefficients", fixed)
         elif self.fixed_coefficients is not None:
             raise DomainError("fixed_coefficients only apply to coefficient_mode='fixed'")

@@ -13,7 +13,7 @@ import csv
 import errno
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -51,8 +51,9 @@ class CampaignSummary:
 
 
 def trial_stream(config: EnsembleConfig, trial_id: int) -> RandomStream:
-    """The substream that pins every draw of one trial."""
-    return RandomStream(config.seed).child(f"trial-{trial_id}")
+    """The substream that pins every draw of one trial.  The config has
+    checked its seed, so the root stream skips the checks, as a child does."""
+    return RandomStream._unchecked(config.seed).child(f"trial-{trial_id}")
 
 
 def evaluate_variant(spec: SuperpositionSpec, variant: str) -> BoundReport:
@@ -117,35 +118,34 @@ def bound_report_to_json(report: BoundReport) -> dict:
     }
 
 
-def _value_text(value: str | float | list[float]) -> str:
-    """JSON text of one `bound_report_to_json` value, as `dumps` renders it."""
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, list):
-        return "[" + ", ".join([format_float(v) for v in value]) + "]"
-    return dumps(value)
-
-
 def record_line(record: TrialRecord, config_text: str) -> str:
     """One JSON-lines record, without its newline: the text `dumps` gives
     for {trial_id, the `bound_report_to_json` keys, checks, [permutation],
     config}, where config_text is the campaign's
     `dumps(config_to_json(config))`, rendered once and reused.  Every float
-    goes through `format_float`, so a non-finite value raises SchemaError
-    before any text exists."""
+    goes through `format_float`, in wire order, so a non-finite value
+    raises SchemaError before any text exists."""
     rep = record.report
-    fields = [f'"trial_id": {record.trial_id}']
+    lhs, rhs = rep.lhs, rep.rhs
+    # a list of ints, which no check can refuse
+    permutation = (
+        "" if rep.permutation is None
+        else f', "permutation": [{", ".join(map(str, rep.permutation))}]'
+    )
     # the keys are plain ASCII names, which dumps quotes as is
-    fields += [f'"{key}": {_value_text(v)}' for key, v in bound_report_to_json(rep).items()]
-    fields.append(f'"checks": {dumps(rep.checks)}')
-    if rep.permutation is not None:
-        fields.append(f'"permutation": [{", ".join(map(str, rep.permutation))}]')
-    fields.append(f'"config": {config_text}')
-    return "{" + ", ".join(fields) + "}"
+    return (
+        f'{{"trial_id": {record.trial_id}, "variant": {dumps(rep.variant)},'
+        f' "lhs": {format_float(lhs)}, "rhs": {format_float(rhs)},'
+        f' "gap": {format_float(rhs - lhs)}, "correction": {format_float(rep.correction)},'
+        f' "component_entanglements":'
+        f' [{", ".join(map(format_float, rep.component_entanglements))}],'
+        f' "checks": {dumps(rep.checks) if rep.checks else "{}"}{permutation},'
+        f' "config": {config_text}}}'
+    )
 
 
 def summary_to_json(summary: CampaignSummary) -> dict:
-    return asdict(summary)
+    return {f.name: getattr(summary, f.name) for f in fields(summary)}
 
 
 def summary_path_for(out_path: str | Path) -> Path:
@@ -215,9 +215,10 @@ def run_campaign(
                 csv_writer.writerow([record.trial_id, rep.variant, *map(format_float, numbers)])
             violations += int(rep.is_violation)
             count += 1
-            min_gap = min(min_gap, rep.gap)
-            max_gap = max(max_gap, rep.gap)
-            gap_sum += rep.gap
+            gap = rep.gap
+            min_gap = min(min_gap, gap)
+            max_gap = max(max_gap, gap)
+            gap_sum += gap
         summary = CampaignSummary(
             trials=count,
             violations=violations,

@@ -88,9 +88,11 @@ class SuperpositionSpec:
             raise PreconditionError("a superposition needs at least 2 components")
         if alphas.size != n:
             raise ShapeMismatchError(f"{alphas.size} coefficients for {n} components")
-        if not np.isfinite(alphas).all():
-            raise InvariantViolationError("coefficients contain NaN or Inf")
         largest = float(np.abs(alphas).max())
+        # a NaN or inf part makes the largest modulus NaN or inf; so does a
+        # finite pair whose modulus overflows, which the scale check names
+        if not math.isfinite(largest) and not np.isfinite(alphas).all():
+            raise InvariantViolationError("coefficients contain NaN or Inf")
         if largest == 0.0:
             raise PreconditionError("coefficients must not all be zero")
         check_coefficient_scale(n, largest, "coefficients", InvariantViolationError)
