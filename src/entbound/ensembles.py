@@ -55,9 +55,10 @@ MODE_FIXED = "fixed"
 def _require_int(name: str, value: object) -> None:
     """Reject a bool or a non-integer, such as a float, which would alias the
     integer it formats to.  An integer is what implements __index__, numpy
-    integers included; every `EnsembleConfig` field and `RandomStream` seed
-    pays this check (a child stream keeps its checked parent's seed), and
-    a numbers.Integral one costs several times more."""
+    integers included; every `EnsembleConfig` field and every seed given to
+    `RandomStream` pays this check, but not a child stream, which keeps its
+    parent's checked seed, nor `report.trial_stream`'s root, which keeps
+    the config's.  A numbers.Integral check costs several times more."""
     kind = type(value)
     if kind is bool or not hasattr(kind, "__index__"):
         raise DomainError(f"{name} must be an integer, got {value!r}")

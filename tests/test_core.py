@@ -176,7 +176,70 @@ class TestXlog2x:
         assert got[4] == entry_xlog2x(above) < 0.0
 
 
+def reference_schmidt_entropies(stack: np.ndarray) -> np.ndarray:
+    """A copy of the out-of-place kernel, whose every bit, the sign of a
+    zero entropy included, `schmidt_entropies` keeps."""
+    try:
+        probs = np.linalg.svd(stack, compute_uv=False) ** 2
+    except np.linalg.LinAlgError as exc:
+        raise InvariantViolationError(f"singular value decomposition failed: {exc}") from exc
+    totals = probs.sum(axis=1, keepdims=True)
+    probs /= np.where(totals > ZERO_NORM_TOL, totals, np.inf)
+    return -xlog2x(probs).sum(axis=1)
+
+
+@st.composite
+def kernel_stacks(draw) -> np.ndarray:
+    """(k, dim_a, dim_b) stacks, k <= 5, dims 1..6, of six kinds of row:
+    zero; Haar scaled so its squared norm straddles ZERO_NORM_TOL, or lies
+    far below it; rank 1 (a product of two vectors, or one basis ket, whose
+    entropy is -0.0); and Haar."""
+    k, dim_a, dim_b = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(*shape: int) -> np.ndarray:
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    stack = np.zeros((k, dim_a, dim_b), dtype=complex)
+    for row in stack:
+        kind = draw(st.sampled_from(["zero", "threshold", "tiny", "product", "ket", "haar"]))
+        haar = gaussian(dim_a, dim_b)
+        haar /= np.linalg.norm(haar)
+        if kind == "threshold":
+            row[...] = haar * math.sqrt(ZERO_NORM_TOL * draw(st.floats(0.99, 1.01)))
+        elif kind == "tiny":
+            row[...] = haar * 10.0 ** draw(st.floats(-160.0, -7.0))
+        elif kind == "product":
+            row[...] = np.outer(gaussian(dim_a), gaussian(dim_b))
+        elif kind == "ket":
+            row[draw(st.integers(0, dim_a - 1)), draw(st.integers(0, dim_b - 1))] = draw(
+                st.sampled_from([1.0, -2.5, 1j, 0.6 + 0.8j])
+            )
+        elif kind == "haar":
+            row[...] = haar
+    return stack
+
+
 class TestSchmidtEntropies:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(kernel_stacks())
+    def test_in_place_kernel_keeps_every_bit(self, stack):
+        got = schmidt_entropies(stack)
+        assert got.dtype == np.float64 and got.shape == (len(stack),)
+        assert got.tobytes() == reference_schmidt_entropies(stack).tobytes()
+
+    def test_zero_rank_one_and_threshold_rows(self):
+        ket = np.zeros((3, 4), dtype=complex)
+        ket[1, 2] = 1.0
+        below, above = (np.full((2, 2), math.sqrt(ZERO_NORM_TOL * f) / 2) for f in (0.5, 2.0))
+        stack = np.stack([np.zeros((3, 4)), ket, np.pad(below, ((0, 1), (0, 2))),
+                          np.pad(above, ((0, 1), (0, 2)))])
+        got = schmidt_entropies(stack)
+        # a zero row and a row below the tolerance count 0 bits, as does a
+        # rank-1 row, all as -0.0; the row above it is a rank-1 state too
+        assert got.tobytes() == np.array([-0.0] * 4).tobytes()
+        assert got.tobytes() == reference_schmidt_entropies(stack).tobytes()
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(amplitude_stacks())
     def test_rows_match_the_single_state_paths(self, stack):

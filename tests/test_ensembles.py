@@ -60,6 +60,25 @@ def int_words(value: int) -> list[int]:
     return words
 
 
+def reference_seed_words(digest: bytes) -> np.ndarray:
+    """A copy of the `_seed_words` that counts the zero bytes of every
+    digest, whose every bit the one that counts them only for a zero top
+    word keeps."""
+    count = max(1, (len(digest.lstrip(b"\0")) + 3) // 4)
+    return np.frombuffer(digest[::-1], dtype="<u4", count=count)
+
+
+def reference_constrained_coefficients(coeffs: np.ndarray, stream: RandomStream) -> np.ndarray:
+    """A copy of the out-of-place `constrained_coefficients`, whose every
+    bit the in-place one keeps."""
+    n = len(coeffs)
+    g = stream.generator()
+    w = g.exponential(size=n)
+    w = w / w.sum()
+    phases = np.exp(2j * np.pi * g.random(n))
+    return np.sqrt(w / coeffs) * phases
+
+
 def reference_haar(shape: tuple[int, ...], stream: RandomStream) -> np.ndarray:
     """One Haar row drawn on its own, as the samplers drew it before they
     were batched."""
@@ -327,6 +346,29 @@ class TestRandomStream:
         got, want = np.random.SeedSequence(words), np.random.SeedSequence(value)
         np.testing.assert_array_equal(got.pool, want.pool)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(zeros=st.integers(0, 32), body=st.binary(min_size=32, max_size=32))
+    def test_seed_words_keep_the_bits_of_the_reference(self, zeros, body):
+        # 0 to 32 leading zero bytes: the top word is zero from 4 on
+        digest = bytes(zeros) + body[zeros:]
+        got, want = _seed_words(digest), reference_seed_words(digest)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, np.int64(7), np.uint64(2**64 - 1)])
+    @pytest.mark.parametrize("trial_id", [0, 3, 10**6])
+    def test_trial_stream_is_the_checked_root_streams_child(self, seed, trial_id):
+        config = EnsembleConfig(
+            n=2, dim_a=2, dim_b=2, family="haar", seed=seed, coefficient_mode="constrained"
+        )
+        got = trial_stream(config, trial_id)
+        want = RandomStream(config.seed).child(f"trial-{trial_id}")
+        assert got == want and hash(got) == hash(want)
+        assert got.seed is config.seed and got.path == (f"trial-{trial_id}",)
+        assert got.generator().random(4).tobytes() == want.generator().random(4).tobytes()
+        nested = got.child("components").generator().standard_normal(3)
+        assert nested.tobytes() == want.child("components").generator().standard_normal(3).tobytes()
+
 
 # The two dtypes generate_state takes, as a class, a name and a dtype object.
 STATE_DTYPES = [np.uint32, np.uint64, "u8", np.dtype(np.uint64)]
@@ -507,6 +549,22 @@ class TestCoefficientSamplers:
         a = constrained_coefficients(coeffs, stream)
         np.testing.assert_allclose(np.abs(a) ** 2, w / coeffs, atol=1e-15)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        table=st.one_of(
+            st.integers(2, 16).map(normalization_coeffs),
+            st.lists(st.floats(1e-3, 1e6), min_size=2, max_size=16).map(np.array),
+        ),
+        seed=st.integers(0, 2**64 - 1),
+        label=st.text(min_size=1, max_size=8).filter(lambda label: "/" not in label),
+    )
+    def test_constrained_draw_keeps_the_bits_of_the_reference(self, table, seed, label):
+        stream = RandomStream(seed).child(label)
+        got = constrained_coefficients(table, stream)
+        want = reference_constrained_coefficients(table, stream)
+        assert got.dtype == want.dtype == complex and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_simplex_residual(self):
         for trial in range(100):
             a = simplex_coefficients(3, RandomStream(12).child(f"t{trial}"))
@@ -662,6 +720,20 @@ class TestEnsembleConfig:
                "fixed_coefficients": [[c.real, c.imag] for c in map(complex, fixed)]}
         with pytest.raises(SchemaError, match="fixed_coefficients must"):
             config_from_json(obj)
+
+    def test_an_overflowing_fixed_modulus_is_refused_by_the_scale_check(self):
+        # |1.5e308 + 1.5e308j| overflows: abs() of the complex would raise
+        # OverflowError, the modulus that math.hypot gives is inf
+        message = (
+            "fixed_coefficients must keep 4 n^2 max|alpha_i|^2 finite (got max|alpha_i| = inf)"
+        )
+        fields = dict(n=2, dim_a=2, dim_b=2, family="haar", seed=1, coefficient_mode="fixed")
+        with pytest.raises(DomainError) as caught:
+            EnsembleConfig(**fields, fixed_coefficients=(complex(1.5e308, 1.5e308), 1))
+        assert type(caught.value) is DomainError and str(caught.value) == message
+        with pytest.raises(SchemaError) as caught:
+            config_from_json({**fields, "fixed_coefficients": [[1.5e308, 1.5e308], [1, 0]]})
+        assert str(caught.value) == f"config: {message}"
 
     def test_spec_generation_deterministic(self):
         cfg = EnsembleConfig(

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entbound import (
     BoundReport,
@@ -31,8 +32,9 @@ from entbound.report import (
     summary_path_for,
     trial_stream,
 )
+from entbound.core import GAP_SLACK
 from entbound.ensembles import generate_spec
-from entbound.serialize import config_to_json, dumps, state_to_json
+from entbound.serialize import config_to_json, dumps, format_float, state_to_json
 from conftest import basis_state, bell_state, two_bell_blocks
 
 
@@ -194,6 +196,109 @@ class TestNonFiniteRecords:
             run_campaign(haar_config(), "constrained", 3, out)
         lines = out.read_text().splitlines()
         assert [json.loads(line)["trial_id"] for line in lines] == [0]
+
+
+def reference_record_line(record: TrialRecord, config_text: str) -> str:
+    """A copy of the field-by-field record renderer, whose every byte and
+    every refusal `record_line` keeps."""
+
+    def value_text(value) -> str:
+        if isinstance(value, float):
+            return format_float(value)
+        if isinstance(value, list):
+            return "[" + ", ".join([format_float(v) for v in value]) + "]"
+        return dumps(value)
+
+    rep = record.report
+    fields = [f'"trial_id": {record.trial_id}']
+    fields += [f'"{key}": {value_text(v)}' for key, v in bound_report_to_json(rep).items()]
+    fields.append(f'"checks": {dumps(rep.checks)}')
+    if rep.permutation is not None:
+        fields.append(f'"permutation": [{", ".join(map(str, rep.permutation))}]')
+    fields.append(f'"config": {config_text}')
+    return "{" + ", ".join(fields) + "}"
+
+
+def reference_is_violation(rep: BoundReport) -> bool:
+    """A copy of the generator-based `BoundReport.is_violation`."""
+    if not all(math.isfinite(v) for v in (rep.lhs, rep.rhs, rep.gap)):
+        return True
+    return rep.gap < -GAP_SLACK or not all(rep.checks.values())
+
+
+def rendered(render, record: TrialRecord, config_text: str) -> tuple:
+    """The text a renderer returns, or the type and text of its refusal."""
+    try:
+        return ("text", render(record, config_text))
+    except SchemaError as exc:
+        return ("refused", type(exc), str(exc))
+
+
+CHECK_NAMES = ["biorth_equality", "norm_partition", "sandwich_lower", "final_bound"]
+
+
+@st.composite
+def hand_built_records(draw) -> TrialRecord:
+    """Records of hand-built reports: any variant, finite or non-finite
+    values (a gap can overflow from finite sides), with and without checks
+    and a permutation."""
+    values = st.one_of(
+        st.floats(-10.0, 10.0), st.floats(allow_nan=False),
+        st.sampled_from([0.0, -0.0, 1e-300, 5e-324, math.nan, math.inf, -math.inf]),
+    )
+    n = draw(st.integers(2, 5))
+    report = BoundReport(
+        draw(st.sampled_from(VARIANTS)), draw(values), draw(values), draw(values),
+        tuple(draw(st.lists(values, min_size=n, max_size=n))),
+        draw(st.one_of(st.just({}), st.dictionaries(st.sampled_from(CHECK_NAMES), st.booleans()))),
+        draw(st.one_of(st.none(), st.permutations(range(n)).map(tuple))),
+    )
+    return TrialRecord(draw(st.integers(0, 10**6)), haar_config(), report)
+
+
+class TestRecordLineReference:
+    CONFIG_TEXT = dumps(config_to_json(haar_config()))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(hand_built_records())
+    def test_hand_built_records(self, record):
+        got = rendered(record_line, record, self.CONFIG_TEXT)
+        assert got == rendered(reference_record_line, record, self.CONFIG_TEXT)
+        assert record.report.is_violation == reference_is_violation(record.report)
+
+    @pytest.mark.parametrize("checks", [{}, {"biorth_equality": True, "final_bound": False}])
+    @pytest.mark.parametrize("permutation", [None, (2, 0, 1)])
+    def test_with_and_without_checks_and_a_permutation(self, checks, permutation):
+        report = BoundReport("minimized", 0.5, 1.25, -0.0, (0.0, 1.0, 1e-300), checks, permutation)
+        record = TrialRecord(7, haar_config(), report)
+        got = record_line(record, self.CONFIG_TEXT)
+        assert got == reference_record_line(record, self.CONFIG_TEXT)
+        assert json.loads(got)["checks"] == checks
+        assert ("permutation" in json.loads(got)) == (permutation is not None)
+
+    @pytest.mark.parametrize("field, value", NONFINITE_CASES)
+    def test_a_non_finite_value_gives_the_same_refusal(self, field, value):
+        # the first non-finite float in wire order names the refusal
+        record = TrialRecord(3, haar_config(), _report_with(field, value))
+        got = rendered(record_line, record, self.CONFIG_TEXT)
+        assert got == rendered(reference_record_line, record, self.CONFIG_TEXT)
+        assert got[:2] == ("refused", SchemaError)
+
+    @pytest.mark.parametrize(
+        "variant, overrides",
+        [
+            ("constrained", {}),
+            ("minimized", {"coefficient_mode": "simplex_uniform"}),
+            ("assistant", {"coefficient_mode": "simplex_uniform"}),
+            ("exact", {"coefficient_mode": "simplex_uniform", "family": "biorthogonal_blocks",
+                       "dim_a": 6, "dim_b": 6, "block_a": 2, "block_b": 2}),
+        ],
+    )
+    def test_campaign_records(self, variant, overrides):
+        cfg = haar_config(**overrides)
+        config_text = dumps(config_to_json(cfg))
+        for rec in iter_trials(cfg, variant, 5):
+            assert record_line(rec, config_text) == reference_record_line(rec, config_text)
 
 
 # Large-n campaigns of the float bound kernel.  At n = 9..11 the
@@ -777,6 +882,24 @@ class TestCli:
                      "--out", str(out)]) == 2
         assert out.read_bytes() == b"records of an earlier run\n"
         assert "fixed_coefficients must" in capsys.readouterr().err
+
+    def test_verify_refuses_an_overflowing_fixed_modulus(self, tmp_path, capsys):
+        # finite parts whose modulus overflows: the scale check refuses the
+        # config with exit 2 and one stderr line, before --out is opened
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            '{"n": 2, "dim_a": 2, "dim_b": 2, "family": "haar", "seed": 1,'
+            ' "coefficient_mode": "fixed", "fixed_coefficients": [[1.5e308, 1.5e308], [1, 0]]}'
+        )
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"records of an earlier run\n")
+        assert main(["verify", "--config", str(cfg_path), "--trials", "2",
+                     "--out", str(out)]) == 2
+        assert out.read_bytes() == b"records of an earlier run\n"
+        assert capsys.readouterr().err == (
+            "entbound: config: fixed_coefficients must keep 4 n^2 max|alpha_i|^2 finite"
+            " (got max|alpha_i| = inf)\n"
+        )
 
     @pytest.mark.parametrize("variant", ["constrained", "unconstrained", "minimized"])
     def test_overflowing_weights_are_an_input_error(self, tmp_path, capsys, variant):

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +31,36 @@ from conftest import basis_state, bell_state, random_state, two_bell_blocks
 FLOAT_MAX = float(np.finfo(np.float64).max)
 # finite coefficients whose squared norm overflows float64
 OVERFLOWING_COEFFICIENTS = ([1, 1e300 + 1e300j], [1e154, 1e154])
+
+
+NONFINITE = "coefficients contain NaN or Inf"
+# alpha refusals in check order: a NaN or inf part, the all-zero vector, the scale
+COEFFICIENT_REFUSALS = [
+    pytest.param([complex(math.nan, 0.0), 1], InvariantViolationError, NONFINITE, id="nan"),
+    pytest.param([1, complex(-math.inf, 0.0)], InvariantViolationError, NONFINITE, id="inf"),
+    pytest.param([complex(math.inf, math.nan), 1], InvariantViolationError, NONFINITE,
+                 id="inf-and-nan"),
+    # beside a value over the scale, or one whose modulus overflows, or zeros
+    pytest.param([1e300, complex(0.0, math.nan)], InvariantViolationError, NONFINITE,
+                 id="nan-beside-over-scale"),
+    pytest.param([complex(1.5e308, 1.5e308), math.inf], InvariantViolationError, NONFINITE,
+                 id="inf-beside-overflowing-modulus"),
+    pytest.param([0.0, math.nan], InvariantViolationError, NONFINITE, id="nan-beside-zero"),
+    pytest.param([0, 0], PreconditionError, "coefficients must not all be zero", id="all-zero"),
+    pytest.param([-0.0, complex(0.0, -0.0)], PreconditionError,
+                 "coefficients must not all be zero", id="signed-zeros"),
+    # finite parts whose modulus overflows to inf: the scale check names it
+    pytest.param(
+        [complex(1.5e308, 1.5e308), 1], InvariantViolationError,
+        "coefficients must keep 4 n^2 max|alpha_i|^2 finite (got max|alpha_i| = inf)",
+        id="overflowing-modulus",
+    ),
+    pytest.param(
+        [1e154, 1], InvariantViolationError,
+        "coefficients must keep 4 n^2 max|alpha_i|^2 finite (got max|alpha_i| = 1.000e+154)",
+        id="over-scale",
+    ),
+]
 
 
 def make_spec(coeffs, components) -> SuperpositionSpec:
@@ -64,6 +96,28 @@ class TestSpecValidation:
     def test_rejects_nonfinite_coefficients(self):
         with pytest.raises(InvariantViolationError):
             make_spec([np.nan, 1], [basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)])
+
+    @pytest.mark.parametrize("alphas, exc, message", COEFFICIENT_REFUSALS)
+    def test_coefficient_refusals(self, alphas, exc, message):
+        # the finiteness pass runs only when max|alpha_i| is not finite; it
+        # still comes before the zero and scale checks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(exc) as caught:
+                make_spec(alphas, [basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)])
+        assert type(caught.value) is exc and str(caught.value) == message
+
+    @pytest.mark.parametrize("alphas, exc, message", COEFFICIENT_REFUSALS)
+    def test_coefficient_refusals_through_eval(self, tmp_path, capsys, alphas, exc, message):
+        # json.dumps writes NaN and Infinity, which the reader takes
+        components = [state_to_json(basis_state(2, 2, k, k)) for k in range(2)]
+        coefficients = [[complex(a).real, complex(a).imag] for a in alphas]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"coefficients": coefficients, "components": components}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["eval", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"entbound: spec: {message}\n")
 
     def test_gram_is_cached_and_valid(self, rng):
         comps = [random_state(rng, 3, 3) for _ in range(3)]
