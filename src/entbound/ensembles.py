@@ -5,16 +5,15 @@ derived by hashing the label path, so adding a new generator never
 perturbs existing draws and trials parallelize trivially.  The stream
 contract: `RandomStream(seed, path).generator()` is
 
-    Generator(Philox(SeedSequence(int.from_bytes(
-        sha256(("%d|" % seed + "/".join(path)).encode()).digest(), "big"))))
+    Generator(Philox(key=np.frombuffer(
+        sha256(("%d|" % seed + "/".join(path)).encode()).digest(), "<u8", 2)))
 
-at its origin.  The key is handed to SeedSequence as the uint32 words
-that it derives from that integer (see `_seed_words`), which skips the
-int conversion and draws the same numbers; tests/test_ensembles.py
-checks the formula itself.  Philox's key, its one `generate_state(2,
-np.uint64)` call, is hashed from the four pool words on Python ints with
-the fixed (xor, multiply) pairs of numpy's output hash (`_KeySequence`);
-every other `generate_state` call falls through to numpy's own method.
+at its origin: Philox is a keyed counter-based generator (Salmon et al.,
+SC'11), so the first 16 bytes of the digest, as two little-endian uint64
+words, are its key, and the counter starts at 0.  The key reaches Philox
+through `_Key`, a seed sequence that holds it, since `Philox(key=...)`
+would also draw OS entropy for a seed sequence it never uses;
+tests/test_ensembles.py checks the formula itself.
 
 Each component family is a private `(config, stream)` draw that returns
 one (n, dim_a, dim_b) amplitude stack and trusts its config: a family's
@@ -38,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import BipartitePureState
 from .errors import DomainError
@@ -64,36 +64,20 @@ def _require_int(name: str, value: object) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
-# numpy's SeedSequence output hash: output word i is pool word i xored with
-# h_i, times h_(i+1) mod 2^32, then xored with itself shifted right by 16,
-# where h_0 = INIT_B = 0x8B51F9DD and h_(i+1) = h_i MULT_B mod 2^32 for
-# MULT_B = 0x58F38DED.  These are h_0 .. h_4, for the first four words.
-_MASK32 = 0xFFFFFFFF
-_KEY_HASH = tuple(0x8B51F9DD * 0x58F38DED**i & _MASK32 for i in range(5))
+class _Key(ISeedSequence):
+    """Philox's key as the seed sequence it reads: `generate_state(2,
+    np.uint64)`, the one call Philox makes, returns the key, and any other
+    request is refused, as nothing else draws from it."""
 
+    __slots__ = ("key",)
 
-class _KeySequence(np.random.SeedSequence):
-    """A SeedSequence whose `generate_state(2, np.uint64)`, the one call
-    Philox makes, hashes the four pool words on Python ints, without the
-    errstate wrapper and numpy-scalar loop of numpy's method; every other
-    call is numpy's own.  tests/test_ensembles.py holds both to numpy's."""
-
-    __slots__ = ()
+    def __init__(self, key: np.ndarray) -> None:
+        self.key = key
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 2 or dtype is not np.uint64:
-            return super().generate_state(n_words, dtype)
-        h0, h1, h2, h3, h4 = _KEY_HASH
-        w0, w1, w2, w3 = self.pool.tolist()
-        w0 = (w0 ^ h0) * h1 & _MASK32
-        w1 = (w1 ^ h1) * h2 & _MASK32
-        w2 = (w2 ^ h2) * h3 & _MASK32
-        w3 = (w3 ^ h3) * h4 & _MASK32
-        # each uint64 is two output words, the low one first
-        return np.array(
-            [(w1 ^ w1 >> 16) << 32 | (w0 ^ w0 >> 16), (w3 ^ w3 >> 16) << 32 | (w2 ^ w2 >> 16)],
-            dtype=np.uint64,
-        )
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {dtype}")
+        return self.key
 
 
 @dataclass(frozen=True)
@@ -135,23 +119,10 @@ class RandomStream:
         return stream
 
     def generator(self) -> np.random.Generator:
-        # Entropy comes from hashing the label path, so streams are pinned
+        # The key comes from hashing the label path, so streams are pinned
         # by (seed, labels) alone, independent of call order or platform.
-        digest = hashlib.sha256(
-            ("%d|" % self.seed + "/".join(self.path)).encode()
-        ).digest()
-        return np.random.Generator(np.random.Philox(_KeySequence(_seed_words(digest))))
-
-
-def _seed_words(digest: bytes) -> np.ndarray:
-    """The uint32 words SeedSequence derives from int.from_bytes(digest, "big"):
-    least significant first, with the high zero words dropped but at least
-    one word kept (the integer 0 is the single word 0).  The zero bytes are
-    counted only when the top word is zero, for one sha256 digest in 2^32."""
-    if digest[:4] != b"\0\0\0\0":
-        return np.frombuffer(digest[::-1], dtype="<u4")
-    count = max(1, (len(digest.lstrip(b"\0")) + 3) // 4)
-    return np.frombuffer(digest[::-1], dtype="<u4", count=count)
+        digest = hashlib.sha256(("%d|" % self.seed + "/".join(self.path)).encode()).digest()
+        return np.random.Generator(np.random.Philox(_Key(np.frombuffer(digest, "<u8", 2))))
 
 
 def _gaussian_stack(shape: tuple[int, ...], streams: list[RandomStream]) -> np.ndarray:

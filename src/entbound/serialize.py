@@ -34,10 +34,13 @@ from .superposition import SuperpositionSpec, _stack_rows
 
 
 def format_float(x: float) -> str:
-    """Render a real with 17 significant digits (exact float round trip)."""
+    """Render a real with 17 significant digits (exact float round trip).
+    A negative zero is written -0.0, which JSON reads back as a float with
+    its sign; "-0" would read back as the integer 0."""
     if not math.isfinite(x):
         raise SchemaError(f"cannot serialize non-finite real {x!r}")
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 # json.dumps(s, ensure_ascii=False) for a str, without building an encoder per call

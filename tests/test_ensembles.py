@@ -33,9 +33,8 @@ from entbound.ensembles import (
     FAMILY_BIORTHOGONAL as BIORTHOGONAL,
     FAMILY_SHARED_SUPPORT as SHARED_SUPPORT,
     MAX_STATE_ELEMS,
-    _KeySequence,
+    _Key,
     _gaussian_stack,
-    _seed_words,
 )
 from entbound.report import run_trial, trial_stream
 from entbound.serialize import config_from_json
@@ -45,27 +44,7 @@ from conftest import drawn_components
 def reference_generator(seed: int, path: tuple[str, ...]) -> np.random.Generator:
     """The stream contract as written in the ensembles module docstring."""
     digest = hashlib.sha256(("%d|" % seed + "/".join(path)).encode()).digest()
-    seq = np.random.SeedSequence(int.from_bytes(digest, "big"))
-    return np.random.Generator(np.random.Philox(seq))
-
-
-def int_words(value: int) -> list[int]:
-    """The uint32 words SeedSequence takes from a nonnegative int: least
-    significant first, and [0] for zero."""
-    words = [value & 0xFFFFFFFF]
-    value >>= 32
-    while value:
-        words.append(value & 0xFFFFFFFF)
-        value >>= 32
-    return words
-
-
-def reference_seed_words(digest: bytes) -> np.ndarray:
-    """A copy of the `_seed_words` that counts the zero bytes of every
-    digest, whose every bit the one that counts them only for a zero top
-    word keeps."""
-    count = max(1, (len(digest.lstrip(b"\0")) + 3) // 4)
-    return np.frombuffer(digest[::-1], dtype="<u4", count=count)
+    return np.random.Generator(np.random.Philox(key=np.frombuffer(digest, "<u8", 2)))
 
 
 def reference_constrained_coefficients(coeffs: np.ndarray, stream: RandomStream) -> np.ndarray:
@@ -334,27 +313,6 @@ class TestRandomStream:
         assert got.random(3).tobytes() == want.random(3).tobytes()
         assert got.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
 
-    @pytest.mark.parametrize("zeros", [0, 1, 3, 4, 5, 31, 32])
-    def test_seed_words_are_the_words_of_the_digest_int(self, zeros):
-        body = hashlib.sha256(b"%d" % zeros).digest()
-        digest = (bytes(zeros) + bytes([body[0] | 1]) + body[1:])[:32]
-        assert len(digest.lstrip(b"\0")) == 32 - zeros
-        value = int.from_bytes(digest, "big")
-        words = _seed_words(digest)
-        assert words.dtype == np.uint32
-        assert words.tolist() == int_words(value)
-        got, want = np.random.SeedSequence(words), np.random.SeedSequence(value)
-        np.testing.assert_array_equal(got.pool, want.pool)
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(zeros=st.integers(0, 32), body=st.binary(min_size=32, max_size=32))
-    def test_seed_words_keep_the_bits_of_the_reference(self, zeros, body):
-        # 0 to 32 leading zero bytes: the top word is zero from 4 on
-        digest = bytes(zeros) + body[zeros:]
-        got, want = _seed_words(digest), reference_seed_words(digest)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, np.int64(7), np.uint64(2**64 - 1)])
     @pytest.mark.parametrize("trial_id", [0, 3, 10**6])
     def test_trial_stream_is_the_checked_root_streams_child(self, seed, trial_id):
@@ -370,48 +328,24 @@ class TestRandomStream:
         assert nested.tobytes() == want.child("components").generator().standard_normal(3).tobytes()
 
 
-# The two dtypes generate_state takes, as a class, a name and a dtype object.
-STATE_DTYPES = [np.uint32, np.uint64, "u8", np.dtype(np.uint64)]
-
-
-@st.composite
-def seed_entropy(draw) -> np.ndarray:
-    """1-8 uint32 words, or the words of a sha256-sized digest whose leading
-    bytes are zero, as `_seed_words` cuts them."""
-    if draw(st.booleans()):
-        words = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8))
-        return np.array(words, dtype=np.uint32)
-    zeros = draw(st.integers(0, 32))
-    body = draw(st.binary(min_size=32, max_size=32))
-    return _seed_words(bytes(zeros) + body[zeros:])
-
-
-class TestKeySequence:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(seed_entropy(), st.integers(1, 8), st.sampled_from(STATE_DTYPES))
-    def test_generate_state_is_numpys(self, entropy, n_words, dtype):
-        ours, numpys = _KeySequence(entropy), np.random.SeedSequence(entropy)
-        pairs = [(ours, numpys), *zip(ours.spawn(2), numpys.spawn(2))]
-        for got, want in pairs:
-            np.testing.assert_array_equal(got.pool, want.pool)
-            for args in ((n_words, dtype), (2, np.uint64)):
-                a, b = got.generate_state(*args), want.generate_state(*args)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), args
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-    @given(seed_entropy())
-    def test_philox_state_is_numpys(self, entropy):
-        got = np.random.Philox(_KeySequence(entropy)).state
-        want = np.random.Philox(np.random.SeedSequence(entropy)).state
-        np.testing.assert_equal(got, want)
-
+class TestKey:
     def test_generator_seeds_one_fresh_philox_through_it(self):
         stream = RandomStream(7).child("x")
         first, second = stream.generator(), stream.generator()
         assert type(first.bit_generator) is np.random.Philox
-        assert type(first.bit_generator.seed_seq) is _KeySequence
+        assert type(first.bit_generator.seed_seq) is _Key
         assert first.bit_generator is not second.bit_generator
         assert first.bit_generator.seed_seq is not second.bit_generator.seed_seq
+
+    @pytest.mark.parametrize("n_words, dtype", [(2, np.uint32), (1, np.uint64), (4, np.uint64)])
+    def test_key_refuses_every_other_request(self, n_words, dtype):
+        # Philox asks for its key alone; nothing else draws from the key,
+        # so the seed sequence of a generator cannot spawn either.
+        g = RandomStream(7).child("x").generator()
+        with pytest.raises(ValueError, match="a Philox key is 2 uint64 words"):
+            g.bit_generator.seed_seq.generate_state(n_words, dtype)
+        with pytest.raises(TypeError):
+            g.spawn(1)
 
     def test_interleaved_generators_each_draw_the_stream(self):
         stream = RandomStream(7).child("x")

@@ -43,23 +43,23 @@ SPEC_NS = (2, 4)
 SPEC_TRIALS = 2
 
 DIGESTS = {
-    "spec haar": "ba36a6537a52dde82092cc0d7bd27914187cd084d8518fd728c91c9dafebe28d",
-    "spec biorthogonal_blocks": "9d84b946b48993a66ae354a1064d7fd1f22e1284aa66b88e387883a34f73bfd8",
-    "spec orthogonal_shared_support": "8f74324397ec5423096b88bf076b948b5fb60163412f1ea92a0670341458e88f",
-    "spec product_states": "3c7b5df74b18aa4d40ecce9329e94fe8d89c6e92ec61e40764be914bfac6cc34",
-    "spec bell_like": "76784902983f7167efc884092a91312fa8d7fd6704c4d807a58b477f45090a7a",
-    "campaign constrained": "b766d543bbea7b9f0b31c0e8f5d5e9be5b5f6340f34b29ecc1129b8db42cec6d",
-    "eval constrained": "60ed18cd2c82be9fce601c97fe0a00fa88fd18c069ce66ca3acaaeb9ec288e03",
-    "campaign unconstrained": "7720edf209a00cf27e28286bed879119d2690b25d14650f132b29d2614d90f56",
-    "eval unconstrained": "909a56130cce821bbd30b736ff2a72ae29dfb5faaaf43eb41a586c853294165b",
-    "campaign minimized": "e7b293ec60720e5c8f306e1d19b37256e023cd607cbe561c20a8741dcc0bcd4b",
-    "eval minimized": "b7d6b56d984e413f3f57e5499eff719d1a78786283319f71ba8f97845249d1cc",
-    "campaign exact": "18e95341c37c0ac287a54343185444529d71d121bd48050941fc2e806f0bb282",
-    "eval exact": "dd53ae5b32dd092dedc70086345118b51dbd36f6d05e159b3d29f234110511cc",
-    "campaign assistant": "2114820c5aba5e50a7be578ce78c8032190891d1617f730958913903352bf6f4",
-    "eval assistant": "1033f4b0bff11118a00131cb7844d3d17d23e91981ac8391c853a014df919485",
+    "spec haar": "c2ecc4bdc39ccf97de3bdb5946d021cff10b2102172fac00efe31953edf4be8a",
+    "spec biorthogonal_blocks": "d27f4adc9288a4b7dd0edc048180e1d99186a563111a8cf6e8213b63ad8a63af",
+    "spec orthogonal_shared_support": "b9414571a89b4c61c298591cc873c028cf9f4cb5660a53ee265f5e902ebf0147",
+    "spec product_states": "72c91b02b8d327f2d3d14a85efffa8c85d345f974dc4426f515eb24ff4a6fb35",
+    "spec bell_like": "c0474a0d7d3bc7b8af551b792f4a21c797b4e63ebc3f7e7dc94dcbaee9c4f29d",
+    "campaign constrained": "8b9676895d9ca25b6c1d2c05ebecb0c02978e9f18210b6ad84e00a2a7217bdf3",
+    "eval constrained": "4ac938d2d452272ef357aecbceaf606a05a3bcd09f6b6088600239a9dfb458d8",
+    "campaign unconstrained": "dea89a734c2a6b81db0a83c46f16c1ae053f405715d95809a4aef8f11926d51b",
+    "eval unconstrained": "2e648f6e9af29ac135b72b8c6e340a3c1d96d2f628ef9c3749d670d371e9d731",
+    "campaign minimized": "c538b076aec2a9254698b42e1d762bc34228a6ba8b81e7a2bedce812228e6936",
+    "eval minimized": "d176614c10aa115a3ff6ed28e4ff96febb01ef8263c0925ec9cd9f62e9ecbe51",
+    "campaign exact": "8abb9fc71cc7294588ce5fbc25693a0449d4080591e7dac4852dfee08cbc3f48",
+    "eval exact": "8f6bbe514da2cb54d9736fbbb10106340508a3436bdfdc94dc4a6478c7429d7e",
+    "campaign assistant": "fcfe9b26a324f8fe5dee1a79eebf75c6b37c706a8eb41231653e5497ab3c91fd",
+    "eval assistant": "e30673239e274cbafb144b39b348bcb532fe610e70e1d6e835806d89a4c9362b",
     "coeffs 16": "1b6d24fc5316ce7c9414efc73f7ae817ccdef3bd0684a9753a1e3a8e8df98cae",
-    "verify": "505d1597e869ed597acf65d92d91c57cad40cd8bd97150fbd8704c76c1ecfa26",
+    "verify": "46bcdaac1f27500d01327e9c87ee749f64c8c0e8197562301d36c9fe20f63c79",
 }
 
 

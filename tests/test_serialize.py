@@ -46,6 +46,12 @@ class TestFloatFormat:
     def test_round_trip_exact(self, x):
         assert float(format_float(x)) == x
 
+    def test_negative_zero_keeps_its_sign(self):
+        # "-0" would read back as the integer 0; a positive zero stays "0"
+        assert (dumps(-0.0), dumps(0.0)) == ("-0.0", "0")
+        back = json.loads(dumps(-0.0))
+        assert type(back) is float and math.copysign(1.0, back) == -1.0
+
     def test_rejects_nan(self):
         with pytest.raises(SchemaError):
             format_float(float("nan"))
@@ -443,6 +449,15 @@ class TestConfigRoundTrip:
         )
         back = config_from_json(loads(dumps(config_to_json(cfg))))
         assert back == cfg
+
+    def test_signed_zero_coefficients_round_trip_bit_for_bit(self):
+        cfg = EnsembleConfig(
+            n=2, dim_a=2, dim_b=2, family="haar", seed=1, coefficient_mode="fixed",
+            fixed_coefficients=(complex(1, -0.0), complex(-0.0, 1)),
+        )
+        back = config_from_json(json.loads(dumps(config_to_json(cfg))))
+        got, want = (np.array(c.fixed_coefficients) for c in (back, cfg))
+        assert got.tobytes() == want.tobytes()
 
     def test_bad_family_is_schema_error(self):
         with pytest.raises(SchemaError):
