@@ -419,18 +419,19 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
     One `_row_values` pass over the cached opening (`_opening`) bounds the
     n(n - 1) nodes that place the two largest entries and reads their
     completions too.  When the opening settles every node it keeps, as it
-    usually does (198 of 200 Haar simplex n = 8 specs at seed 7), the
+    usually does (195 of 200 Haar simplex n = 8 specs at seed 7), the
     winner comes from that one pass, and nothing else is built.  Else each
-    pass places one more entry, down to entry 1 (entry 0 is the
-    completion), and the completions of the nodes settled there and of the
-    last survivors go through `_row_values` once at the end.
+    pass places one more entry, down to entry 2, and one last
+    `_row_values` pass reads the completions of the nodes settled there
+    and the two leaves of each node that survives entry 2, so every leaf
+    is read once.
 
     A settled subtree may still hold a row below the least rhs read,
     which would narrow the window.  When that could untie the winning
     row, every row of the settled subtrees whose lower bound is below
     the least rhs read is weighed as well, enumerated by `_place` through
-    `_every_completion` (at most (n - 2)! rows per subtree, and rare: 4 of
-    1 600 n = 8 specs drawn from four families).
+    `_every_completion` (at most (n - 2)! rows per subtree, and rare: 2 of
+    the first 1 000 of those specs).
     The margins of _ROUNDING cover the rounding of bounds and rows, so the
     result is the full enumeration's: the same row, rhs and correction,
     bit for bit.
@@ -477,9 +478,9 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
     perms, rhs, corrections = completions[done], rhs[2 * m:][done], corrections[2 * m:][done]
     nodes, floors = frontier[done], lower[done]
     frontier = frontier[keep & ~done]
-    if frontier.size:  # one entry per pass below the opening
+    if frontier.size:  # one entry per pass below the opening, down to entry 2
         nodes, floors = [nodes], [floors]
-        for entry in range(n - 3, 0, -1):
+        for entry in range(n - 3, 1, -1):
             if not frontier.size:
                 break
             frontier = _place(frontier, entry)
@@ -488,7 +489,9 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
             nodes.append(frontier[done])
             floors.append(lower[done])
             frontier = frontier[keep & ~done]
-        nodes.append(frontier)  # a survivor's one free component takes entry 0
+        if n > 3:  # a survivor of entry 2 holds two leaves: entry 1 in either free slot
+            frontier = _place(frontier, 1)
+        nodes.append(frontier)  # leaves, whose completions are read exactly
         floors.append(np.full(len(frontier), math.inf))
         nodes, floors = np.concatenate(nodes), np.concatenate(floors)
         if len(nodes) > len(perms):  # the completions not read in the opening

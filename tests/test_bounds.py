@@ -491,7 +491,8 @@ class TestBoundMinimized:
         # must read the same alone as among all n! rows.  On the Haar specs
         # the opening settles every simplex search in its one pass; the
         # constrained searches go on below it, one entry per pass, in at most
-        # seven passes: the opening, entries 5 to 1 and the completions.
+        # six passes: the opening, entries 5 to 2 and the completions, which
+        # read the two leaves of every node that survives entry 2.
         if case.startswith("haar-n8"):
             mode = case.rsplit("-", 1)[1]
             specs = [haar_spec(RandomStream(41).child(f"t{t}"), 8, 4, 4, mode) for t in range(4)]
@@ -532,7 +533,7 @@ class TestBoundMinimized:
             if case == "haar-n8-simplex":
                 assert len(passes) == 1
             elif case == "haar-n8-constrained":
-                assert 1 < len(passes) <= 7
+                assert 1 < len(passes) <= 6
             rhs, correction, perm = brute_force_minimized(a2, ents)
             assert rep.rhs == rhs
             assert rep.gap == rhs - rep.lhs
