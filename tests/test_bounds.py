@@ -1143,30 +1143,40 @@ def test_report_carries_psi_of_the_one_pass(variant):
     assert checked == (18 if variant == "exact" else 90)
 
 
+@pytest.mark.parametrize("move", ["local-unitaries", "swap"])
 @pytest.mark.parametrize(
     "variant, family",
     [(v, f) for v in bounds.VARIANTS for f in FAMILIES if v != "exact" or f == BIORTHOGONAL],
 )
 @settings(max_examples=12, deadline=None)
 @given(n=st.sampled_from((2, 3, 5, 8)), seed=st.integers(0, 2**32 - 1))
-def test_local_unitaries_leave_every_variant_unchanged(variant, family, n, seed):
+def test_local_unitaries_leave_every_variant_unchanged(move, variant, family, n, seed):
     # U_a (x) U_b applied to every component changes no reduced spectrum,
-    # overlap or Gram entry, so every variant's lhs and rhs stay within 1e-12
+    # overlap or Gram entry, nor does swapping A and B, which transposes
+    # every component, so every variant's lhs and rhs stay within 1e-12
     # relative (with a floor of 1 bit) and its checks stay equal; the
     # minimized row may also change inside the tie window, moving its rhs by
-    # up to TIE_REL.
+    # up to TIE_REL.  The swap leaves the assistant's lhs out: it is S(rho_B)
+    # across (register (x) A) : B, one-sided by design.
     dim_a, dim_b = (n, n) if family == BIORTHOGONAL else (2, max(3, -(-n // 2)))
     cfg = EnsembleConfig(
         n=n, dim_a=dim_a, dim_b=dim_b, family=family, seed=seed,
         coefficient_mode=PSI_MODES[variant],
     )
     spec = generate_spec(cfg, normalization_coeffs(n), trial_stream(cfg, 0))
-    stream = RandomStream(seed)
-    u_a, u_b = haar_unitary(dim_a, stream.child("U_a")), haar_unitary(dim_b, stream.child("U_b"))
-    moved = SuperpositionSpec(spec.coefficients, u_a @ spec._stack @ u_b.T)
+    if move == "swap":
+        moved = SuperpositionSpec(spec.coefficients, spec._stack.transpose(0, 2, 1))
+    else:
+        stream = RandomStream(seed)
+        u_a = haar_unitary(dim_a, stream.child("U_a"))
+        u_b = haar_unitary(dim_b, stream.child("U_b"))
+        moved = SuperpositionSpec(spec.coefficients, u_a @ spec._stack @ u_b.T)
     before, after = evaluate_variant(spec, variant), evaluate_variant(moved, variant)
     tie = TIE_REL if variant == VARIANT_MINIMIZED else 0.0
-    for x, y, rel in ((before.lhs, after.lhs, 0.0), (before.rhs, after.rhs, tie)):
+    pairs = [(before.rhs, after.rhs, tie)]
+    if not (move == "swap" and variant == "assistant"):
+        pairs.append((before.lhs, after.lhs, 0.0))
+    for x, y, rel in pairs:
         assert abs(y - x) <= 1e-12 * max(abs(x), 1.0) + rel * abs(x)
     assert after.checks == before.checks
 
