@@ -328,7 +328,7 @@ class TestRandomStream:
         assert nested.tobytes() == want.child("components").generator().standard_normal(3).tobytes()
 
 
-class TestKey:
+class TestKeySequence:
     def test_generator_seeds_one_fresh_philox_through_it(self):
         stream = RandomStream(7).child("x")
         first, second = stream.generator(), stream.generator()
