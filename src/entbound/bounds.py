@@ -59,7 +59,7 @@ from .core import (
     xlog2x,
 )
 from .errors import DegenerateStateError, DomainError, PreconditionError
-from .superposition import SuperpositionSpec, combine, squared_norm
+from .superposition import SuperpositionSpec, combine
 
 MAX_N = 16              # recursion values overflow even float64 shortly beyond
 # Caps the N_i^2-weighted bound variants: N_11^2 (about 2.7e208) is the last
@@ -205,7 +205,8 @@ class BoundReport:
     assignments whose rhs is within TIE_REL of the least, the
     lexicographically smallest (see `bound_minimized`).  squared_norm and
     superposition_entanglement, ||psi||^2 and E(psi), are set by every
-    evaluator (`_entanglements`) and None only on a hand-built report.
+    evaluator (`_entanglements`, which takes ||psi||^2 from psi itself) and
+    None only on a hand-built report.
     """
 
     variant: str
@@ -234,18 +235,18 @@ class BoundReport:
 
 
 def _entanglements(spec: SuperpositionSpec, vanishing: str) -> tuple[float, float, np.ndarray]:
-    """||psi||^2, E(psi) and every E(phi_i) for psi = sum alpha_i phi_i, from
-    one batched singular value pass over the (n + 1)-row stack of the
-    components and psi, for all five evaluators.  Each matrix is decomposed
-    on its own, so the values equal `entanglement(combine(spec))` and
-    `schmidt_entropies(spec._stack)`; a vanishing psi raises, with
-    `vanishing` as the reason."""
-    n2 = squared_norm(spec)
+    """||psi||^2, E(psi) and every E(phi_i) for psi = sum alpha_i phi_i, for
+    all five evaluators.  psi is formed once (`combine`), and ||psi||^2 is
+    its own squared norm, the vdot of its amplitudes, which equals
+    `squared_norm(spec)` bit for bit; a vanishing psi raises, with
+    `vanishing` as the reason.  The entropies come from one batched singular
+    value pass over the (n + 1)-row stack of the components and psi.  Each
+    matrix is decomposed on its own, so the values equal
+    `entanglement(combine(spec))` and `schmidt_entropies(spec._stack)`."""
+    combined = combine(spec)
+    n2 = combined.squared_norm
     if n2 <= ZERO_NORM_TOL:
         raise DegenerateStateError(f"superposition vanishes; {vanishing}")
-    combined = combine(spec)
-    if combined.squared_norm <= ZERO_NORM_TOL:
-        raise DegenerateStateError("entanglement of a numerically zero state is undefined")
     ents = schmidt_entropies(np.concatenate((spec._stack, combined.amplitudes[None])))
     return n2, float(ents[-1]), ents[:-1]
 

@@ -103,7 +103,10 @@ def schmidt_entropies(stack: np.ndarray) -> np.ndarray:
 
     Each row's squared singular values are divided by their own sum, so
     the weights are an exact probability vector; a row whose sum is at
-    most ZERO_NORM_TOL counts 0 bits.
+    most ZERO_NORM_TOL counts 0 bits.  The stack must be finite, which is
+    not checked here: a row with an inf amplitude reads -0.0 bits, and
+    LAPACK may print a DLASCL error to stderr.  Every caller passes a
+    checked stack: a spec's components with psi, or the assistant's blocks.
     """
     try:
         probs = np.linalg.svd(stack, compute_uv=False)

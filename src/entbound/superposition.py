@@ -2,10 +2,12 @@
 
 A superposition is an ordered list of complex coefficients paired with
 normalized component states on a shared (dim_a, dim_b), held as one
-(n, dim_a, dim_b) amplitude stack.  The combined state is generally
-unnormalized and can even vanish; the Gram matrix of the components is
-computed once and cached on the spec.  `component_entanglements` and
-the `entanglement` import have no caller here; the benchmark binds both.
+(n, dim_a, dim_b) amplitude stack.  The combined state psi (`combine`)
+is generally unnormalized and can even vanish, and ||psi||^2 is taken
+from psi itself (`squared_norm`).  The Gram matrix of the components is
+computed once, cached on the spec and read by its unit-norm check.
+`component_entanglements` and the `entanglement` import have no caller
+here; the benchmark binds both.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ def check_coefficient_scale(
     n: int, largest: float, what: str, error: type[EntboundError]
 ) -> None:
     """Raise error unless 4 n^2 max|alpha_i|^2 is a finite float, where
-    largest = max|alpha_i| of n coefficients.  a^+ G a <= n ||a||^2 <=
-    n^2 max|alpha_i|^2 bounds the Gram form and every |alpha_i|^2, and the 4
-    covers the complex products inside a matmul, so `squared_norm` and
-    `combine` need no finiteness check of their own.  Python floats
+    largest = max|alpha_i| of n coefficients.  For unit components,
+    ||psi||^2 <= (sum |alpha_i|)^2 <= n^2 max|alpha_i|^2 bounds ||psi||^2,
+    every |alpha_i|^2 and every amplitude of psi, and the 4 covers the
+    complex products inside the contraction, so `combine` and the squared
+    norm of psi need no finiteness check of their own.  Python floats
     overflow to inf without a numpy warning."""
     if not math.isfinite(4.0 * n**2 * largest * largest):
         raise error(
@@ -162,21 +165,9 @@ def combine(spec: SuperpositionSpec) -> BipartitePureState:
 
 
 def squared_norm(spec: SuperpositionSpec) -> float:
-    """||sum_i alpha_i phi_i||^2 via the cached Gram matrix.
-
-    For mutually orthogonal components this reduces to sum |alpha_i|^2.
-    The spec's `check_coefficient_scale` keeps the form finite, at most a
-    quarter of the float range; only its imaginary rounding residue is
-    checked before the real part is taken.
-    """
-    a = spec.coefficients
-    value = complex(a.conj() @ spec.gram.matrix @ a)
-    scale = max(1.0, abs(value))
-    if abs(value.imag) > 1e-12 * scale:
-        raise InvariantViolationError(
-            f"squared norm has imaginary residue {value.imag:.3e}"
-        )
-    return max(0.0, value.real)
+    """||sum_i alpha_i phi_i||^2, the squared norm of the combined state,
+    which every bound report carries (see `bounds._entanglements`)."""
+    return combine(spec).squared_norm
 
 
 def component_entanglements(spec: SuperpositionSpec) -> np.ndarray:

@@ -48,12 +48,12 @@ DIGESTS = {
     "spec orthogonal_shared_support": "b9414571a89b4c61c298591cc873c028cf9f4cb5660a53ee265f5e902ebf0147",
     "spec product_states": "72c91b02b8d327f2d3d14a85efffa8c85d345f974dc4426f515eb24ff4a6fb35",
     "spec bell_like": "c0474a0d7d3bc7b8af551b792f4a21c797b4e63ebc3f7e7dc94dcbaee9c4f29d",
-    "campaign constrained": "8b9676895d9ca25b6c1d2c05ebecb0c02978e9f18210b6ad84e00a2a7217bdf3",
-    "eval constrained": "4ac938d2d452272ef357aecbceaf606a05a3bcd09f6b6088600239a9dfb458d8",
-    "campaign unconstrained": "dea89a734c2a6b81db0a83c46f16c1ae053f405715d95809a4aef8f11926d51b",
+    "campaign constrained": "3003289bb63265b8074696844c0d42d6879d545f91eed358373079753e907a9f",
+    "eval constrained": "2032141540f18b06ac3bf06b654c9a5067b224be90ed5ca739e848cb019ec842",
+    "campaign unconstrained": "9d0bd5dfcb381842ef5eb09bc76345828d27bc07409e8b197f483f3accc7f26c",
     "eval unconstrained": "2e648f6e9af29ac135b72b8c6e340a3c1d96d2f628ef9c3749d670d371e9d731",
-    "campaign minimized": "c538b076aec2a9254698b42e1d762bc34228a6ba8b81e7a2bedce812228e6936",
-    "eval minimized": "d176614c10aa115a3ff6ed28e4ff96febb01ef8263c0925ec9cd9f62e9ecbe51",
+    "campaign minimized": "262a0e8e778df1da11db5631972f68f933dcc0c651292b1a55c5cf0b1b1b3600",
+    "eval minimized": "a72e1dc5e606d4535894fd4809ad9ac1d8c2d1f24b99f0c0fecc3c739c11d96b",
     "campaign exact": "8abb9fc71cc7294588ce5fbc25693a0449d4080591e7dac4852dfee08cbc3f48",
     "eval exact": "8f6bbe514da2cb54d9736fbbb10106340508a3436bdfdc94dc4a6478c7429d7e",
     "campaign assistant": "fcfe9b26a324f8fe5dee1a79eebf75c6b37c706a8eb41231653e5497ab3c91fd",
