@@ -37,10 +37,10 @@ def check_coefficient_scale(
 ) -> None:
     """Raise error unless 4 n^2 max|alpha_i|^2 is a finite float, where
     largest = max|alpha_i| of n coefficients.  For unit components,
-    ||psi||^2 <= (sum |alpha_i|)^2 <= n^2 max|alpha_i|^2 bounds ||psi||^2,
-    every |alpha_i|^2 and every amplitude of psi, and the 4 covers the
-    complex products inside the contraction, so `combine` and the squared
-    norm of psi need no finiteness check of their own.  Python floats
+    ||psi||^2 <= (sum |alpha_i|)^2 <= n^2 max|alpha_i|^2, which also bounds
+    every |alpha_i|^2 and every squared amplitude of psi, and the 4 covers
+    the complex products inside the contraction, so `combine` and the
+    squared norm of psi need no finiteness check of their own.  Python floats
     overflow to inf without a numpy warning."""
     if not math.isfinite(4.0 * n**2 * largest * largest):
         raise error(

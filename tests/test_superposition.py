@@ -64,9 +64,9 @@ COEFFICIENT_REFUSALS = [
 
 # alpha_2 = -alpha_1 on two near-parallel 2x2 components, each normalized in
 # decimal, so psi keeps about 1e-6 of |alpha_1|^2 = 1537825: ||psi||^2 is
-# 1.5747328 in exact arithmetic.  The Gram form a^+ G a, from which the
-# squared norm was once taken, read it 1.7e-10 off in relative terms, with an
-# imaginary residue of 4.2e-12 that refused the spec.
+# 1.5747328 in exact arithmetic.  The quadratic form a^+ G a over the Gram
+# matrix rounds as max|alpha_i|^2 u: it reads 1.7e-10 off in relative terms,
+# with an imaginary residue of 4.2e-12.
 NEAR_PARALLEL = {
     "coefficients": [[-15, -1240], [15, 1240]],
     "components": [
