@@ -11,23 +11,23 @@ the orthonormal auxiliary-basis change built from it, and the bound
 where T H(p / T) = sum p_i log2(T / p_i) is the correction.  The
 constrained variant is the case T = 1, the unconstrained one takes any
 coefficient scale, and the minimized one takes the lowest rhs over all
-n! assignments of the N_i^2 to the components.  One kernel, `_rhs`,
-evaluates the rows of weights of every variant.  The unconstrained and
-minimized rows take the cancellation-free form sum_j P_j log1p(S_j / P_j)
-/ ln 2, S_j the sum of the other weights: N_n^2 grows doubly
-exponentially, so one weight can dominate T so far that -sum p_i log2 p_i
-+ T log2 T cancels to nothing.  The minimized variant finds its row by an
-exact branch and bound over the assignments (`_minimized`), not by
-evaluating all n! rows: one row-kernel pass over a cached opening, which
-places the two largest N_i^2 and usually settles the search, then, while
-nodes survive, one pass per further entry.  Rows within TIE_REL of
-the least rhs tie, and the lexicographically smallest permutation of
-them wins.  Also here: the exact formula for biorthogonal components and
-the assistant-state verifier that traces the proof chain numerically.
-The right-hand side of both, sum |alpha_i|^2 E(phi_i) + H(|alpha|^2), is
-the unit-weight case of the bound's (every N_i^2 = 1, so T = 1), which
-`_rhs` evaluates with the constrained one as -sum p_i log2 p_i and P @ E:
-on its single row that rounds exactly like the dot product p @ E.
+n! assignments of the N_i^2 to the components.  One kernel, `_row_values`,
+evaluates the rows of weights of every variant, in the cancellation-free
+form sum_j P_j log1p(S_j / P_j) / ln 2, S_j the sum of the other weights:
+N_n^2 grows doubly exponentially, so one weight can dominate T so far
+that -sum p_i log2 p_i + T log2 T cancels to nothing.  So the constrained
+bound is the unconstrained one plus its unit-total precondition, and on
+one spec their reports agree bit for bit but for the variant name.  The
+minimized variant finds its row by an exact branch and bound over the
+assignments (`_minimized`), not by evaluating all n! rows: one row-kernel
+pass over a cached opening, which places the two largest N_i^2 and
+usually settles the search, then, while nodes survive, one pass per
+further entry.  Rows within TIE_REL of the least rhs tie, and the
+lexicographically smallest permutation of them wins.  Also here: the
+exact formula for biorthogonal components and the assistant-state
+verifier that traces the proof chain numerically.  The right-hand side of
+both, sum |alpha_i|^2 E(phi_i) + H(|alpha|^2), is the unit-weight case of
+the bound's (every N_i^2 = 1), which the same kernel evaluates.
 
 The inputs each variant takes are one row of the table `_RULES`, whose
 keys are `VARIANTS`: the name of its evaluator, its caps on n and on the
@@ -36,10 +36,10 @@ unit-total PreconditionError, if its weights must total 1.  One check,
 `_variant_weights`, raises every refusal that these and |alpha|^2 decide,
 in one order for all five variants, and returns the weight row.  One
 kernel, `_bound`, evaluates all five: it calls that check, forms psi
-(`_entanglements`) and applies `_rhs` to the row (or finds the minimized
-row), and the exact formula and the assistant check add only their own
-check and lhs to its report.  The campaign runner calls the check once,
-before any trial.
+(`_entanglements`) and applies `_row_values` to the row (or finds the
+minimized row), and the exact formula and the assistant check add only
+their own check and lhs to its report.  The campaign runner calls the
+check once, before any trial.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .core import (
     GAP_SLACK,
     ZERO_NORM_TOL,
     schmidt_entropies,
-    xlog2x,
 )
 from .errors import DegenerateStateError, DomainError, PreconditionError
 from .superposition import SuperpositionSpec, combine
@@ -252,8 +251,8 @@ def _entanglements(spec: SuperpositionSpec, vanishing: str) -> tuple[float, floa
 
 
 def _row_values(p: np.ndarray, ents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rhs and correction of every row P of weights, in the cancellation-free
-    form of the unconstrained bound:
+    """rhs and correction of every row P of weights, for every variant, in
+    the cancellation-free form of the unconstrained bound:
 
         correction = sum_j P_j log1p(S_j / P_j) / ln 2,   rhs = sum_j P_j E_j + correction,
 
@@ -262,6 +261,8 @@ def _row_values(p: np.ndarray, ents: np.ndarray) -> tuple[np.ndarray, np.ndarray
     term is nonnegative, so no digit cancels, and each row is reduced on its
     own, so its value does not depend on the rows evaluated beside it.  A
     ratio S_j / P_j beyond the float range takes log S_j - log P_j instead.
+    A row on the unit total takes no form of its own, so it is read the same
+    under every variant that weights it alike.
     """
     others = np.zeros_like(p)
     others[:, 1:] = p[:, :-1].cumsum(axis=1)
@@ -317,26 +318,6 @@ def _variant_weights(
     if rule.unit_total is not None and abs(total - 1.0) > CONSTRAINT_TOL:
         raise PreconditionError(f"{rule.unit_total} (got {total!r})")
     return row
-
-
-def _rhs(p: np.ndarray, ents: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """rhs and correction of every row P of weights, T = sum_j P_j.  It
-    checks nothing: its one caller, `_bound`, has made the checks of
-    `_variant_weights`.
-
-    Without a unit-total precondition the rows take the cancellation-free
-    form of `_row_values`, each row reduced on its own.  With one, the
-    single row is the T = 1 case written directly:
-
-        correction = -sum_j P_j log2 P_j,   rhs = P @ E + correction.
-    """
-    if _RULES[variant].unit_total is None:
-        return _row_values(p, ents)
-    corrections = xlog2x(p).sum(axis=1)
-    np.negative(corrections, out=corrections)
-    rhs = p @ ents
-    rhs += corrections
-    return rhs, corrections
 
 
 def _place(nodes: np.ndarray, entry: int) -> np.ndarray:
@@ -521,9 +502,10 @@ def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
     before psi is formed; a vanishing psi makes the bound vacuous for the
     N_i^2-weighted variants and leaves no normalized version for the
     others.  The rhs takes the row `_minimized` finds for the minimized
-    bound and the identity row, p_j = N_j^2 |alpha_j|^2 or |alpha_j|^2,
-    for the others; the lhs is ||psi||^2 E(psi), which the exact formula
-    and the assistant check replace with their own.
+    bound, and `_row_values` of the identity row, p_j = N_j^2 |alpha_j|^2
+    or |alpha_j|^2, for the others, whether or not a unit total is
+    required; the lhs is ||psi||^2 E(psi), which the exact formula and the
+    assistant check replace with their own.
     """
     a2 = np.abs(spec.coefficients) ** 2
     row = _variant_weights(variant, spec.n, spec.dim_a, spec.dim_b, a2)
@@ -537,7 +519,7 @@ def _bound(spec: SuperpositionSpec, variant: str) -> BoundReport:
     if variant == VARIANT_MINIMIZED:
         rhs, correction, permutation = _minimized(a2, ents)
     else:
-        rhs, correction = (float(v[0]) for v in _rhs(row, ents, variant))
+        rhs, correction = (float(v[0]) for v in _row_values(row, ents))
     return BoundReport(
         variant=variant,
         lhs=n2 * e_psi,
@@ -556,8 +538,9 @@ def bound_constrained(spec: SuperpositionSpec) -> BoundReport:
 
 
 def bound_unconstrained(spec: SuperpositionSpec) -> BoundReport:
-    """Bound for arbitrary coefficients; coincides with the constrained
-    variant whenever the constraint happens to hold."""
+    """Bound for arbitrary coefficients; equal bit for bit to the
+    constrained variant, but for the variant name, whenever the constraint
+    holds within CONSTRAINT_TOL."""
     return _bound(spec, VARIANT_UNCONSTRAINED)
 
 
@@ -572,8 +555,8 @@ def bound_minimized(spec: SuperpositionSpec) -> BoundReport:
     TIE_REL relative of the least one tie, and the lexicographically
     smallest permutation of them wins, so rows that differ only in rounding
     no longer pick the reported permutation.  The reported rhs and
-    correction are that row's, equal to `_rhs` at the reported permutation
-    bit for bit."""
+    correction are that row's, equal to `_row_values` at the reported
+    permutation bit for bit."""
     return _bound(spec, VARIANT_MINIMIZED)
 
 

@@ -28,7 +28,7 @@ from .errors import (
 # `superposition`; those two define their other tolerances themselves.
 HERMITIAN_TOL = 1e-12   # elementwise hermiticity
 EIG_CLIP = 1e-10        # eigenvalues in [-EIG_CLIP, 0) are clipped to zero
-EIG_CUTOFF = 1e-14      # weights below this contribute exactly 0 to entropies
+EIG_CUTOFF = 1e-14      # Schmidt and Shannon weights at or below this add exactly 0
 CONSTRAINT_TOL = 1e-9   # coefficient-constraint residuals
 GAP_SLACK = 1e-9        # allowed numerical slack on verified inequalities
 ZERO_NORM_TOL = 1e-12   # squared norms below this count as the zero state
@@ -37,7 +37,10 @@ ZERO_NORM_TOL = 1e-12   # squared norms below this count as the zero state
 def xlog2x(p: np.ndarray) -> np.ndarray:
     """Elementwise p*log2(p) with the 0*log(0) := 0 convention.
 
-    Entries at or below EIG_CUTOFF contribute exactly zero.
+    Entries at or below EIG_CUTOFF contribute exactly zero.  Its callers
+    are the entropies of probability vectors, `schmidt_entropies` and
+    `shannon_entropy`.  The bounds' weights never pass through it: a
+    weight below the cutoff still adds its p log2(T / p) to a correction.
     """
     p = np.asarray(p, dtype=float)
     out = np.zeros(p.shape)

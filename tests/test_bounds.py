@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -42,9 +43,9 @@ from entbound.bounds import (
     VARIANT_MINIMIZED,
     _exact_n_squared,
     _minimized,
-    _rhs,
+    _row_values,
 )
-from entbound.core import ZERO_NORM_TOL
+from entbound.core import CONSTRAINT_TOL, ZERO_NORM_TOL
 from entbound.ensembles import FAMILIES, FAMILY_SHARED_SUPPORT
 from entbound.ensembles import FAMILY_BIORTHOGONAL as BIORTHOGONAL
 from entbound.report import evaluate_variant, trial_stream
@@ -314,6 +315,38 @@ class TestBoundUnconstrained:
             assert b.rhs == pytest.approx(a.rhs, abs=1e-10)
             assert b.lhs == pytest.approx(a.lhs, abs=1e-12)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", range(2, bounds.MAX_WEIGHTED_N + 1))
+    def test_is_the_constrained_bound_on_constrained_draws(self, family, n):
+        # One row kernel for both: the constrained bound is the unconstrained
+        # one plus its unit-total precondition, in every field bit for bit.
+        cfg = EnsembleConfig(
+            n=n, dim_a=n, dim_b=n + 1, family=family, seed=n, coefficient_mode="constrained"
+        )
+        for trial in range(3):
+            spec = generate_spec(cfg, normalization_coeffs(n), trial_stream(cfg, trial))
+            constrained = bound_constrained(spec)
+            assert replace(constrained, variant="unconstrained") == bound_unconstrained(spec)
+
+    @pytest.mark.parametrize("offset", [-9e-10, -4e-10, -1e-15, 0.0, 1e-15, 4e-10, 9e-10])
+    def test_is_the_constrained_bound_anywhere_on_the_unit_total(self, offset):
+        # Totals within CONSTRAINT_TOL of 1 on either side.  At T = 1 - 9e-10
+        # on two orthogonal products, the T = 1 form -sum p_i log2 p_i read
+        # -T log2 T = 1.3e-9 bits above the bound, more than GAP_SLACK.
+        total = 1.0 + offset
+        stream = RandomStream(41).child(f"{offset!r}")
+        specs = [product_spec(np.full(2, math.sqrt(total / 4)))]
+        for n in (3, 6, 11):
+            spec = haar_spec(stream.child(f"n{n}"), n, 3, 3, "constrained")
+            weights = normalization_coeffs(n) * np.abs(spec.coefficients) ** 2
+            scaled = spec.coefficients * math.sqrt(total / float(weights.sum()))
+            specs.append(make_spec(scaled, spec.components))
+        for spec in specs:
+            weights = normalization_coeffs(spec.n) * np.abs(spec.coefficients) ** 2
+            assert abs(float(weights.sum()) - 1.0) <= CONSTRAINT_TOL
+            constrained = bound_constrained(spec)
+            assert replace(constrained, variant="unconstrained") == bound_unconstrained(spec)
+
     def test_bell_pair_intro_example(self):
         spec = make_spec([2**-0.5, 2**-0.5], [bell_state(+1), bell_state(-1)])
         rep = bound_unconstrained(spec)
@@ -376,14 +409,14 @@ def brute_force_minimized(
 ) -> tuple[float, float, tuple[int, ...]]:
     """The minimized bound by full enumeration: every one of the n! rows,
     in lexicographic order, refused if any of them totals zero, through
-    `_rhs` in one call, and the first row whose rhs is within `tie`
+    `_row_values` in one call, and the first row whose rhs is within `tie`
     (relative) of the least.  Returns its (rhs, correction, permutation)."""
     n = a2.size
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     rows = normalization_coeffs(n)[perms] * a2
     if rows.sum(axis=1).min() <= ZERO_NORM_TOL:
         raise DegenerateStateError("all coefficients vanish")
-    rhs, corrections = _rhs(rows, ents, VARIANT_MINIMIZED)
+    rhs, corrections = _row_values(rows, ents)
     least = rhs.min()
     k = int(np.flatnonzero(rhs - least <= tie * least)[0])
     return float(rhs[k]), float(corrections[k]), tuple(int(j) for j in perms[k])
@@ -396,7 +429,8 @@ def spec_arrays(spec: SuperpositionSpec) -> tuple[np.ndarray, np.ndarray]:
 def decimal_rhs(a2, ents, perm, unit_total: bool = False) -> tuple[Decimal, Decimal]:
     """rhs and correction of one row, sum p_j E_j + sum p_j log2(T / p_j),
     from the exact N_i^2 and the exact values of the float inputs, with
-    T = 1 if unit_total (the constrained variant's form).  The
+    T = 1 if unit_total (the paper's constrained form, which a constrained
+    draw meets within rounding).  The
     precision covers the square of the largest N_i^2 (a weight and the
     sum it is divided by can differ by that factor) plus 40 digits: at 80
     digits, n = 11 read 0.4% off."""
@@ -540,7 +574,7 @@ class TestBoundMinimized:
             assert rep.correction == correction
             assert rep.permutation == perm
             row = normalization_coeffs(spec.n)[list(perm)][None] * a2
-            alone = _rhs(row, ents, VARIANT_MINIMIZED)
+            alone = _row_values(row, ents)
             assert (float(alone[0][0]), float(alone[1][0])) == (rhs, correction)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -820,6 +854,17 @@ class TestDecimalOracle:
                 assert rhs - least <= Decimal("1e-12") * least
 
 
+def assert_unit_weight_row(spec: SuperpositionSpec, rep) -> None:
+    """The rhs and correction of the exact formula and the assistant check
+    are the row kernel's on the weights |alpha_i|^2 (every N_i^2 = 1), bit
+    for bit, and the correction is H(|alpha|^2) within 1e-12 relative."""
+    a2, ents = spec_arrays(spec)
+    assert rep.component_entanglements == tuple(ents)
+    rhs, correction = _row_values(a2[None], ents)
+    assert (rep.rhs, rep.correction) == (float(rhs[0]), float(correction[0]))
+    assert rep.correction == pytest.approx(shannon_entropy(a2), rel=1e-12, abs=0)
+
+
 def unit_spec(components) -> SuperpositionSpec:
     """A spec of the components (states, or an amplitude stack) with every
     coefficient 1: biorthogonality reads only the components."""
@@ -942,11 +987,7 @@ class TestExactBiorthogonal:
                 BIORTHOGONAL, n, n * block_a, 2 * n, stream.child("fam"), block_a, 2
             )
             spec = make_spec(simplex_coefficients(n, stream.child("a")), comps)
-            rep = exact_biorthogonal_entanglement(spec)
-            a2 = np.abs(spec.coefficients) ** 2
-            assert rep.component_entanglements == tuple(component_entanglements(spec))
-            assert rep.correction == shannon_entropy(a2)
-            assert rep.rhs == float(a2 @ component_entanglements(spec)) + rep.correction
+            assert_unit_weight_row(spec, exact_biorthogonal_entanglement(spec))
 
     def test_biorthogonal_specs_are_orthogonal(self):
         for trial in range(10):
@@ -1033,10 +1074,7 @@ class TestAssistantStateCheck:
             spec = haar_spec(RandomStream(303).child(f"t{trial}"), 3, 3, 3, "simplex")
             rep = assistant_state_check(spec)
             assert rep.checks == dict.fromkeys(CHAIN_CHECKS, True)
-            a2 = np.abs(spec.coefficients) ** 2
-            assert rep.component_entanglements == tuple(component_entanglements(spec))
-            assert rep.correction == shannon_entropy(a2)
-            assert rep.rhs == float(a2 @ component_entanglements(spec)) + rep.correction
+            assert_unit_weight_row(spec, rep)
 
     def test_requires_unit_weight(self):
         spec = make_spec([1.0, 1.0], [basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)])
@@ -1230,7 +1268,7 @@ def test_each_evaluator_checks_the_totals_once(monkeypatch, variant):
             evaluate_variant(spec, variant)
         assert type(caught.value) is exc and str(caught.value).startswith(message)
         assert len(kernel) == len(weights) == 1 and len(psi) == 1
-    zero = _rhs(np.zeros((1, 3)), np.ones(3), variant)
+    zero = _row_values(np.zeros((1, 3)), np.ones(3))
     assert [v.tolist() for v in zero] == [[0.0], [0.0]]
 
 

@@ -48,18 +48,18 @@ DIGESTS = {
     "spec orthogonal_shared_support": "b9414571a89b4c61c298591cc873c028cf9f4cb5660a53ee265f5e902ebf0147",
     "spec product_states": "72c91b02b8d327f2d3d14a85efffa8c85d345f974dc4426f515eb24ff4a6fb35",
     "spec bell_like": "c0474a0d7d3bc7b8af551b792f4a21c797b4e63ebc3f7e7dc94dcbaee9c4f29d",
-    "campaign constrained": "3003289bb63265b8074696844c0d42d6879d545f91eed358373079753e907a9f",
+    "campaign constrained": "5b08332d0e30f7a0e108506c8c65113f5febeff8b8905138f0b42eee2888ebf5",
     "eval constrained": "2032141540f18b06ac3bf06b654c9a5067b224be90ed5ca739e848cb019ec842",
     "campaign unconstrained": "9d0bd5dfcb381842ef5eb09bc76345828d27bc07409e8b197f483f3accc7f26c",
     "eval unconstrained": "2e648f6e9af29ac135b72b8c6e340a3c1d96d2f628ef9c3749d670d371e9d731",
     "campaign minimized": "262a0e8e778df1da11db5631972f68f933dcc0c651292b1a55c5cf0b1b1b3600",
     "eval minimized": "a72e1dc5e606d4535894fd4809ad9ac1d8c2d1f24b99f0c0fecc3c739c11d96b",
-    "campaign exact": "8abb9fc71cc7294588ce5fbc25693a0449d4080591e7dac4852dfee08cbc3f48",
-    "eval exact": "8f6bbe514da2cb54d9736fbbb10106340508a3436bdfdc94dc4a6478c7429d7e",
-    "campaign assistant": "fcfe9b26a324f8fe5dee1a79eebf75c6b37c706a8eb41231653e5497ab3c91fd",
-    "eval assistant": "e30673239e274cbafb144b39b348bcb532fe610e70e1d6e835806d89a4c9362b",
+    "campaign exact": "deb9a5b6795ee407834c2d98aad9c51bf497d1deb748916b8d52915af9d0dfdd",
+    "eval exact": "a89d1b3dcab1804e09807f9116a516ba1b4ebb38f2f562e174597c8372c5fddf",
+    "campaign assistant": "97b10301dfcfdbc3003e5eb006b87b8268fe44ee0ea29fc574e3deec104d2cd9",
+    "eval assistant": "1c8cccbd8a55a90c1afe2e47df9de22e4a730d334c48b252b1739af7cba78fb0",
     "coeffs 16": "1b6d24fc5316ce7c9414efc73f7ae817ccdef3bd0684a9753a1e3a8e8df98cae",
-    "verify": "46bcdaac1f27500d01327e9c87ee749f64c8c0e8197562301d36c9fe20f63c79",
+    "verify": "f648d5b9d5acf98be0b10ae59798ccc0e567045fb9e9cb03f95b1c06a63b0ab9",
 }
 
 
