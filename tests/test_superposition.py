@@ -120,14 +120,6 @@ class TestSpecValidation:
         with pytest.raises(PreconditionError):
             make_spec([1, 1], [big, basis_state(2, 2, 1, 1)])
 
-    def test_rejects_all_zero_coefficients(self):
-        with pytest.raises(PreconditionError):
-            make_spec([0, 0], [basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)])
-
-    def test_rejects_nonfinite_coefficients(self):
-        with pytest.raises(InvariantViolationError):
-            make_spec([np.nan, 1], [basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)])
-
     @pytest.mark.parametrize("alphas, exc, message", COEFFICIENT_REFUSALS)
     def test_coefficient_refusals(self, alphas, exc, message):
         # the finiteness pass runs only when max|alpha_i| is not finite; it
