@@ -430,10 +430,9 @@ def decimal_rhs(a2, ents, perm, unit_total: bool = False) -> tuple[Decimal, Deci
     """rhs and correction of one row, sum p_j E_j + sum p_j log2(T / p_j),
     from the exact N_i^2 and the exact values of the float inputs, with
     T = 1 if unit_total (the paper's constrained form, which a constrained
-    draw meets within rounding).  The
-    precision covers the square of the largest N_i^2 (a weight and the
-    sum it is divided by can differ by that factor) plus 40 digits: at 80
-    digits, n = 11 read 0.4% off."""
+    draw meets within rounding).  The precision covers the square of the
+    largest N_i^2 (a weight and the sum it is divided by can differ by that
+    factor) plus 40 digits: at 80 digits, n = 11 read 0.4% off."""
     nsq = oracle_n_squared(len(perm))
     with localcontext() as ctx:
         ctx.prec = 2 * len(str(nsq[-1])) + 40
