@@ -4,9 +4,9 @@ A superposition is an ordered list of complex coefficients paired with
 normalized component states on a shared (dim_a, dim_b), held as one
 (n, dim_a, dim_b) amplitude stack.  The combined state psi (`combine`)
 is generally unnormalized and can even vanish, and ||psi||^2 is taken
-from psi itself (`squared_norm`).  The Gram matrix of the components is
-computed once, cached on the spec and read by its unit-norm check.
-`component_entanglements` and the `entanglement` import have no caller
+from psi itself (`squared_norm`).  No pairwise overlap <phi_i|phi_j>
+enters the bound, so the spec forms none: its unit-norm check reads one
+squared norm per component.  `component_entanglements` and the `entanglement` import have no caller
 here; the benchmark binds both.
 """
 
@@ -50,13 +50,12 @@ def check_coefficient_scale(
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """n x n read-only matrix of pairwise component overlaps <phi_i|phi_j>.
+    """An n x n matrix of pairwise component overlaps <phi_i|phi_j>.
 
-    It is Hermitian and positive semidefinite by construction, with the
-    unit diagonal that `SuperpositionSpec` checks on the components, so it
-    carries no checks of its own.  The wrapper stays only because
-    `benchmarks/test_harness.py` names `superposition.GramMatrix`; once
-    the benchmark stops naming it, the spec can hold the plain array.
+    Unused: nothing in the package builds or reads it, and the spec holds
+    no Gram matrix.  The class stays only because
+    `benchmarks/test_harness.py` names `superposition.GramMatrix`; once the
+    benchmark stops naming it, it can be deleted.
     """
 
     matrix: np.ndarray
@@ -71,16 +70,16 @@ class SuperpositionSpec:
     stacked once, or an (n, dim_a, dim_b) amplitude array, such as a
     family's draw, which is copied.  Either way the spec holds one
     read-only stack, and one check covers both forms: the stack's shape,
-    that it is finite, and unit norms read from the diagonal of the Gram
-    matrix.  A dims or norm failure names the first bad component.  After
-    construction `components` is the tuple of states that are read-only
-    views of the stack's rows.  The stack and the Gram matrix are reused
-    by every downstream consumer.
+    then one squared norm per row, each within COMPONENT_NORM_TOL of 1.  A
+    NaN or inf amplitude makes its row's norm NaN or inf, so only a failed
+    norm check scans the stack for one, to refuse it as non-finite.  A dims
+    or norm failure names the first bad component.  After construction
+    `components` is the tuple of states that are read-only views of the
+    stack's rows.  The stack is reused by every downstream consumer.
     """
 
     coefficients: np.ndarray
     components: tuple[BipartitePureState, ...]
-    gram: GramMatrix = field(init=False, repr=False)
     _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -99,22 +98,20 @@ class SuperpositionSpec:
         if largest == 0.0:
             raise PreconditionError("coefficients must not all be zero")
         check_coefficient_scale(n, largest, "coefficients", InvariantViolationError)
-        if not np.isfinite(stack).all():
-            raise InvariantViolationError("state amplitudes contain NaN or Inf")
-        gram = np.einsum("iab,jab->ij", stack.conj(), stack)
-        norms = gram.diagonal().real
+        norms = np.einsum("iab,iab->i", stack.conj(), stack).real
         deviations = np.abs(norms - 1.0)
         if not deviations.max() <= COMPONENT_NORM_TOL:  # a NaN deviation fails too
+            if not np.isfinite(stack).all():
+                raise InvariantViolationError("state amplitudes contain NaN or Inf")
             k = int((~(deviations <= COMPONENT_NORM_TOL)).argmax())
             raise PreconditionError(
                 f"component {k} is not normalized (squared norm {float(norms[k])!r})"
             )
-        for array in (alphas, stack, gram):
-            array.setflags(write=False)
+        alphas.setflags(write=False)
+        stack.setflags(write=False)
         object.__setattr__(self, "coefficients", alphas)
         object.__setattr__(self, "components", tuple(map(BipartitePureState._view, stack)))
         object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "gram", GramMatrix(gram))
 
     @property
     def n(self) -> int:

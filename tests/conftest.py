@@ -37,6 +37,12 @@ def reduced_states(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m @ m.conj().T, m.T @ m.conj()
 
 
+def overlaps(spec) -> np.ndarray:
+    """The n x n matrix of component overlaps <phi_i|phi_j> of a spec, from
+    its amplitude stack (the package forms no such matrix)."""
+    return np.einsum("iab,jab->ij", spec._stack.conj(), spec._stack)
+
+
 def drawn_components(
     family: str, n: int, dim_a: int, dim_b: int, stream, block_a: int = 1, block_b: int = 1
 ) -> tuple[BipartitePureState, ...]:

@@ -10,7 +10,6 @@ from entbound import (
     DegenerateStateError,
     InvariantViolationError,
     ShapeMismatchError,
-    SuperpositionSpec,
     entanglement,
     von_neumann_entropy,
 )
@@ -45,37 +44,6 @@ class TestStateType:
         s = basis_state(2, 2, 0, 0)
         with pytest.raises(ValueError):
             s.amplitudes[0, 0] = 5.0
-
-
-def overlap(x: BipartitePureState, y: BipartitePureState) -> complex:
-    """<x|y> = sum_ij conj(x_ij) y_ij, read from the Gram matrix of a spec,
-    the one place the package forms it."""
-    return complex(SuperpositionSpec(np.ones(2), (x, y)).gram.matrix[0, 1])
-
-
-class TestInnerProduct:
-    def test_identity_case(self):
-        k = basis_state(2, 2, 0, 0)
-        assert overlap(k, k) == pytest.approx(1.0)
-
-    def test_orthogonal_basis_kets(self):
-        assert overlap(basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)) == 0
-
-    def test_matches_elementwise_sum_oracle(self, rng):
-        x = random_state(rng, 3, 3)
-        y = random_state(rng, 3, 3)
-        # independent double-loop oracle
-        acc = 0j
-        for i in range(3):
-            for j in range(3):
-                acc += np.conj(x.amplitudes[i, j]) * y.amplitudes[i, j]
-        assert overlap(x, y) == pytest.approx(acc, abs=1e-12)
-
-    def test_conjugate_symmetry(self, rng):
-        # exact, not approximate: the Gram matrix carries no Hermiticity check
-        x = random_state(rng, 2, 4)
-        y = random_state(rng, 2, 4)
-        assert overlap(x, y) == np.conj(overlap(y, x))
 
 
 def _brute_force_trace_out_a(s: BipartitePureState) -> np.ndarray:

@@ -142,19 +142,11 @@ class TestSpecValidation:
             assert main(["eval", str(path)]) == 2
         assert capsys.readouterr() == ("", f"entbound: spec: {message}\n")
 
-    def test_gram_is_cached_and_valid(self, rng):
-        comps = [random_state(rng, 3, 3) for _ in range(3)]
-        spec = make_spec([1, 1j, -0.5], comps)
-        g = spec.gram.matrix
-        assert g.shape == (3, 3)
-        np.testing.assert_allclose(np.diag(g).real, 1.0, atol=1e-10)
-        assert np.abs(g - g.conj().T).max() < 1e-12
-        assert np.linalg.eigvalsh(g).min() > -1e-10
-
 
 FAULTS = (
     None, "one component", "coefficient count", "nan coefficient", "zero coefficients",
     "overflowing coefficient", "nan amplitude", "inf amplitude", "unnormalized component",
+    "unnormalized then nan", "overflowing amplitude",
 )
 
 
@@ -201,6 +193,11 @@ class TestSpecFromStack:
             stack[k, -1, 0] = np.nan if fault == "nan amplitude" else complex(0, np.inf)
         elif fault == "unnormalized component":
             stack[k] *= scale
+        elif fault == "unnormalized then nan":
+            stack[k % (n - 1)] *= 3.0
+            stack[-1, 0, -1] = np.nan
+        elif fault == "overflowing amplitude":
+            stack[k, 0, 0] = 1e200
         from_stack = built(coeffs, stack, as_states=False)
         from_states = built(coeffs, stack, as_states=True)
         if fault is None:
@@ -209,7 +206,6 @@ class TestSpecFromStack:
             for a, b in [
                 (from_stack.coefficients, from_states.coefficients),
                 (from_stack._stack, from_states._stack),
-                (from_stack.gram.matrix, from_states.gram.matrix),
             ] + [(x.amplitudes, y.amplitudes)
                  for x, y in zip(from_stack.components, from_states.components)]:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -218,6 +214,14 @@ class TestSpecFromStack:
             assert isinstance(from_stack, tuple) and from_stack == from_states
         if fault == "unnormalized component":
             assert from_stack[1].startswith(f"component {k} is not normalized")
+        elif fault == "unnormalized then nan":
+            # a non-finite amplitude is named first, whichever row fails the norm
+            assert from_stack == (InvariantViolationError, "state amplitudes contain NaN or Inf")
+        elif fault == "overflowing amplitude":
+            # a finite amplitude whose square overflows is a norm failure
+            assert from_stack == (
+                PreconditionError, f"component {k} is not normalized (squared norm inf)"
+            )
 
     def test_holds_a_copy(self):
         stack = np.stack([bell_state(+1).amplitudes, bell_state(-1).amplitudes])
