@@ -89,7 +89,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except _REPORTED as exc:  # reported here too: the benchmark calls cmd_eval without main
         return _fail(exc)
     print(dumps(out))
-    return EXIT_OK
+    return EXIT_VIOLATION if rep.is_violation else EXIT_OK
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:

@@ -22,7 +22,7 @@ from entbound import (
     run_campaign,
     run_trial,
 )
-from entbound import report
+from entbound import bounds, report
 from entbound.cli import cmd_eval, main
 from entbound.report import (
     VARIANTS,
@@ -517,6 +517,26 @@ class TestCli:
         assert capsys.readouterr().err == (
             "entbound: precondition failed: superposition vanishes; the bound is vacuous\n"
         )
+
+    @pytest.mark.parametrize(
+        "rhs, checks",
+        [(1.0 - 2 * GAP_SLACK, {}), (2.0, {"biorth_equality": False})],
+        ids=["negative-gap", "false-check"],
+    )
+    def test_eval_exits_1_on_a_violation(self, tmp_path, capsys, monkeypatch, rhs, checks):
+        # the report is printed as it is, and the exit code names the violation
+        rep = BoundReport("unconstrained", 1.0, rhs, 0.5, (0.0, 0.0), checks,
+                          squared_norm=1.0, superposition_entanglement=1.0)
+        assert rep.is_violation
+        monkeypatch.setattr(bounds, "bound_unconstrained", lambda spec: rep)
+        path = write_spec_file(
+            tmp_path, [0.5, 0.5], [basis_state(2, 2, 0, 0), basis_state(2, 2, 1, 1)]
+        )
+        assert main(["eval", str(path)]) == 1
+        stdout, err = capsys.readouterr()
+        assert err == ""
+        out = json.loads(stdout)
+        assert out["gap"] == rep.gap and out.get("checks", {}) == checks
 
     def test_eval_precondition_exit_code(self, tmp_path, capsys):
         # constrained variant on coefficients violating the constraint
