@@ -6,8 +6,8 @@ normalized component states on a shared (dim_a, dim_b), held as one
 is generally unnormalized and can even vanish, and ||psi||^2 is taken
 from psi itself (`squared_norm`).  No pairwise overlap <phi_i|phi_j>
 enters the bound, so the spec forms none: its unit-norm check reads one
-squared norm per component.  `component_entanglements` and the `entanglement` import have no caller
-here; the benchmark binds both.
+squared norm per component.  `component_entanglements` and the
+`entanglement` import have no caller here; the benchmark binds both.
 """
 
 from __future__ import annotations
