@@ -62,6 +62,21 @@ COEFFICIENT_REFUSALS = [
 ]
 
 
+
+# component refusals of the one-pass norm check, on two 1x2 rows: a failed
+# norm is refused as non-finite if any amplitude is, else the first row
+# outside COMPONENT_NORM_TOL is named with its squared norm
+COMPONENT_REFUSALS = [
+    pytest.param([[3.0, 0.0], [1.0, math.nan]], InvariantViolationError,
+                 "state amplitudes contain NaN or Inf", id="unnormalized-then-nan"),
+    pytest.param([[1e200, 0.0], [1.0, 0.0]], PreconditionError,
+                 "component 0 is not normalized (squared norm inf)", id="overflowing-amplitude"),
+    pytest.param([[1.0, 0.0], [0.0, 3.0]], PreconditionError,
+                 "component 1 is not normalized (squared norm 9.0)", id="second-row"),
+    pytest.param([[2.0, 0.0], [0.0, 3.0]], PreconditionError,
+                 "component 0 is not normalized (squared norm 4.0)", id="first-of-two-rows"),
+]
+
 # alpha_2 = -alpha_1 on two near-parallel 2x2 components, each normalized in
 # decimal, so psi keeps about 1e-6 of |alpha_1|^2 = 1537825: ||psi||^2 is
 # 1.5747328 in exact arithmetic.  The quadratic form a^+ G a over the Gram
@@ -142,6 +157,33 @@ class TestSpecValidation:
             assert main(["eval", str(path)]) == 2
         assert capsys.readouterr() == ("", f"entbound: spec: {message}\n")
 
+
+    @pytest.mark.parametrize("rows, exc, message", COMPONENT_REFUSALS)
+    def test_component_refusals(self, rows, exc, message):
+        stack = np.array(rows, dtype=complex).reshape(2, 1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(exc) as caught:
+                SuperpositionSpec(np.array([0.6, 0.8]), stack)
+        assert type(caught.value) is exc and str(caught.value) == message
+
+    def test_overflowing_amplitude_through_eval(self, tmp_path, capsys):
+        # a finite 1e200 amplitude: its squared norm overflows to inf, a norm
+        # failure and an input error, not a non-finite amplitude
+        components = [
+            {"dim_a": 1, "dim_b": 2, "amplitudes": [[1e200, 0], [0, 0]]},
+            {"dim_a": 1, "dim_b": 2, "amplitudes": [[1, 0], [0, 0]]},
+        ]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {"coefficients": [[0.6, 0], [0.8, 0]], "components": components}
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["eval", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "entbound: spec: component 0 is not normalized (squared norm inf)\n"
+        )
 
 FAULTS = (
     None, "one component", "coefficient count", "nan coefficient", "zero coefficients",
