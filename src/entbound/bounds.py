@@ -21,8 +21,8 @@ one spec their reports agree bit for bit but for the variant name.  The
 minimized variant finds its row by an exact branch and bound over the
 assignments (`_minimized`), not by evaluating all n! rows: one row-kernel
 pass over a cached opening, which places the two largest N_i^2 and
-usually settles the search, then, while nodes survive, one pass per
-further entry.  Rows within TIE_REL of the least rhs tie, and the
+usually settles the search, then one pass over every row of the nodes
+it leaves open.  Rows within TIE_REL of the least rhs tie, and the
 lexicographically smallest permutation of them wins.  Also here: the
 exact formula for biorthogonal components and the assistant-state
 verifier that traces the proof chain numerically.  The right-hand side of
@@ -45,6 +45,7 @@ check once, before any trial.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -64,10 +65,11 @@ MAX_N = 16              # recursion values overflow even float64 shortly beyond
 # Caps the N_i^2-weighted bound variants: N_11^2 (about 2.7e208) is the last
 # entry of the float table, and normalization_coeffs(12) holds +inf.
 MAX_WEIGHTED_N = 11
-# Caps the minimized bound further.  Its search builds no n! table, but the
+# Caps the minimized bound further.  Its search keeps no n! table, but the
 # cap stays where the full enumeration set it until larger n is tested:
-# the settled-subtree fallback of `_minimized` still weighs up to (n - 2)!
-# rows per settled node.
+# `_minimized` reads all (n - 2)! rows of each node its opening leaves open
+# (all n! rows when exact ties leave every node open), and its
+# settled-subtree fallback as many per settled node it weighs.
 MAX_MINIMIZED_N = 8
 MAX_ASSISTANT_ELEMS = 65536
 BIORTHOGONALITY_TOL = 1e-10
@@ -329,47 +331,37 @@ def _place(nodes: np.ndarray, entry: int) -> np.ndarray:
     return children
 
 
-def _bounding_entries(nodes: np.ndarray, nsq: np.ndarray, entry: int) -> np.ndarray:
-    """The table entries of the lower and then the upper bounding rows of
-    `nodes`, `entry` being the last one placed: every free component at
-    the smallest, then the largest, remaining entry."""
-    ends = nsq[[0, entry - 1]][:, None, None]
-    return np.where(nodes < 0, ends, nsq[nodes]).reshape(-1, nodes.shape[1])
-
-
-def _completions(nodes: np.ndarray) -> np.ndarray:
-    """The lexicographically smallest completion of each of `nodes` (table
-    index per component, -1 while free): its k free components take the
-    remaining entries 0..k-1 in ascending order."""
-    free = nodes < 0
-    return np.where(free, np.cumsum(free, axis=1) - 1, nodes)
-
-
-def _every_completion(nodes: np.ndarray) -> np.ndarray:
+def _every_completion(nodes: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Every row of the subtrees of `nodes` (table index per component, -1
-    while free), each once: entry 0, then 1, and so on, placed in every free
-    component of each node that still has one, k! rows for k free."""
-    rows = []
-    for entry in range(nodes.shape[1] + 1):
-        full = (nodes >= 0).all(axis=1)
-        rows.append(nodes[full])
-        nodes = _place(nodes[~full], entry)
-    return np.concatenate(rows)
+    while free), node by node: the k free components of a node, left to
+    right, take each row of `orders` (k columns, the entries 0..k-1 in
+    every order for the whole subtree) in turn."""
+    rows = np.repeat(nodes, len(orders), axis=0)
+    rows[rows < 0] = np.tile(orders, (len(nodes), 1)).ravel()
+    return rows
 
 
 @functools.lru_cache(maxsize=None)
-def _opening(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _opening(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The top of the minimized search over n components, built once per n
     and shared read-only: the n(n - 1) nodes that place entries n - 1 and
-    n - 2, their lexicographically smallest completions, and the table
-    entries of their lower, upper and completion rows, in that order."""
+    n - 2; their lexicographically smallest completions, whose free
+    components take the remaining entries in ascending order; the table
+    entries of their lower, upper and completion rows, in that order, the
+    bounding rows putting every free component at entry 0, then n - 3; and
+    the (n - 2)! orders of the remaining entries, in lexicographic order,
+    that `_every_completion` fills the free components from."""
     nodes = _place(_place(np.full((1, n), -1, dtype=np.intp), n - 1), n - 2)
-    completions = _completions(nodes)
+    orders = np.array(list(itertools.permutations(range(n - 2))), dtype=np.intp)
+    completions = _every_completion(nodes, orders[:1])
     nsq = normalization_coeffs(n)
-    entries = np.concatenate((_bounding_entries(nodes, nsq, n - 2), nsq[completions]))
-    for table in (nodes, completions, entries):
+    free = nodes < 0
+    entries = np.concatenate(
+        [np.where(free, nsq[end], nsq[nodes]) for end in (0, n - 3)] + [nsq[completions]]
+    )
+    for table in (nodes, completions, entries, orders):
         table.setflags(write=False)
-    return nodes, completions, entries
+    return nodes, completions, entries, orders
 
 
 def _least_tied(rhs: np.ndarray, perms: np.ndarray) -> int:
@@ -388,31 +380,32 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
     permutation (perm[j] = the index into the sorted normalization table
     that component j takes) is lexicographically smallest.
 
-    An exact branch and bound over the n! assignments, placing the largest
-    N_i^2 first.  The rhs is nondecreasing in every weight (its derivative
-    in P_j is E_j + log2(T / P_j) >= 0), so the rows that put every free
-    component at the smallest, then the largest, remaining entry bound the
-    rows of a node's subtree from below and above.  A node is pruned once
-    its lower bound is beyond the tie window of the least upper bound, so
-    none of its rows ties.  It settles once its whole subtree lies inside
-    the tie window of the least lower bound: every row of it ties, and its
-    lexicographically smallest completion stands for it.
-
-    One `_row_values` pass over the cached opening (`_opening`) bounds the
-    n(n - 1) nodes that place the two largest entries and reads their
-    completions too.  When the opening settles every node it keeps, as it
-    usually does (195 of 200 Haar simplex n = 8 specs at seed 7), the
-    winner comes from that one pass, and nothing else is built.  Else each
-    pass places one more entry, down to entry 2, and one last
-    `_row_values` pass reads the completions of the nodes settled there
-    and the two leaves of each node that survives entry 2, so every leaf
-    is read once.
+    An exact branch and bound over the n! assignments that branches once,
+    on where the two largest N_i^2 go.  The rhs is nondecreasing in every
+    weight (its derivative in P_j is E_j + log2(T / P_j) >= 0), so the rows
+    that put every free component at the smallest, then the largest,
+    remaining entry bound the rows of a node's subtree from below and
+    above.  One `_row_values` pass over the
+    cached opening (`_opening`) reads those two rows and the completion
+    row of each of the n(n - 1) nodes that place the two largest N_i^2.
+    A completion is a row itself, so the least of them bounds the least
+    rhs from above with no rounding margin, and more tightly than any
+    upper row, which bounds its own node's completion.  A node is pruned
+    once its lower bound is beyond the tie window of that bound, so none
+    of its rows ties.  It settles once its whole subtree lies inside the
+    tie window of the least lower bound of the nodes kept: every row of it
+    ties, and its completion stands for it.  One more pass reads all
+    (n - 2)! rows of each node kept but not settled (`_every_completion`).
+    When the opening settles every node it keeps, as it usually does (196
+    of 200 Haar simplex n = 8 specs at seed 7), the winner comes from that
+    one pass; a constrained Haar n = 8 search leaves one node open.
+    Exact-zero weights tie many bounds and may leave every node open, and
+    then all n! rows are read.
 
     A settled subtree may still hold a row below the least rhs read,
     which would narrow the window.  When that could untie the winning
     row, every row of the settled subtrees whose lower bound is below
-    the least rhs read is weighed as well, enumerated by `_place` through
-    `_every_completion` (at most (n - 2)! rows per subtree, and rare: 2 of
+    the least rhs read is weighed as well, in a third pass (rare: 2 of
     the first 1 000 of those specs).
     The margins of _ROUNDING cover the rounding of bounds and rows, so the
     result is the full enumeration's: the same row, rhs and correction,
@@ -424,27 +417,14 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
     """
     n = a2.size
     nsq = normalization_coeffs(n)
-    least_upper = settled_lower = math.inf
-
-    def sift(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The lower bounds of the nodes whose bounding rows read `values`,
-        the nodes kept and the nodes settled."""
-        nonlocal least_upper, settled_lower
-        lower = values[0] * (1 - _ROUNDING) - _ROUNDING_FLOOR
-        upper = values[1] * (1 + _ROUNDING) + _ROUNDING_FLOOR
-        least_upper = min(least_upper, float(upper.min()))
-        keep = lower <= least_upper * (1 + TIE_REL)
-        least_lower = min(settled_lower, float(lower.min(where=keep, initial=math.inf)))
-        done = keep & (upper <= least_lower * (1 + TIE_REL))
-        if done.any():
-            settled_lower = min(settled_lower, float(lower[done].min()))
-        return lower, keep, done
+    nodes, completions, entries, orders = _opening(n)
 
     def weigh(
-        perms: np.ndarray, rhs: np.ndarray, corrections: np.ndarray, more: np.ndarray
+        perms: np.ndarray, rhs: np.ndarray, corrections: np.ndarray, subtrees: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows `perms` and their rhs and corrections, followed by the
-        rows `more`, through `_row_values`."""
+        """The rows `perms` and their rhs and corrections, followed by every
+        row of the subtrees of the nodes `subtrees`, through `_row_values`."""
+        more = _every_completion(subtrees, orders)
         more_rhs, more_corrections = _row_values(nsq[more] * a2, ents)
         return (
             np.concatenate((perms, more)),
@@ -452,45 +432,27 @@ def _minimized(a2: np.ndarray, ents: np.ndarray) -> tuple[float, float, tuple[in
             np.concatenate((corrections, more_corrections)),
         )
 
-    frontier, completions, entries = _opening(n)
-    m = len(frontier)
+    m = len(nodes)
     rhs, corrections = _row_values(entries * a2, ents)
-    lower, keep, done = sift(rhs[: 2 * m].reshape(2, m))
-    # The opening's completions stand for the nodes it settles.
-    perms, rhs, corrections = completions[done], rhs[2 * m:][done], corrections[2 * m:][done]
-    nodes, floors = frontier[done], lower[done]
-    frontier = frontier[keep & ~done]
-    if frontier.size:  # one entry per pass below the opening, down to entry 2
-        nodes, floors = [nodes], [floors]
-        for entry in range(n - 3, 1, -1):
-            if not frontier.size:
-                break
-            frontier = _place(frontier, entry)
-            values = _row_values(_bounding_entries(frontier, nsq, entry) * a2, ents)[0]
-            lower, keep, done = sift(values.reshape(2, -1))
-            nodes.append(frontier[done])
-            floors.append(lower[done])
-            frontier = frontier[keep & ~done]
-        if n > 3:  # a survivor of entry 2 holds two leaves: entry 1 in either free slot
-            frontier = _place(frontier, 1)
-        nodes.append(frontier)  # leaves, whose completions are read exactly
-        floors.append(np.full(len(frontier), math.inf))
-        nodes, floors = np.concatenate(nodes), np.concatenate(floors)
-        if len(nodes) > len(perms):  # the completions not read in the opening
-            perms, rhs, corrections = weigh(
-                perms, rhs, corrections, _completions(nodes[len(perms):])
-            )
+    lower = rhs[:m] * (1 - _ROUNDING) - _ROUNDING_FLOOR
+    upper = rhs[m:2 * m] * (1 + _ROUNDING) + _ROUNDING_FLOOR
+    rhs, corrections = rhs[2 * m:], corrections[2 * m:]
+    keep = lower <= rhs.min() * (1 + TIE_REL)
+    done = keep & (upper <= lower.min(where=keep, initial=math.inf) * (1 + TIE_REL))
+    perms, rhs, corrections = completions[done], rhs[done], corrections[done]
+    settled, floors = nodes[done], lower[done]
+    open_nodes = nodes[keep & ~done]
+    if open_nodes.size:
+        perms, rhs, corrections = weigh(perms, rhs, corrections, open_nodes)
     k = _least_tied(rhs, perms)
     # Row k ties with the true least row if it lies below this edge, and
     # then it wins: the true window holds fewer rows, none lexicographically
     # smaller.  Else the settled subtrees that may hold a row below the
-    # least rhs read are weighed row by row.
+    # least rhs read are weighed row by row; their completions, read
+    # already, are read again among them, which moves no tie.
     under = floors < rhs.min()
     if under.any() and rhs[k] > floors[under].min() * (1 + TIE_REL) * (1 - _ROUNDING):
-        perms, rhs, corrections = weigh(
-            perms[~under], rhs[~under], corrections[~under],
-            _every_completion(nodes[under]),
-        )
+        perms, rhs, corrections = weigh(perms, rhs, corrections, settled[under])
         k = _least_tied(rhs, perms)
     return float(rhs[k]), float(corrections[k]), tuple(perms[k].tolist())
 
@@ -548,15 +510,16 @@ def bound_minimized(spec: SuperpositionSpec) -> BoundReport:
     """Lowest unconstrained bound over all n! assignments of the
     normalization table to components (capped at n = MAX_MINIMIZED_N).
 
-    An exact branch and bound finds it without an n! table (see
+    An exact branch and bound finds it without a cached n! table (see
     `_minimized`): one row-kernel pass over a cached opening, which places
-    the two largest entries of the table, settles a typical Haar search,
-    and each further pass places one more entry.  Rows whose rhs is within
-    TIE_REL relative of the least one tie, and the lexicographically
-    smallest permutation of them wins, so rows that differ only in rounding
-    no longer pick the reported permutation.  The reported rhs and
-    correction are that row's, equal to `_row_values` at the reported
-    permutation bit for bit."""
+    the two largest entries of the table and settles a typical Haar
+    search, one over every row of the nodes it leaves open, and, rarely,
+    one over every row of the settled nodes that may hold a row below
+    those read.  Rows whose rhs is within TIE_REL relative of the least
+    one tie, and the lexicographically smallest permutation of them wins,
+    so rows that differ only in rounding no longer pick the reported
+    permutation.  The reported rhs and correction are that row's, equal
+    to `_row_values` at the reported permutation bit for bit."""
     return _bound(spec, VARIANT_MINIMIZED)
 
 

@@ -24,8 +24,8 @@ from .errors import (
     ShapeMismatchError,
 )
 
-# Tolerances of this module, some also imported by `bounds` and
-# `superposition`; those two define their other tolerances themselves.
+# Tolerances of this module, some also imported by `bounds`, which defines
+# its other tolerances itself.
 HERMITIAN_TOL = 1e-12   # elementwise hermiticity
 EIG_CLIP = 1e-10        # eigenvalues in [-EIG_CLIP, 0) are clipped to zero
 EIG_CUTOFF = 1e-14      # Schmidt and Shannon weights at or below this add exactly 0

@@ -509,10 +509,10 @@ class TestBoundMinimized:
         # No tolerance: the search must reproduce every bit of the full
         # enumeration, including which of several tied rows wins, and a row
         # must read the same alone as among all n! rows.  On the Haar specs
-        # the opening settles every simplex search in its one pass; the
-        # constrained searches go on below it, one entry per pass, in at most
-        # six passes: the opening, entries 5 to 2 and the completions, which
-        # read the two leaves of every node that survives entry 2.
+        # the opening (168 rows at n = 8) settles every simplex search in its
+        # one pass; it leaves one node open on each constrained search and
+        # twelve on each spec with four zero weights, and one more pass reads
+        # every row of those nodes, 720 each.
         if case.startswith("haar-n8"):
             mode = case.rsplit("-", 1)[1]
             specs = [haar_spec(RandomStream(41).child(f"t{t}"), 8, 4, 4, mode) for t in range(4)]
@@ -553,7 +553,9 @@ class TestBoundMinimized:
             if case == "haar-n8-simplex":
                 assert len(passes) == 1
             elif case == "haar-n8-constrained":
-                assert 1 < len(passes) <= 6
+                assert [len(args[0]) for args, _ in passes] == [168, 720]
+            elif case == "zero-weights-n8":
+                assert [len(args[0]) for args, _ in passes] == [168, 12 * 720]
             rhs, correction, perm = brute_force_minimized(a2, ents)
             assert rep.rhs == rhs
             assert rep.gap == rhs - rep.lhs
@@ -600,59 +602,59 @@ class TestBoundMinimized:
     @pytest.mark.parametrize(
         "a2, ents",
         [
-            ([0.023, 0.116, 1.26, 0.0217, 0.0269, 0.00131], [1.25, 0.89, 0.94, 0.72, 1.8, 0.34]),
-            ([16.7, 26.5, 104.0, 13.7, 19.0, 19.3], [0.0] * 6),
+            ([0.066, 0.251, 0.91, 0.621, 0.161, 0.394], [2.0, 1.38, 1.77, 0.59, 1.38, 1.61]),
+            ([0.222, 0.659, 0.306, 0.029, 0.276, 0.373], [0.71, 0.76, 0.36, 1.0, 1.46, 0.89]),
         ],
     )
     def test_least_row_inside_a_settled_subtree(self, monkeypatch, a2, ents):
         # Under a 1% window, the least row of these specs lies inside a
-        # subtree that settles, and the completion standing for it reads
-        # above it.  A window read from that completion would also admit a
-        # lexicographically smaller row beyond the true window's edge.
+        # subtree that the opening settles, and the completion standing for
+        # it reads above it.  A window read from that completion would also
+        # admit a lexicographically smaller row beyond the true window's
+        # edge, so the fallback must weigh that subtree: the third pass,
+        # after the opening and the nodes it leaves open, reads its 24 rows.
         monkeypatch.setattr(bounds, "TIE_REL", 1e-2)
-        weighed = record_calls(monkeypatch, "_every_completion")
+        passes = record_calls(monkeypatch, "_row_values")
         a2, ents = np.array(a2), np.array(ents)
         assert _minimized(a2, ents) == brute_force_minimized(a2, ents, tie=1e-2)
-        assert weighed
+        assert len(passes) == 3 and len(passes[-1][0][0]) == 24
 
     @pytest.mark.parametrize("trial", [78, 381])
     def test_settled_subtree_fallback_at_the_default_window(self, monkeypatch, trial):
         # The two of the first 1 000 Haar simplex draws of minimized-n8's
         # config shape whose settled subtrees are weighed row by row under
-        # the default TIE_REL (720 rows each).
+        # the default TIE_REL: the opening, the one node it leaves open and
+        # the fallback, 720 rows each after the opening.
         cfg = EnsembleConfig(
             n=8, dim_a=4, dim_b=4, family="haar", seed=7, coefficient_mode="simplex_uniform"
         )
         spec = generate_spec(cfg, normalization_coeffs(8), trial_stream(cfg, trial))
-        weighed = record_calls(monkeypatch, "_every_completion")
+        passes = record_calls(monkeypatch, "_row_values")
         rep = bound_minimized(spec)
-        assert weighed
+        assert [len(args[0]) for args, _ in passes] == [168, 720, 720]
         assert (rep.rhs, rep.correction, rep.permutation) == brute_force_minimized(
             *spec_arrays(spec)
         )
 
     def test_every_completion_is_each_permutation_once(self):
-        # Nodes with 0 to 6 free components, mixed: the k free components of
-        # a node hold the entries 0..k-1 in every order, each row once.
-        rng = np.random.default_rng(3)
-        free_counts = (3, 0, 6, 1, 4, 2, 5, 0, 6, 2)
-        nodes = []
-        for k in free_counts:
-            node = np.full(6, -1, dtype=np.intp)
-            node[np.sort(rng.choice(6, 6 - k, replace=False))] = rng.permutation(6 - k) + k
-            nodes.append(node)
-        nodes = np.array(nodes)
-        want = []
-        for node in nodes.tolist():
-            free = [j for j, t in enumerate(node) if t < 0]
-            for order in itertools.permutations(range(len(free))):
-                row = list(node)
-                for j, t in zip(free, order):
-                    row[j] = t
-                want.append(tuple(row))
-        got = [tuple(row) for row in bounds._every_completion(nodes).tolist()]
-        assert len(got) == len(want) == sum(math.factorial(k) for k in free_counts)
-        assert sorted(got) == sorted(want)
+        # The opening's nodes split the n! rows: node by node, their n - 2
+        # free components, left to right, take each order of the entries
+        # 0..n-3 once, in lexicographic order, the first order giving the
+        # node's completion.
+        for n in range(2, 9):
+            nodes, completions, _, orders = bounds._opening(n)
+            want = []
+            for node in nodes.tolist():
+                free = [j for j, t in enumerate(node) if t < 0]
+                for order in itertools.permutations(range(n - 2)):
+                    row = list(node)
+                    for j, t in zip(free, order):
+                        row[j] = t
+                    want.append(row)
+            got = bounds._every_completion(nodes, orders).tolist()
+            assert got == want
+            assert sorted(map(tuple, got)) == list(itertools.permutations(range(n)))
+            assert got[:: math.factorial(n - 2)] == completions.tolist()
 
     def test_exact_window_is_the_full_enumeration(self, monkeypatch):
         # With no tie window, only the _ROUNDING margins keep the bounds of a
@@ -705,7 +707,7 @@ class TestBoundMinimized:
         assert sum(outcomes.values()) == 2800
 
     def test_cached_permutation_tables_are_read_only(self):
-        # The search builds no n! table (the full n = 8 enumeration takes
+        # A Haar search builds no n! table (the full n = 8 enumeration takes
         # 40320 rows of 8 floats, 2.6 MB): it reads only the shared
         # normalization table and the cached opening of the search, both
         # read-only, shared per n and unchanged by a search.
